@@ -83,30 +83,59 @@ impl<V: PackingValue> BchsNode<V> {
         (0..self.y.len()).filter(|&p| !self.frozen && !self.nb_frozen[p]).collect()
     }
 
-    /// The raise unit of level `b`: `W/2^b`, computed exactly in `V`.
+    /// The raise unit of level `b`: `W/2^b`, one exact division in `V`.
     fn unit(&self, b: u32) -> V {
-        let two = V::from_u64(2);
-        let mut u = V::from_u64(self.max_weight.max(1));
-        for _ in 0..b {
-            u = u.div(&two);
-        }
-        u
+        V::from_u64(self.max_weight.max(1)).div(&pow2(b))
     }
 
     /// The smallest level whose unit this node can afford on every active
-    /// edge at once: `min { b : deg_act·W/2^b ≤ r(v) }`. Minimality is the
-    /// progress invariant — for `b > 0`, `W/2^b > r(v)/(2·deg_act)`.
+    /// edge at once: `min { b : deg_act·W/2^b ≤ r(v) }`, capped at
+    /// `MAX_LEVEL`. Minimality is the progress invariant — for `b > 0`,
+    /// `W/2^b > r(v)/(2·deg_act)`.
     fn bid_level(&self, deg_act: u64) -> u32 {
         let r = self.w.sub(&self.y_total);
-        let deg = V::from_u64(deg_act);
-        let two = V::from_u64(2);
-        let mut u = V::from_u64(self.max_weight.max(1));
-        let mut b = 0u32;
-        while deg.mul(&u) > r && b < MAX_LEVEL {
-            u = u.div(&two);
+        if deg_act == 0 {
+            // Level 0 already asks for nothing: affordable unless r < 0.
+            return if r < V::zero() { MAX_LEVEL } else { 0 };
+        }
+        if !r.is_positive() {
+            return MAX_LEVEL; // a positive demand never fits r ≤ 0
+        }
+        // deg·W/2^b ≤ r  ⇔  deg·W/r ≤ 2^b.
+        let q = V::from_u64(deg_act).mul(&V::from_u64(self.max_weight.max(1))).div(&r);
+        least_level(&q)
+    }
+}
+
+/// `min { b : q ≤ 2^b }`, capped at `MAX_LEVEL`: a binary search over the
+/// levels whose power of two is a single `u64`, a doubling walk beyond.
+fn least_level<V: PackingValue>(q: &V) -> u32 {
+    if *q > pow2(63) {
+        let (mut b, mut p) = (64, pow2::<V>(64));
+        while b < MAX_LEVEL && *q > p {
+            p = p.add(&p);
             b += 1;
         }
-        b
+        return b;
+    }
+    let (mut lo, mut hi) = (0u32, 63u32);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if *q <= pow2(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// `2^b` exactly in `V` (one `u64` embedding for `b < 64`, a product beyond).
+fn pow2<V: PackingValue>(b: u32) -> V {
+    if b < 64 {
+        V::from_u64(1 << b)
+    } else {
+        V::from_u64(1 << 63).mul(&pow2(b - 63))
     }
 }
 
@@ -338,6 +367,70 @@ mod tests {
             rounds.push(run.trace.rounds);
         }
         assert!(rounds.iter().all(|&r| r == rounds[0]), "levels are scale-free: {rounds:?}");
+    }
+
+    /// The per-level loops `unit`/`bid_level` ran before the closed forms.
+    fn loop_unit<V: PackingValue>(w: u64, b: u32) -> V {
+        let mut u = V::from_u64(w.max(1));
+        for _ in 0..b {
+            u = u.div(&V::from_u64(2));
+        }
+        u
+    }
+
+    fn loop_bid_level<V: PackingValue>(deg: u64, w: u64, r: &V) -> u32 {
+        let deg = V::from_u64(deg);
+        let mut u = V::from_u64(w.max(1));
+        let mut b = 0u32;
+        while deg.mul(&u) > *r && b < MAX_LEVEL {
+            u = u.div(&V::from_u64(2));
+            b += 1;
+        }
+        b
+    }
+
+    fn closed_forms_match_loops<V: PackingValue>() {
+        let node = |w: u64, r: V| BchsNode::<V> {
+            w: V::from_u64(w),
+            y_total: V::from_u64(w).sub(&r),
+            y: Vec::new(),
+            threshold: V::zero(),
+            max_weight: w,
+            frozen: false,
+            frozen_at: None,
+            nb_frozen: Vec::new(),
+        };
+        let tiny = |k: u32| V::one().div(&pow2(k)); // 2^-k
+        let mut residuals: Vec<V> = vec![V::zero(), V::zero().sub(&V::one()), tiny(3)];
+        for (n, d) in [(1u64, 1u64), (3, 4), (5, 1), (7, 3), (1 << 20, 1), (1 << 33, 3)] {
+            residuals.push(V::from_u64(n).div(&V::from_u64(d)));
+        }
+        // Residuals small enough to need levels ≥ 64, and past MAX_LEVEL.
+        for k in [40u32, 61, 62, 63, 64, 65, 100, 150, 190, 230] {
+            residuals.push(tiny(k));
+            residuals.push(V::from_u64(3).mul(&tiny(k)));
+        }
+        let mut high_levels = 0;
+        for w in [1u64, 2, 3, 64, 1000, 1 << 31, (1 << 32) - 1, 1 << 32] {
+            for deg in [0u64, 1, 2, 3, 4, 7, 16] {
+                for r in &residuals {
+                    let want = loop_bid_level(deg, w, r);
+                    assert_eq!(node(w, r.clone()).bid_level(deg), want, "deg {deg}, W {w}, r {r}");
+                    high_levels += usize::from(want >= 64);
+                }
+            }
+            let n = node(w, V::one());
+            for b in [0u32, 1, 2, 17, 31, 32, 33, 62, 63, 64, 65, 127, 128, 199, 200] {
+                assert_eq!(n.unit(b), loop_unit::<V>(w, b), "W {w}, b {b}");
+            }
+        }
+        assert!(high_levels > 0, "the sweep must reach levels ≥ 64");
+    }
+
+    #[test]
+    fn closed_form_levels_and_units_match_the_loops() {
+        closed_forms_match_loops::<BigRat>();
+        closed_forms_match_loops::<anonet_bigmath::AutoRat>();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `certified_ratio = w(C)/Σy` next to the true ratio where an exact solver
 //! is available.
 
-use crate::packing::{EdgePacking, FractionalPacking};
+use crate::packing::{covers_every_edge, EdgePacking, FractionalPacking};
 use anonet_bigmath::PackingValue;
 use anonet_sim::{Graph, SetCoverInstance};
 
@@ -79,14 +79,13 @@ pub fn certify_vertex_cover<V: PackingValue>(
     if !packing.is_feasible(g, weights) {
         return Err(CertifyError::Infeasible);
     }
-    if !packing.is_maximal(g, weights) {
+    // The saturated set, computed once: maximality is "it covers every edge".
+    let saturated = packing.saturated_nodes(g, weights);
+    if !covers_every_edge(g, &saturated) {
         return Err(CertifyError::NotMaximal);
     }
-    if packing.saturated_nodes(g, weights) != cover {
+    if saturated != cover {
         return Err(CertifyError::CoverMismatch);
-    }
-    if !g.edge_iter().all(|(_, u, v)| cover[u] || cover[v]) {
-        return Err(CertifyError::NotACover);
     }
     let cover_weight: u64 = (0..g.n()).filter(|&v| cover[v]).map(|v| weights[v]).sum();
     let dual = packing.dual_value();
@@ -123,7 +122,7 @@ pub fn certify_vertex_cover_rational<V: PackingValue>(
     if !packing.is_feasible(g, weights) {
         return Err(CertifyError::Infeasible);
     }
-    if cover.len() != g.n() || !g.edge_iter().all(|(_, u, v)| cover[u] || cover[v]) {
+    if cover.len() != g.n() || !covers_every_edge(g, cover) {
         return Err(CertifyError::NotACover);
     }
     let cover_weight: u64 = (0..g.n()).filter(|&v| cover[v]).map(|v| weights[v]).sum();

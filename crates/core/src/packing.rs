@@ -34,8 +34,7 @@ impl<V: PackingValue> EdgePacking<V> {
 
     /// Feasibility: `y(e) ≥ 0` for all e and `y[v] ≤ w_v` for all v.
     pub fn is_feasible(&self, g: &Graph, weights: &[u64]) -> bool {
-        self.y.iter().all(|v| !v.is_zero() || v.is_zero())
-            && self.y.iter().all(|y| *y >= V::zero())
+        self.y.iter().all(|y| *y >= V::zero())
             && (0..g.n()).all(|v| self.load(g, v) <= V::from_u64(weights[v]))
     }
 
@@ -51,8 +50,7 @@ impl<V: PackingValue> EdgePacking<V> {
 
     /// Maximality: every edge has a saturated endpoint (§1.1).
     pub fn is_maximal(&self, g: &Graph, weights: &[u64]) -> bool {
-        let sat = self.saturated_nodes(g, weights);
-        g.edge_iter().all(|(_, u, v)| sat[u] || sat[v])
+        covers_every_edge(g, &self.saturated_nodes(g, weights))
     }
 
     /// The dual objective `Σ_e y(e)` — a lower bound on the LP optimum and
@@ -60,6 +58,11 @@ impl<V: PackingValue> EdgePacking<V> {
     pub fn dual_value(&self) -> V {
         anonet_bigmath::value::sum(&self.y)
     }
+}
+
+/// Whether every edge of `g` has an endpoint in `set` (a membership vector).
+pub fn covers_every_edge(g: &Graph, set: &[bool]) -> bool {
+    g.edge_iter().all(|(_, u, v)| set[u] || set[v])
 }
 
 /// A fractional packing `y: U → [0, ∞)` on a set-cover instance (§1.2),

@@ -17,12 +17,14 @@
 //! Implementation note: element states are memoized by history *value*
 //! (`HashMap<Vec<ScMsg>, state>`), which is broadcast-legal — the state is a
 //! pure function of the unordered pair of endpoint histories — and avoids
-//! the O(T) re-simulation per edge per round.
+//! the O(T) re-simulation per edge per round. Every lookup hashes a whole
+//! history, so the tables use `HistoryHasher`, a seedless multiply-rotate
+//! hash, instead of std's SipHash.
 //!
 //! Determinism note: the memo tables are keyed lookups only — nothing ever
 //! *iterates* a `HashMap` here. Outputs (`elem_info`, message order) are
 //! produced by walking `incoming` in port order and sorting collected
-//! multisets, so `RandomState` never reaches a `Trace` or an output. The
+//! multisets, so no hash order reaches a `Trace` or an output. The
 //! `anonet-lint` `determinism` check enforces this; the waivers below each
 //! assert membership-only use.
 
@@ -33,7 +35,65 @@ use anonet_sim::{
     run_bcast_many, run_bcast_threads, BcastAlgorithm, BcastJob, Graph, MessageSize, RunResult,
     SimError, Trace,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A seedless multiply-rotate [`Hasher`] (the FxHash word step) for the
+/// history-keyed memo tables: each word costs a rotate, a xor and a
+/// multiply, and the same history always hashes the same. Without a seed,
+/// a client could pick weights whose histories collide; a table holds at
+/// most one entry per port (≤ Δ), so that costs at most Δ comparisons per
+/// lookup.
+#[derive(Clone, Copy, Default)]
+struct HistoryHasher(u64);
+
+impl HistoryHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for HistoryHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits on top; the table indexes by
+        // the low ones.
+        self.0.rotate_left(26)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.mix(i as u64);
+        self.mix((i >> 64) as u64);
+    }
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+}
+
+/// The memo tables' map type.
+type HistoryMap<K, T> = HashMap<K, T, BuildHasherDefault<HistoryHasher>>; // lint: allow(determinism) — membership-only memo tables, never iterated
 
 /// Global configuration: the §4 configuration of the derived instance
 /// (`f = 2`, `k = Δ`).
@@ -65,7 +125,7 @@ pub struct VcBcastNode<V: PackingValue> {
     history: Vec<ScMsg<V>>,
     /// Element states after §4-round (i−1) receives, keyed by the
     /// neighbour's history value.
-    memo: HashMap<Vec<ScMsg<V>>, ScNode<V>>, // lint: allow(determinism) — membership-only memo: get/insert by history value, never iterated
+    memo: HistoryMap<Vec<ScMsg<V>>, ScNode<V>>,
     /// Collected element outputs (multiset, sorted) at the end.
     elem_info: Vec<(V, bool)>,
     /// The subset's final output.
@@ -102,7 +162,7 @@ impl<V: PackingValue> BcastAlgorithm for VcBcastNode<V> {
         VcBcastNode {
             subset: ScNode::init(&cfg.sc, degree, &Some(*input)),
             history: Vec::new(),
-            memo: HashMap::new(), // lint: allow(determinism) — membership-only memo, never iterated
+            memo: HistoryMap::default(),
             elem_info: Vec::new(),
             in_cover: None,
         }
@@ -122,48 +182,50 @@ impl<V: PackingValue> BcastAlgorithm for VcBcastNode<V> {
         let t = round - 1; // the §4 round whose receive we can now perform
 
         if t >= 1 {
-            let mut new_memo: HashMap<Vec<ScMsg<V>>, ScNode<V>> = HashMap::new(); // lint: allow(determinism) — membership-only memo, never iterated
+            let mut new_memo: HistoryMap<Vec<ScMsg<V>>, ScNode<V>> = HistoryMap::default();
             let mut elem_msgs: Vec<ScMsg<V>> = Vec::with_capacity(incoming.len());
             // Per distinct history value: the element's round-t broadcast and
             // (at the end) its output. Results are replayed once per
             // *occurrence* — neighbours with identical histories host
             // distinct but identically-behaving elements.
             type Replayed<V> = (ScMsg<V>, Option<(V, bool)>);
-            let mut computed: HashMap<&Vec<ScMsg<V>>, Replayed<V>> = HashMap::new(); // lint: allow(determinism) — keyed lookups only; replay order follows `incoming` port order
+            let mut computed: HistoryMap<&Vec<ScMsg<V>>, Replayed<V>> = HistoryMap::default();
 
             for h in incoming.iter().map(|m| &m.0) {
                 debug_assert_eq!(h.len() as u64, t, "history length mismatch");
-                if !computed.contains_key(h) {
-                    // State after t−1 receives: fresh for t = 1, memoized
-                    // prefix otherwise.
-                    let mut st = if t == 1 {
-                        ScNode::<V>::init(&cfg.sc, 2, &None)
-                    } else {
-                        self.memo
-                            .get(&h[..(t - 1) as usize])
-                            .expect("prefix state memoized last round")
-                            .clone()
-                    };
-                    // The element's §4-round-t broadcast …
-                    let msg_t = st.send(&cfg.sc, t);
-                    // … and its round-t receive: the sorted pair of its two
-                    // endpoint subsets' round-t messages.
-                    let own = &self.history[(t - 1) as usize];
-                    let theirs = &h[(t - 1) as usize];
-                    let pair = if own <= theirs { [own, theirs] } else { [theirs, own] };
-                    let out = st.receive(&cfg.sc, t, &pair);
-                    let info = if t == total {
-                        match out {
-                            Some(ScOutput::Element { y, saturated }) => Some((y, saturated)),
-                            _ => panic!("element must output at §4-round {total}"),
-                        }
-                    } else {
-                        None
-                    };
-                    computed.insert(h, (msg_t, info));
-                    new_memo.insert(h.clone(), st);
-                }
-                let (msg, info) = &computed[h];
+                let (msg, info) = match computed.entry(h) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        // State after t−1 receives: fresh for t = 1, memoized
+                        // prefix otherwise.
+                        let mut st = if t == 1 {
+                            ScNode::<V>::init(&cfg.sc, 2, &None)
+                        } else {
+                            self.memo
+                                .get(&h[..(t - 1) as usize])
+                                .expect("prefix state memoized last round")
+                                .clone()
+                        };
+                        // The element's §4-round-t broadcast …
+                        let msg_t = st.send(&cfg.sc, t);
+                        // … and its round-t receive: the sorted pair of its
+                        // two endpoint subsets' round-t messages.
+                        let own = &self.history[(t - 1) as usize];
+                        let theirs = &h[(t - 1) as usize];
+                        let pair = if own <= theirs { [own, theirs] } else { [theirs, own] };
+                        let out = st.receive(&cfg.sc, t, &pair);
+                        let info = if t == total {
+                            match out {
+                                Some(ScOutput::Element { y, saturated }) => Some((y, saturated)),
+                                _ => panic!("element must output at §4-round {total}"),
+                            }
+                        } else {
+                            None
+                        };
+                        new_memo.insert(h.clone(), st);
+                        e.insert((msg_t, info))
+                    }
+                };
                 elem_msgs.push(msg.clone());
                 if let Some(info) = info {
                     self.elem_info.push(info.clone());

@@ -28,6 +28,7 @@ use anonet_sim::{
     run_pn_many, run_pn_threads, Graph, MessageSize, PnAlgorithm, PnJob, RunResult, SimError, Trace,
 };
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Global configuration: the paper's Δ and W, plus quantities every node
 /// derives from them (the Lemma 2 encoder and the Cole–Vishkin schedule).
@@ -149,8 +150,9 @@ pub enum VcMsg<V> {
     Offer(Option<V>),
     /// "This edge is my r-th outgoing edge" (forest index), or `None`.
     Forest(Option<u16>),
-    /// Per-forest Cole–Vishkin colours (`None` for forests the sender is not in).
-    Colours(Vec<Option<UBig>>),
+    /// Per-forest Cole–Vishkin colours (`None` for forests the sender is not
+    /// in), shared by every port of the sender: built once per node per round.
+    Colours(Arc<[Option<UBig>]>),
     /// Star phase: a leaf's residual, sent to its parent.
     Resid(V),
     /// Star phase: the root's granted increment for this edge.
@@ -282,8 +284,9 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                 }
             }
             Phase::Cv | Phase::ShiftDown | Phase::Eliminate { .. } => {
+                let colours: Arc<[Option<UBig>]> = self.colours.as_slice().into();
                 for m in out.iter_mut() {
-                    *m = VcMsg::Colours(self.colours.clone());
+                    *m = VcMsg::Colours(Arc::clone(&colours));
                 }
             }
             Phase::StarResid(star) => {

@@ -449,10 +449,11 @@ fn run_vc_ps3(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<Ins
             }
             let run = run_ps3_scratch(&d.graph, d.delta, &mut scratch)
                 .map_err(|e| format!("execution failed: {e}"))?;
-            let packing = half_matching_packing::<BigRat>(&d.graph, &run.roles);
-            let cert =
+            let packing = half_matching_packing::<AutoRat>(&d.graph, &run.roles);
+            let cert = widen_cert(
                 certify_vertex_cover_rational(&d.graph, &d.weights, &packing, &run.cover, 4, 1)
-                    .map_err(|e| format!("certification failed: {e}"))?;
+                    .map_err(|e| format!("certification failed: {e}"))?,
+            );
             let t = sync_trace(&run.trace);
             shared.telemetry.record_solve_trace(t.rounds, t.bits);
             Ok((false, wire::encode_solved_body(&run.cover, &cert, &t)))

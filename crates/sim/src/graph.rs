@@ -6,12 +6,10 @@
 //! port numbering*, so generators that need adversarial or symmetric port
 //! assignments (e.g. Fig. 3) simply order the lists accordingly.
 //!
-//! Determinism note: construction uses `HashSet`/`HashMap` for *membership*
-//! only — every loop that decides an output (arc pairing, edge ids, error
-//! selection) walks the caller-ordered adjacency lists, never a hash
-//! container. An earlier draft iterated a `HashSet` to pick which
-//! asymmetric pair to report, which made the error message depend on
-//! `RandomState`; `anonet-lint`'s `determinism` check now guards this.
+//! Construction is hash-free: [`Graph::from_adjacency`] sorts one key per
+//! arc to find duplicates and pair reverse arcs, and every choice that shapes
+//! the result (edge ids, which error is reported) follows the caller-ordered
+//! adjacency lists, so no hasher seed can reach a graph or an error message.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -70,6 +68,8 @@ pub struct Graph {
     arc_edge: Vec<u32>,
     /// Endpoints of each undirected edge, `(min, max)` by construction order.
     edges: Vec<(u32, u32)>,
+    /// Maximum degree Δ, fixed at construction.
+    max_degree: usize,
 }
 
 impl Graph {
@@ -101,72 +101,93 @@ impl Graph {
     /// the neighbour of `v` on port `p`. The lists must be symmetric, simple
     /// and loop-free. This is the entry point for generators that control the
     /// port numbering exactly (symmetric instances, covering lifts).
+    ///
+    /// Ports keep the list order. Edge ids are numbered in adjacency order at
+    /// each edge's *second* arc. On invalid input the error names the first
+    /// offending arc in list order — out of range, self-loop, or the repeat
+    /// of an earlier entry — and, for otherwise valid lists, the first arc
+    /// whose reverse is missing.
     pub fn from_adjacency(adj: Vec<Vec<usize>>) -> Result<Graph, GraphError> {
         let n = adj.len();
-        // Validate.
-        let mut pair_count: HashSet<(usize, usize)> = HashSet::new(); // lint: allow(determinism) — membership-only: probed via `contains` below, never iterated
-        for (v, list) in adj.iter().enumerate() {
-            let mut local = HashSet::new(); // lint: allow(determinism) — membership-only duplicate detector, never iterated
-            for &u in list {
-                if u >= n {
-                    return Err(GraphError::NodeOutOfRange { node: u, n });
-                }
-                if u == v {
-                    return Err(GraphError::SelfLoop(v));
-                }
-                if !local.insert(u) {
-                    return Err(GraphError::DuplicateEdge(v, u));
-                }
-                pair_count.insert((v, u));
-            }
-        }
-        // Walk the caller-ordered lists, not the set: iterating the
-        // `HashSet` here would make *which* asymmetric pair gets reported
-        // depend on `RandomState` — same Err/Ok answer, different message
-        // run to run.
-        for (v, list) in adj.iter().enumerate() {
-            for &u in list {
-                if !pair_count.contains(&(u, v)) {
-                    return Err(GraphError::AsymmetricAdjacency(v, u));
-                }
-            }
-        }
-
         let mut arc_start = Vec::with_capacity(n + 1);
         arc_start.push(0usize);
         for list in &adj {
-            arc_start.push(arc_start.last().unwrap() + list.len());
+            arc_start.push(arc_start[arc_start.len() - 1] + list.len());
         }
-        let total_arcs = *arc_start.last().unwrap();
-        let mut arc_head = vec![0u32; total_arcs];
-        let mut arc_rev = vec![0u32; total_arcs];
-        let mut arc_edge = vec![0u32; total_arcs];
-        let mut edges = Vec::with_capacity(total_arcs / 2);
+        let total_arcs = arc_start[n];
+        let max_degree = adj.iter().map(Vec::len).max().unwrap_or(0);
 
-        // Map (min,max) -> first arc index, to pair reverse arcs and edges.
-        // lint: allow(determinism) — membership-only map (get/insert); arc and edge order comes from the adjacency walk
-        let mut first_arc = std::collections::HashMap::<(usize, usize), usize>::new();
-        for (v, list) in adj.iter().enumerate() {
-            for (p, &u) in list.iter().enumerate() {
-                let a = arc_start[v] + p;
-                arc_head[a] = u as u32;
-                let key = (v.min(u), v.max(u));
-                match first_arc.get(&key) {
-                    None => {
-                        first_arc.insert(key, a);
-                    }
-                    Some(&b) => {
-                        arc_rev[a] = b as u32;
-                        arc_rev[b] = a as u32;
-                        let e = edges.len() as u32;
-                        arc_edge[a] = e;
-                        arc_edge[b] = e;
-                        edges.push((key.0 as u32, key.1 as u32));
-                    }
+        // One key per arc, (lo, hi, tail == hi, arc) packed high to low: a
+        // sort groups each node pair into one run, the lo-tail arcs first,
+        // each side in list order. Scanning stops at the first out-of-range
+        // or self-loop entry; only a repeat before it can be reported.
+        let mut arc_head = Vec::with_capacity(total_arcs);
+        let mut keys: Vec<u128> = Vec::with_capacity(total_arcs);
+        let mut bad = None;
+        'scan: for (v, list) in adj.iter().enumerate() {
+            for &u in list {
+                if u >= n {
+                    bad = Some(GraphError::NodeOutOfRange { node: u, n });
+                    break 'scan;
                 }
+                if u == v {
+                    bad = Some(GraphError::SelfLoop(v));
+                    break 'scan;
+                }
+                keys.push(arc_key(v, u, arc_head.len()));
+                arc_head.push(u as u32);
             }
         }
-        Ok(Graph { arc_start, arc_head, arc_rev, arc_edge, edges })
+        keys.sort_unstable();
+
+        // A repeat is a key equal to its predecessor up to the arc index;
+        // the earliest repeated arc is the one a list walk meets first.
+        let repeat = keys.windows(2).filter(|w| w[0] >> 63 == w[1] >> 63).map(|w| w[1]);
+        if let Some(k) = repeat.min_by_key(|&k| key_arc(k)) {
+            let (v, u) = key_ends(k);
+            return Err(GraphError::DuplicateEdge(v, u));
+        }
+        if let Some(e) = bad {
+            return Err(e);
+        }
+
+        // Every run now holds at most one arc per side: a full run is an arc
+        // and its reverse, a lone arc has no reverse.
+        let mut arc_rev = vec![0u32; total_arcs];
+        let mut lone: Option<u128> = None;
+        let mut i = 0;
+        while i < keys.len() {
+            let k = keys[i];
+            if i + 1 < keys.len() && keys[i + 1] >> 64 == k >> 64 {
+                let (a, b) = (key_arc(k), key_arc(keys[i + 1]));
+                arc_rev[a] = b as u32;
+                arc_rev[b] = a as u32;
+                i += 2;
+            } else {
+                if lone.map_or(true, |l| key_arc(k) < key_arc(l)) {
+                    lone = Some(k);
+                }
+                i += 1;
+            }
+        }
+        if let Some(k) = lone {
+            let (v, u) = key_ends(k);
+            return Err(GraphError::AsymmetricAdjacency(v, u));
+        }
+
+        let mut arc_edge = vec![0u32; total_arcs];
+        let mut edges = Vec::with_capacity(total_arcs / 2);
+        for a in 0..total_arcs {
+            let b = arc_rev[a] as usize;
+            if b < a {
+                let e = edges.len() as u32;
+                arc_edge[a] = e;
+                arc_edge[b] = e;
+                let (u, v) = (arc_head[a], arc_head[b]);
+                edges.push((u.min(v), u.max(v)));
+            }
+        }
+        Ok(Graph { arc_start, arc_head, arc_rev, arc_edge, edges, max_degree })
     }
 
     /// Number of nodes.
@@ -194,8 +215,9 @@ impl Graph {
     }
 
     /// Maximum degree Δ (0 for the empty graph).
+    #[inline]
     pub fn max_degree(&self) -> usize {
-        (0..self.n()).map(|v| self.degree(v)).max().unwrap_or(0)
+        self.max_degree
     }
 
     /// The arc id of node `v`'s port `p`.
@@ -314,6 +336,31 @@ impl Graph {
     /// True iff `{u, v}` is an edge.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
         self.neighbors(u).any(|(_, w)| w == v)
+    }
+}
+
+/// Sort key of arc `arc` from `tail` to `head`: the node pair `(lo, hi)`,
+/// then the side bit (set when the tail is `hi`), then the arc index.
+fn arc_key(tail: usize, head: usize, arc: usize) -> u128 {
+    let (lo, hi) = (tail.min(head) as u128, tail.max(head) as u128);
+    lo << 96 | hi << 64 | u128::from(tail > head) << 63 | arc as u128
+}
+
+fn side(key: u128) -> bool {
+    key >> 63 & 1 == 1
+}
+
+fn key_arc(key: u128) -> usize {
+    (key as u64 & (u64::MAX >> 1)) as usize
+}
+
+/// `(tail, head)` of a key's arc.
+fn key_ends(key: u128) -> (usize, usize) {
+    let (lo, hi) = ((key >> 96) as usize, (key >> 64) as u32 as usize);
+    if side(key) {
+        (hi, lo)
+    } else {
+        (lo, hi)
     }
 }
 
@@ -465,6 +512,171 @@ mod tests {
     fn reorder_ports_validates() {
         let g = triangle();
         let _ = g.reorder_ports(|_, _| vec![0, 0]);
+    }
+
+    /// The hash-based builder `from_adjacency` used before the sort-based
+    /// one: the reference the differential below checks against.
+    fn hashed_reference(adj: &[Vec<usize>]) -> Result<Graph, GraphError> {
+        use std::collections::{HashMap, HashSet};
+        let n = adj.len();
+        let mut pair_count: HashSet<(usize, usize)> = HashSet::new();
+        for (v, list) in adj.iter().enumerate() {
+            let mut local = HashSet::new();
+            for &u in list {
+                if u >= n {
+                    return Err(GraphError::NodeOutOfRange { node: u, n });
+                }
+                if u == v {
+                    return Err(GraphError::SelfLoop(v));
+                }
+                if !local.insert(u) {
+                    return Err(GraphError::DuplicateEdge(v, u));
+                }
+                pair_count.insert((v, u));
+            }
+        }
+        for (v, list) in adj.iter().enumerate() {
+            for &u in list {
+                if !pair_count.contains(&(u, v)) {
+                    return Err(GraphError::AsymmetricAdjacency(v, u));
+                }
+            }
+        }
+        let mut arc_start = vec![0usize];
+        for list in adj {
+            arc_start.push(arc_start.last().unwrap() + list.len());
+        }
+        let total_arcs = *arc_start.last().unwrap();
+        let mut arc_head = vec![0u32; total_arcs];
+        let mut arc_rev = vec![0u32; total_arcs];
+        let mut arc_edge = vec![0u32; total_arcs];
+        let mut edges = Vec::new();
+        let mut first_arc = HashMap::<(usize, usize), usize>::new();
+        for (v, list) in adj.iter().enumerate() {
+            for (p, &u) in list.iter().enumerate() {
+                let a = arc_start[v] + p;
+                arc_head[a] = u as u32;
+                let key = (v.min(u), v.max(u));
+                match first_arc.get(&key) {
+                    None => {
+                        first_arc.insert(key, a);
+                    }
+                    Some(&b) => {
+                        arc_rev[a] = b as u32;
+                        arc_rev[b] = a as u32;
+                        let e = edges.len() as u32;
+                        arc_edge[a] = e;
+                        arc_edge[b] = e;
+                        edges.push((key.0 as u32, key.1 as u32));
+                    }
+                }
+            }
+        }
+        let max_degree = adj.iter().map(Vec::len).max().unwrap_or(0);
+        Ok(Graph { arc_start, arc_head, arc_rev, arc_edge, edges, max_degree })
+    }
+
+    /// xorshift64 — a fixed-seed stream for the differential below.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A random simple graph with shuffled port orders, as adjacency lists.
+    fn random_adjacency(state: &mut u64) -> Vec<Vec<usize>> {
+        let n = (next(state) % 24) as usize;
+        let mut adj = vec![Vec::new(); n];
+        for u in 0..n {
+            for v in u + 1..n {
+                if next(state) % 4 == 0 {
+                    adj[u].push(v);
+                    adj[v].push(u);
+                }
+            }
+        }
+        for list in &mut adj {
+            for i in (1..list.len()).rev() {
+                list.swap(i, (next(state) % (i as u64 + 1)) as usize);
+            }
+        }
+        adj
+    }
+
+    #[test]
+    fn sort_based_builder_matches_the_hashed_reference() {
+        let mut state = 0x2545_f491_4f6c_dd1d;
+        let mut errors = [0usize; 4];
+        for case in 0..3000 {
+            let mut adj = random_adjacency(&mut state);
+            // Two cases in three corrupt the lists, a few times over.
+            for _ in 0..(next(&mut state) % 3) {
+                let n = adj.len();
+                if n == 0 {
+                    break;
+                }
+                let v = (next(&mut state) % n as u64) as usize;
+                let len = adj[v].len() as u64;
+                let at = (next(&mut state) % (len + 1)) as usize;
+                match next(&mut state) % 5 {
+                    // Out of range.
+                    0 => adj[v].push(n + (next(&mut state) % 3) as usize),
+                    // Self-loop.
+                    1 => adj[v].insert(at, v),
+                    // Repeat of an entry.
+                    2 if len > 0 => {
+                        let u = adj[v][(next(&mut state) % len) as usize];
+                        adj[v].insert(at, u);
+                    }
+                    // Missing reverse.
+                    3 if len > 0 => {
+                        adj[v].remove((next(&mut state) % len) as usize);
+                    }
+                    // Extra entry without a reverse.
+                    _ => {
+                        let u = (next(&mut state) % n as u64) as usize;
+                        if u != v && !adj[v].contains(&u) {
+                            adj[v].push(u);
+                        }
+                    }
+                }
+            }
+            let want = hashed_reference(&adj);
+            let got = Graph::from_adjacency(adj.clone());
+            assert_eq!(got, want, "case {case}: {adj:?}");
+            if let Err(e) = &want {
+                errors[match e {
+                    GraphError::NodeOutOfRange { .. } => 0,
+                    GraphError::SelfLoop(_) => 1,
+                    GraphError::DuplicateEdge(..) => 2,
+                    GraphError::AsymmetricAdjacency(..) => 3,
+                }] += 1;
+            }
+        }
+        assert!(errors.iter().all(|&c| c >= 50), "every error variant exercised: {errors:?}");
+    }
+
+    #[test]
+    fn first_offending_arc_in_list_order_is_reported() {
+        // A repeat before an out-of-range entry wins, and vice versa.
+        let g = Graph::from_adjacency(vec![vec![1, 1, 5], vec![0]]);
+        assert_eq!(g.unwrap_err(), GraphError::DuplicateEdge(0, 1));
+        let g = Graph::from_adjacency(vec![vec![5, 1, 1], vec![0]]);
+        assert_eq!(g.unwrap_err(), GraphError::NodeOutOfRange { node: 5, n: 2 });
+        // The second repeat of a triple is reported, not the third.
+        let g = Graph::from_adjacency(vec![vec![2, 1, 1, 1], vec![0], vec![0]]);
+        assert_eq!(g.unwrap_err(), GraphError::DuplicateEdge(0, 1));
+        // The first arc without a reverse, in list order.
+        let g = Graph::from_adjacency(vec![vec![2], vec![2], vec![1]]);
+        assert_eq!(g.unwrap_err(), GraphError::AsymmetricAdjacency(0, 2));
+    }
+
+    #[test]
+    fn max_degree_is_stored() {
+        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (3, 4)]).unwrap();
+        assert_eq!(g.max_degree(), 3);
+        assert_eq!(g.reorder_ports(|_, old| old.iter().rev().copied().collect()).max_degree(), 3);
     }
 
     #[test]
