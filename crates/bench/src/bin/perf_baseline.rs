@@ -12,6 +12,11 @@
 //! never regresses back to "more threads = slower" (the generous margin
 //! absorbs box noise; on a 1-core runner the two are simply equal).
 //!
+//! The `solver_workloads` rows time whole runs of the paper's broadcast
+//! solvers on fixed instances (µs per run, median and quartiles over 21
+//! back-to-back reps): §4 on a k = 3 set-cover instance with 32 elements,
+//! and §5 on a Δ = 2 path.
+//!
 //! The workload ([`HaltingGossip`]) is shared with the criterion `engine`
 //! bench, so the committed baseline and the bench numbers measure the same
 //! thing. Numbers are machine-dependent; the committed file records the
@@ -19,7 +24,10 @@
 //! fresh one per run as an artifact.
 
 use anonet_bench::{halting_inputs, HaltingBcastGossip, HaltingGossip};
-use anonet_gen::{family, WeightSpec};
+use anonet_bigmath::AutoRat;
+use anonet_core::sc_bcast::run_fractional_packing;
+use anonet_core::vc_bcast::run_vc_broadcast;
+use anonet_gen::{family, setcover, WeightSpec};
 use anonet_runtime::{run_async_pn, DelayModel, NetworkConfig};
 use anonet_service::loadgen::{drive, synthesize, DriveConfig, FamilyKind, LoopMode, WorkloadSpec};
 use anonet_service::{Client, ConnModel, Server, ServiceConfig, SolverId};
@@ -57,6 +65,30 @@ fn time_reps(reps: u32, mut f: impl FnMut() -> u64) -> Sample {
         best = best.min(t.elapsed().as_nanos() as f64);
     }
     Sample { name: "", rounds, ns_per_round: best / rounds.max(1) as f64 }
+}
+
+/// One whole-run solver workload: µs per run, median and quartiles.
+struct RunSample {
+    name: &'static str,
+    reps: usize,
+    q1_us: f64,
+    median_us: f64,
+    q3_us: f64,
+}
+
+/// One warmup call, then `reps` timed calls of `f`; reports the quartiles.
+fn time_runs(name: &'static str, reps: usize, mut f: impl FnMut()) -> RunSample {
+    f();
+    let mut us: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64 / 1e3
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    let at = |q: f64| us[((reps - 1) as f64 * q).round() as usize];
+    RunSample { name, reps, q1_us: at(0.25), median_us: at(0.5), q3_us: at(0.75) }
 }
 
 fn main() {
@@ -216,6 +248,18 @@ fn main() {
         s.name = if threads == 1 { "pn_batch_x32_n256_t1" } else { "pn_batch_x32_n256_t4" };
         samples.push(s);
     }
+
+    // The broadcast-model solvers, whole runs on the service's value type.
+    let sc_inst = setcover::random_bounded(32, 16, 2, 3, WeightSpec::LogUniform(16), 11);
+    let path = family::path(3);
+    let run_samples = [
+        time_runs("sc_bcast_k3_n32", 21, || {
+            run_fractional_packing::<AutoRat>(&sc_inst).expect("§4 run");
+        }),
+        time_runs("vc_bcast_path_d2", 21, || {
+            run_vc_broadcast::<AutoRat>(&path, &[1, 2, 1]).expect("§5 run");
+        }),
+    ];
 
     // Asynchronous-runtime workloads: event-loop throughput (events/sec)
     // and the α-synchronizer's wall-clock overhead vs the synchronous
@@ -517,7 +561,7 @@ fn main() {
 
     // Hand-rolled JSON (no serde in the offline workspace).
     let mut json =
-        String::from("{\n  \"schema\": \"anonet-bench-engine/7\",\n  \"workloads\": [\n");
+        String::from("{\n  \"schema\": \"anonet-bench-engine/8\",\n  \"workloads\": [\n");
     for (i, s) in samples.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"rounds\": {}, \"ns_per_round\": {:.1}, \"rounds_per_sec\": {:.1}}}{}\n",
@@ -526,6 +570,18 @@ fn main() {
             s.ns_per_round,
             s.rounds_per_sec(),
             if i + 1 < samples.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n  \"solver_workloads\": [\n");
+    for (i, s) in run_samples.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"name\": \"{}\", \"reps\": {}, \"us_per_run\": {:.1}, \"us_q1\": {:.1}, \"us_q3\": {:.1}}}{}\n",
+            s.name,
+            s.reps,
+            s.median_us,
+            s.q1_us,
+            s.q3_us,
+            if i + 1 < run_samples.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n  \"runtime_workloads\": [\n");

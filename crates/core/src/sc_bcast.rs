@@ -30,6 +30,7 @@ use anonet_sim::{
     run_bcast_many, run_bcast_threads, BcastAlgorithm, BcastJob, MessageSize, RunResult,
     SetCoverInstance, SimError, Trace,
 };
+use std::sync::Arc;
 
 /// Global configuration: the paper's f, k, W and derived quantities.
 #[derive(Clone, Debug)]
@@ -46,6 +47,9 @@ pub struct ScConfig {
     pub encoder: SeqEncoder,
     /// Cole–Vishkin steps for the weak colour reduction.
     pub cv_steps: u32,
+    /// `schedule[r − 1]` is the phase of round r, for every round of the
+    /// schedule.
+    schedule: Box<[ScPhase]>,
 }
 
 impl ScConfig {
@@ -57,7 +61,10 @@ impl ScConfig {
         let scale = UBig::factorial(k as u64).pow(((d + 1) * (d + 1)) as u64);
         let encoder = SeqEncoder::single(scale, max_weight);
         let cv_steps = CvSchedule::for_bound(&encoder.code_bound()).steps;
-        ScConfig { f, k, max_weight, d, encoder, cv_steps }
+        let mut cfg = ScConfig { f, k, max_weight, d, encoder, cv_steps, schedule: Box::default() };
+        let total = cfg.colours() as u64 * cfg.per_iter() + 2;
+        cfg.schedule = (1..=total).map(|round| cfg.closed_form_phase(round)).collect();
+        cfg
     }
 
     /// Number of colours `D + 1`.
@@ -73,10 +80,18 @@ impl ScConfig {
     /// Total schedule length: `(D+1)·per_iter + 2` — the Theorem 2 bound
     /// O(f²k² + fk·log\*W) with explicit constants.
     pub fn total_rounds(&self) -> u64 {
-        self.colours() as u64 * self.per_iter() + 2
+        self.schedule.len() as u64
     }
 
+    /// The phase of 1-based `round ≤ total_rounds()`, a lookup in the
+    /// precomputed schedule (every node halts in the last round).
+    #[inline]
     fn phase(&self, round: u64) -> ScPhase {
+        self.schedule[(round - 1) as usize]
+    }
+
+    /// The phase of 1-based `round` in closed form; fills the schedule.
+    fn closed_form_phase(&self, round: u64) -> ScPhase {
         let r0 = round - 1; // 0-based
         let per = self.per_iter();
         let iters_end = self.colours() as u64 * per;
@@ -156,12 +171,14 @@ pub enum ScMsg<V> {
     P(V),
     /// Element (weak CV sub-round 1): `(c′(v), c(v), p(v))`.
     Triple(UBig, u32, V),
-    /// Subset (weak CV sub-round 2): `{(c′(v), i, x_i(s)) : p(v) = q_i(s)}`.
-    Triples(Vec<(UBig, u32, V)>),
+    /// Subset (weak CV sub-round 2): `{(c′(v), i, x_i(s)) : p(v) = q_i(s)}`,
+    /// sorted, shared by every send of the round.
+    Triples(Arc<[(UBig, u32, V)]>),
     /// Element (reduction sub-round 1): current colour `c₃`.
     Col(u32),
-    /// Subset (reduction sub-round 2): set of element colours seen.
-    Cols(Vec<u32>),
+    /// Subset (reduction sub-round 2): set of element colours seen, sorted,
+    /// shared by every send of the round.
+    Cols(Arc<[u32]>),
 }
 
 impl<V: PackingValue> MessageSize for ScMsg<V> {
@@ -218,9 +235,9 @@ pub struct SubsetState<V> {
     /// `q_i(s)` per colour of the current iteration.
     q: Vec<Option<V>>,
     /// Triples to broadcast in the next weak-CV sub-round.
-    pending_triples: Vec<(UBig, u32, V)>,
+    pending_triples: Arc<[(UBig, u32, V)]>,
     /// Colour set to broadcast in the next reduction sub-round.
-    pending_cols: Vec<u32>,
+    pending_cols: Arc<[u32]>,
 }
 
 /// Element-node state.
@@ -279,8 +296,8 @@ impl<V: PackingValue> BcastAlgorithm for ScNode<V> {
                     resid: V::from_u64(*w),
                     x: vec![None; cfg.colours()],
                     q: vec![None; cfg.colours()],
-                    pending_triples: Vec::new(),
-                    pending_cols: Vec::new(),
+                    pending_triples: Arc::from([]),
+                    pending_cols: Arc::from([]),
                 })
             }
             None => {
@@ -342,7 +359,7 @@ impl<V: PackingValue> BcastAlgorithm for ScNode<V> {
                 }
             }
             (ScNode::Subset(s), ScPhase::WeakCv { sub: 1, .. }) => {
-                ScMsg::Triples(s.pending_triples.clone())
+                ScMsg::Triples(Arc::clone(&s.pending_triples))
             }
             // ---- trivial colour reduction ----
             (ScNode::Element(e), ScPhase::Reduce { sub: 0, .. }) => {
@@ -353,7 +370,7 @@ impl<V: PackingValue> BcastAlgorithm for ScNode<V> {
                 }
             }
             (ScNode::Subset(s), ScPhase::Reduce { sub: 1, .. }) => {
-                ScMsg::Cols(s.pending_cols.clone())
+                ScMsg::Cols(Arc::clone(&s.pending_cols))
             }
             _ => ScMsg::Nil,
         }
@@ -429,17 +446,20 @@ impl<V: PackingValue> BcastAlgorithm for ScNode<V> {
             }
             // ---- weak colour reduction ----
             (ScNode::Subset(s), ScPhase::WeakCv { sub: 0, .. }) => {
-                s.pending_triples.clear();
+                let mut triples = Vec::new();
                 for m in incoming {
                     if let ScMsg::Triple(cp, i, p) = m {
                         if s.q[*i as usize].as_ref() == Some(p) {
                             let x = s.x[*i as usize].clone().expect("q_i set implies x_i set");
-                            s.pending_triples.push((cp.clone(), *i, x));
+                            triples.push((cp.clone(), *i, x));
                         }
                     }
                 }
-                s.pending_triples.sort();
-                s.pending_triples.dedup();
+                triples.sort();
+                triples.dedup();
+                if *s.pending_triples != *triples {
+                    s.pending_triples = triples.into();
+                }
             }
             (ScNode::Element(e), ScPhase::WeakCv { sub: 1, last_step })
                 if !e.saturated => {
@@ -449,7 +469,7 @@ impl<V: PackingValue> BcastAlgorithm for ScNode<V> {
                     let mut ell: Option<&UBig> = None;
                     for m in incoming {
                         if let ScMsg::Triples(ts) = m {
-                            for (cp, i, x) in ts {
+                            for (cp, i, x) in ts.iter() {
                                 if *i == e.c && x == p && cp != own {
                                     ell = Some(match ell {
                                         Some(cur) if cur <= cp => cur,
@@ -472,34 +492,49 @@ impl<V: PackingValue> BcastAlgorithm for ScNode<V> {
                 }
             // ---- trivial colour reduction ----
             (ScNode::Subset(s), ScPhase::Reduce { sub: 0, .. }) => {
-                s.pending_cols.clear();
-                for m in incoming {
-                    if let ScMsg::Col(c) = m {
-                        s.pending_cols.push(*c);
-                    }
+                let mut cols: Vec<u32> = incoming
+                    .iter()
+                    .filter_map(|m| match m {
+                        ScMsg::Col(c) => Some(*c),
+                        _ => None,
+                    })
+                    .collect();
+                cols.sort_unstable();
+                cols.dedup();
+                // Consecutive classes often see the same colours (saturated
+                // subsets see none): keep the shared payload then.
+                if *s.pending_cols != *cols {
+                    s.pending_cols = cols.into();
                 }
-                s.pending_cols.sort_unstable();
-                s.pending_cols.dedup();
             }
             (ScNode::Element(e), ScPhase::Reduce { colour, sub: 1, last_class }) => {
                 if !e.saturated && e.c3 == colour {
                     // Recolour into {0, …, D}, avoiding every K-neighbour
-                    // colour different from my own.
-                    let mut used = vec![false; cfg.colours()];
-                    for m in incoming {
-                        if let ScMsg::Cols(cs) = m {
-                            for &c in cs {
-                                if c != e.c3 && (c as usize) < cfg.colours() {
-                                    used[c as usize] = true;
+                    // colour different from my own: the smallest free
+                    // colour, searched 64 at a time over the sorted sets.
+                    let mut base = 0u32;
+                    let free = loop {
+                        let mut used = 0u64;
+                        for m in incoming {
+                            if let ScMsg::Cols(cs) = m {
+                                let from = cs.partition_point(|&c| c < base);
+                                for &c in cs[from..].iter().take_while(|&&c| c - base < 64) {
+                                    if c != e.c3 {
+                                        used |= 1u64 << (c - base);
+                                    }
                                 }
                             }
                         }
-                    }
-                    e.c3 = used
-                        .iter()
-                        .position(|&u| !u)
-                        .expect("≤ D distinct K-neighbours, palette has D+1 colours")
-                        as u32;
+                        if used != u64::MAX {
+                            break base + used.trailing_ones();
+                        }
+                        base += 64;
+                    };
+                    assert!(
+                        (free as usize) < cfg.colours(),
+                        "≤ D distinct K-neighbours, palette has D+1 colours"
+                    );
+                    e.c3 = free;
                 }
                 if last_class && !e.saturated {
                     debug_assert!((e.c3 as usize) < cfg.colours());

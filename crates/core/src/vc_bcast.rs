@@ -14,12 +14,39 @@
 //! of increasing message complexity") — experiment E4 measures exactly that
 //! blowup via the engine's bit instrumentation.
 //!
-//! Implementation note: element states are memoized by history *value*
-//! (`HashMap<Vec<ScMsg>, state>`), which is broadcast-legal — the state is a
-//! pure function of the unordered pair of endpoint histories — and avoids
-//! the O(T) re-simulation per edge per round. Every lookup hashes a whole
-//! history, so the tables use `HistoryHasher`, a seedless multiply-rotate
-//! hash, instead of std's SipHash.
+//! ## Histories
+//!
+//! A history is an append-only chain: [`HistoryMsg`] is an `Option<Arc<_>>`
+//! to its newest link, and each link holds one §4 message, a shared pointer
+//! to the history before it, and three running totals — the length, the
+//! summed [`MessageSize::approx_bits`] of its messages, and a digest, a hash
+//! chain built with the seedless multiply-rotate `HistoryHasher`. A node
+//! extends its own chain by one link per round, so a send is an `Arc` clone
+//! and the size, the hash and most comparisons are O(1); the message bits
+//! the engine accounts are unchanged (`64 + Σ approx_bits`, as if the whole
+//! sequence were copied, which is what the model charges).
+//!
+//! **Order.** Histories are ordered by length, then by digest, then by
+//! their messages compared newest first. The last step walks both chains
+//! back and stops at the first link the two share by pointer, since
+//! everything before it is equal. Every key is a function of the message
+//! sequence alone, so this is a total order on history *values* — which is
+//! all the engine's canonical multiset needs; no node output depends on
+//! which total order it is, because `receive` sorts what it collects. The
+//! walk, like dropping a chain, is a loop: a long history never recurses.
+//!
+//! ## Memo
+//!
+//! Element states are memoized by history *value* (`HistoryMap<HistoryMsg,
+//! state>`), which is broadcast-legal — the state is a pure function of the
+//! unordered pair of endpoint histories — and avoids the O(T) re-simulation
+//! per edge per round. The round-t lookup key is the neighbour's history
+//! minus its newest link, i.e. the very chain it sent last round, so the
+//! lookup hashes one digest and its equality check ends at the first
+//! pointer comparison; inserting the new key is an `Arc` clone. Digests are
+//! unseeded, so a client could pick weights whose histories collide; a
+//! table holds at most one entry per port (≤ Δ), so that costs at most Δ
+//! comparisons per lookup.
 //!
 //! Determinism note: the memo tables are keyed lookups only — nothing ever
 //! *iterates* a `HashMap` here. Outputs (`elem_info`, message order) are
@@ -35,16 +62,17 @@ use anonet_sim::{
     run_bcast_many, run_bcast_threads, BcastAlgorithm, BcastJob, Graph, MessageSize, RunResult,
     SimError, Trace,
 };
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 /// A seedless multiply-rotate [`Hasher`] (the FxHash word step) for the
-/// history-keyed memo tables: each word costs a rotate, a xor and a
-/// multiply, and the same history always hashes the same. Without a seed,
-/// a client could pick weights whose histories collide; a table holds at
-/// most one entry per port (≤ Δ), so that costs at most Δ comparisons per
-/// lookup.
+/// history digests and the history-keyed memo tables: each word costs a
+/// rotate, a xor and a multiply, and the same history always hashes the
+/// same.
 #[derive(Clone, Copy, Default)]
 struct HistoryHasher(u64);
 
@@ -122,10 +150,10 @@ pub struct VcBcastNode<V: PackingValue> {
     /// Simulator for s(v).
     subset: ScNode<V>,
     /// `h(v, i)`: messages s(v) sent in §4-rounds 1..=i.
-    history: Vec<ScMsg<V>>,
+    history: HistoryMsg<V>,
     /// Element states after §4-round (i−1) receives, keyed by the
     /// neighbour's history value.
-    memo: HistoryMap<Vec<ScMsg<V>>, ScNode<V>>,
+    memo: HistoryMap<HistoryMsg<V>, ScNode<V>>,
     /// Collected element outputs (multiset, sorted) at the end.
     elem_info: Vec<(V, bool)>,
     /// The subset's final output.
@@ -142,13 +170,123 @@ pub struct VcBcastOutput<V> {
     pub elem_info: Vec<(V, bool)>,
 }
 
-/// History message: all §4 messages the sender's subset node has broadcast.
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct HistoryMsg<V: PackingValue>(pub Vec<ScMsg<V>>);
+/// History message: all §4 messages the sender's subset node has broadcast,
+/// as a shared append-only chain (see the module docs for its order).
+#[derive(Clone, Default)]
+pub struct HistoryMsg<V: PackingValue>(Option<Arc<Link<V>>>);
+
+/// One link of a history chain: the newest message and the history before
+/// it, with the running totals of the history ending here.
+struct Link<V: PackingValue> {
+    msg: ScMsg<V>,
+    prev: Option<Arc<Link<V>>>,
+    /// Number of messages.
+    len: u64,
+    /// Σ `approx_bits` of the messages.
+    bits: u64,
+    /// Hash chain over the messages, oldest first.
+    digest: u64,
+}
+
+impl<V: PackingValue> HistoryMsg<V> {
+    /// The history extended by `msg`.
+    fn push(&self, msg: ScMsg<V>) -> HistoryMsg<V> {
+        let (len, bits, digest) = self.0.as_ref().map_or((0, 0, 0), |l| (l.len, l.bits, l.digest));
+        let mut h = HistoryHasher(digest);
+        msg.hash(&mut h);
+        let bits = bits + msg.approx_bits();
+        HistoryMsg(Some(Arc::new(Link {
+            msg,
+            prev: self.0.clone(),
+            len: len + 1,
+            bits,
+            digest: h.finish(),
+        })))
+    }
+
+    /// Number of messages.
+    fn len(&self) -> u64 {
+        self.0.as_ref().map_or(0, |l| l.len)
+    }
+
+    /// The newest message.
+    fn last(&self) -> Option<&ScMsg<V>> {
+        self.0.as_ref().map(|l| &l.msg)
+    }
+
+    /// The history without its newest message: the chain this one extends.
+    fn prefix(&self) -> HistoryMsg<V> {
+        HistoryMsg(self.0.as_ref().and_then(|l| l.prev.clone()))
+    }
+
+    /// The messages, newest first.
+    fn iter_rev(&self) -> impl Iterator<Item = &ScMsg<V>> {
+        std::iter::successors(self.0.as_deref(), |l| l.prev.as_deref()).map(|l| &l.msg)
+    }
+}
 
 impl<V: PackingValue> MessageSize for HistoryMsg<V> {
     fn approx_bits(&self) -> u64 {
-        64 + self.0.iter().map(MessageSize::approx_bits).sum::<u64>()
+        64 + self.0.as_ref().map_or(0, |l| l.bits)
+    }
+}
+
+impl<V: PackingValue> Ord for HistoryMsg<V> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let key = |h: &Self| h.0.as_ref().map_or((0, 0), |l| (l.len, l.digest));
+        key(self).cmp(&key(other)).then_with(|| {
+            // Equal lengths and digests: walk both chains back in step until
+            // they share a link.
+            let (mut a, mut b) = (self.0.as_ref(), other.0.as_ref());
+            while let (Some(x), Some(y)) = (a, b) {
+                if Arc::ptr_eq(x, y) {
+                    break;
+                }
+                match x.msg.cmp(&y.msg) {
+                    Ordering::Equal => (a, b) = (x.prev.as_ref(), y.prev.as_ref()),
+                    ord => return ord,
+                }
+            }
+            Ordering::Equal
+        })
+    }
+}
+
+impl<V: PackingValue> PartialOrd for HistoryMsg<V> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<V: PackingValue> PartialEq for HistoryMsg<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<V: PackingValue> Eq for HistoryMsg<V> {}
+
+impl<V: PackingValue> Hash for HistoryMsg<V> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.as_ref().map_or(0, |l| l.digest));
+    }
+}
+
+impl<V: PackingValue> fmt::Debug for HistoryMsg<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut msgs: Vec<&ScMsg<V>> = self.iter_rev().collect();
+        msgs.reverse();
+        f.debug_tuple("HistoryMsg").field(&msgs).finish()
+    }
+}
+
+impl<V: PackingValue> Drop for Link<V> {
+    fn drop(&mut self) {
+        // Unlink iteratively: the default drop would recurse once per link.
+        let mut prev = self.prev.take();
+        while let Some(mut link) = prev.and_then(Arc::into_inner) {
+            prev = link.prev.take();
+        }
     }
 }
 
@@ -161,7 +299,7 @@ impl<V: PackingValue> BcastAlgorithm for VcBcastNode<V> {
     fn init(cfg: &VcBcastConfig, degree: usize, input: &u64) -> Self {
         VcBcastNode {
             subset: ScNode::init(&cfg.sc, degree, &Some(*input)),
-            history: Vec::new(),
+            history: HistoryMsg::default(),
             memo: HistoryMap::default(),
             elem_info: Vec::new(),
             in_cover: None,
@@ -169,7 +307,7 @@ impl<V: PackingValue> BcastAlgorithm for VcBcastNode<V> {
     }
 
     fn send(&self, _cfg: &VcBcastConfig, _round: u64) -> HistoryMsg<V> {
-        HistoryMsg(self.history.clone())
+        self.history.clone()
     }
 
     fn receive(
@@ -182,17 +320,18 @@ impl<V: PackingValue> BcastAlgorithm for VcBcastNode<V> {
         let t = round - 1; // the §4 round whose receive we can now perform
 
         if t >= 1 {
-            let mut new_memo: HistoryMap<Vec<ScMsg<V>>, ScNode<V>> = HistoryMap::default();
+            let own = self.history.last().expect("own history has t ≥ 1 messages");
+            let mut new_memo: HistoryMap<HistoryMsg<V>, ScNode<V>> = HistoryMap::default();
             let mut elem_msgs: Vec<ScMsg<V>> = Vec::with_capacity(incoming.len());
             // Per distinct history value: the element's round-t broadcast and
             // (at the end) its output. Results are replayed once per
             // *occurrence* — neighbours with identical histories host
             // distinct but identically-behaving elements.
             type Replayed<V> = (ScMsg<V>, Option<(V, bool)>);
-            let mut computed: HistoryMap<&Vec<ScMsg<V>>, Replayed<V>> = HistoryMap::default();
+            let mut computed: HistoryMap<&HistoryMsg<V>, Replayed<V>> = HistoryMap::default();
 
-            for h in incoming.iter().map(|m| &m.0) {
-                debug_assert_eq!(h.len() as u64, t, "history length mismatch");
+            for &h in incoming {
+                debug_assert_eq!(h.len(), t, "history length mismatch");
                 let (msg, info) = match computed.entry(h) {
                     Entry::Occupied(e) => e.into_mut(),
                     Entry::Vacant(e) => {
@@ -202,7 +341,7 @@ impl<V: PackingValue> BcastAlgorithm for VcBcastNode<V> {
                             ScNode::<V>::init(&cfg.sc, 2, &None)
                         } else {
                             self.memo
-                                .get(&h[..(t - 1) as usize])
+                                .get(&h.prefix())
                                 .expect("prefix state memoized last round")
                                 .clone()
                         };
@@ -210,8 +349,7 @@ impl<V: PackingValue> BcastAlgorithm for VcBcastNode<V> {
                         let msg_t = st.send(&cfg.sc, t);
                         // … and its round-t receive: the sorted pair of its
                         // two endpoint subsets' round-t messages.
-                        let own = &self.history[(t - 1) as usize];
-                        let theirs = &h[(t - 1) as usize];
+                        let theirs = h.last().expect("neighbour history has t ≥ 1 messages");
                         let pair = if own <= theirs { [own, theirs] } else { [theirs, own] };
                         let out = st.receive(&cfg.sc, t, &pair);
                         let info = if t == total {
@@ -247,13 +385,13 @@ impl<V: PackingValue> BcastAlgorithm for VcBcastNode<V> {
         if t < total {
             // Advance s(v): its §4-round-(t+1) broadcast.
             let next = self.subset.send(&cfg.sc, t + 1);
-            self.history.push(next);
+            self.history = self.history.push(next);
             None
         } else {
             self.elem_info.sort();
             Some(VcBcastOutput {
                 in_cover: self.in_cover.expect("set at t == total"),
-                elem_info: self.elem_info.clone(),
+                elem_info: std::mem::take(&mut self.elem_info),
             })
         }
     }
@@ -340,4 +478,175 @@ pub fn incidence_instance(g: &Graph, weights: &[u64]) -> anonet_sim::SetCoverIns
         (0..g.n()).map(|v| g.arc_range(v).map(|a| g.edge_of(a)).collect()).collect();
     anonet_sim::SetCoverInstance::new(g.m(), &members, weights.to_vec())
         .expect("incidence instance of a valid graph is valid")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use anonet_bigmath::BigRat;
+    use anonet_gen::Rng;
+    use std::hash::BuildHasher;
+
+    type H = HistoryMsg<BigRat>;
+
+    fn build(msgs: &[ScMsg<BigRat>]) -> H {
+        msgs.iter().fold(H::default(), |h, m| h.push(m.clone()))
+    }
+
+    /// The messages, oldest first.
+    fn to_vec(h: &H) -> Vec<ScMsg<BigRat>> {
+        let mut v: Vec<ScMsg<BigRat>> = h.iter_rev().cloned().collect();
+        v.reverse();
+        v
+    }
+
+    fn hash_of(h: &H) -> u64 {
+        BuildHasherDefault::<HistoryHasher>::default().hash_one(h)
+    }
+
+    fn same_chain(a: &H, b: &H) -> bool {
+        match (&a.0, &b.0) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
+    /// A small alphabet, so random histories are often equal or share
+    /// long prefixes.
+    fn random_msg(rng: &mut Rng) -> ScMsg<BigRat> {
+        match rng.below(6) {
+            0 => ScMsg::Nil,
+            1 => ScMsg::InUyi,
+            2 => ScMsg::Y(BigRat::from_u64(rng.below(2))),
+            3 => ScMsg::Resid(BigRat::from_u64(2)),
+            4 => ScMsg::Col(rng.below(2) as u32),
+            _ => ScMsg::Cols(Arc::from([1, 2])),
+        }
+    }
+
+    /// Histories that extend each other, rebuilt on separate chains, or
+    /// fresh: a mix of shared links and equal values on distinct chains.
+    fn random_histories(rng: &mut Rng, count: usize) -> Vec<H> {
+        let mut pool = vec![H::default()];
+        while pool.len() < count {
+            let base = pool[rng.index(pool.len())].clone();
+            let next = match rng.below(3) {
+                0 => base.push(random_msg(rng)),
+                1 => build(&to_vec(&base)),
+                _ => build(&(0..rng.below(4)).map(|_| random_msg(rng)).collect::<Vec<_>>()),
+            };
+            pool.push(next);
+        }
+        pool
+    }
+
+    #[test]
+    fn equal_values_on_separate_chains_are_equal() {
+        let msgs = [ScMsg::Y(BigRat::from_u64(3)), ScMsg::Nil, ScMsg::Cols(Arc::from([0, 4]))];
+        let (a, b) = (build(&msgs), build(&msgs));
+        assert!(!same_chain(&a, &b));
+        assert_eq!(a.cmp(&b), Ordering::Equal);
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+        assert_ne!(a, a.prefix());
+        assert_eq!(a.prefix(), build(&msgs[..2]));
+        assert_eq!(H::default(), build(&[]));
+    }
+
+    #[test]
+    fn order_is_a_total_order_on_values() {
+        let mut rng = Rng::new(0x5eed);
+        let hs = random_histories(&mut rng, 48);
+        let values: Vec<Vec<ScMsg<BigRat>>> = hs.iter().map(to_vec).collect();
+        for (a, va) in hs.iter().zip(&values) {
+            for (b, vb) in hs.iter().zip(&values) {
+                let ab = a.cmp(b);
+                assert_eq!(ab, b.cmp(a).reverse(), "antisymmetry");
+                assert_eq!(ab == Ordering::Equal, va == vb, "equality is value equality");
+                if ab == Ordering::Equal {
+                    assert_eq!(hash_of(a), hash_of(b));
+                }
+                for c in &hs {
+                    if ab != Ordering::Greater && b.cmp(c) != Ordering::Greater {
+                        assert_ne!(a.cmp(c), Ordering::Greater, "transitivity");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_digests_fall_back_to_newest_first_messages() {
+        // Forge a digest collision: the order must still separate values,
+        // comparing the newest differing message.
+        let forge = |h: H| {
+            let link = Arc::into_inner(h.0.unwrap()).unwrap();
+            let (msg, prev, len, bits) = (link.msg.clone(), link.prev.clone(), link.len, link.bits);
+            HistoryMsg(Some(Arc::new(Link { msg, prev, len, bits, digest: 7 })))
+        };
+        let a = forge(build(&[ScMsg::Col(1), ScMsg::Nil]));
+        let b = forge(build(&[ScMsg::Col(2), ScMsg::Nil]));
+        let c = forge(build(&[ScMsg::Col(0), ScMsg::InUyi]));
+        assert_eq!(a.cmp(&b), Ordering::Less);
+        assert_eq!(b.cmp(&c), Ordering::Less, "the newest message decides first");
+        assert_ne!(a, b);
+        assert_eq!(a, forge(build(&[ScMsg::Col(1), ScMsg::Nil])));
+    }
+
+    #[test]
+    fn approx_bits_match_the_whole_sequence() {
+        let mut rng = Rng::new(0xb175);
+        for h in random_histories(&mut rng, 64) {
+            let old_way = 64 + to_vec(&h).iter().map(MessageSize::approx_bits).sum::<u64>();
+            assert_eq!(h.approx_bits(), old_way);
+        }
+        assert_eq!(H::default().approx_bits(), 64);
+    }
+
+    #[test]
+    fn each_send_extends_the_previous_one() {
+        // Two nodes joined by one edge, stepped by hand: every round's
+        // history is last round's chain plus one link.
+        let cfg = VcBcastConfig::new(1, 5);
+        let mut nodes =
+            [VcBcastNode::<BigRat>::init(&cfg, 1, &2), VcBcastNode::<BigRat>::init(&cfg, 1, &5)];
+        let mut last: Option<[H; 2]> = None;
+        let mut outputs = Vec::new();
+        for round in 1..=cfg.total_rounds() {
+            let sent = [nodes[0].send(&cfg, round), nodes[1].send(&cfg, round)];
+            if let Some(prev) = &last {
+                for (s, p) in sent.iter().zip(prev) {
+                    assert_eq!(s.len(), round - 1);
+                    assert!(same_chain(&s.prefix(), p), "round {round}");
+                }
+            }
+            outputs.push(nodes[0].receive(&cfg, round, &[&sent[1]]));
+            outputs.push(nodes[1].receive(&cfg, round, &[&sent[0]]));
+            last = Some(sent);
+        }
+        let done: Vec<_> = outputs.into_iter().flatten().collect();
+        assert_eq!(done.len(), 2, "both nodes halt in the last round");
+        assert!(done.iter().all(|o| o.elem_info == vec![(BigRat::from_u64(2), true)]));
+    }
+
+    #[test]
+    fn long_chains_compare_and_drop_without_recursion() {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let long = (0..1_000_000).fold(H::default(), |h, _| h.push(ScMsg::Nil));
+                assert_eq!(long.len(), 1_000_000);
+                drop(long);
+                // Equal values on separate chains: the comparison walks
+                // every link.
+                let chain = |n: u64| (0..n).fold(H::default(), |h, i| h.push(ScMsg::Col(i as u32)));
+                let (a, b) = (chain(200_000), chain(200_000));
+                assert_eq!(a, b);
+                assert_eq!(a.cmp(&b.prefix()), Ordering::Greater);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
 }

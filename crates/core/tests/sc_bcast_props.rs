@@ -3,7 +3,7 @@
 //! f-approximation certificate, exact round schedules, the Fig. 3 symmetry
 //! lower bound, and §4-on-incidence ≡ §5-on-G equivalence.
 
-use anonet_bigmath::{BigRat, PackingValue, Rat128};
+use anonet_bigmath::{AutoRat, BigRat, PackingValue, Rat128};
 use anonet_core::certify::certify_set_cover;
 use anonet_core::sc_bcast::{
     run_fractional_packing, run_fractional_packing_many, run_fractional_packing_with, ScConfig,
@@ -12,7 +12,7 @@ use anonet_core::trivial::{run_trivial, trivial_bound};
 use anonet_core::vc_bcast::{incidence_instance, run_vc_broadcast, VcBcastConfig};
 use anonet_core::vc_pn::run_edge_packing;
 use anonet_gen::{family, reduction, setcover, WeightSpec};
-use anonet_sim::SetCoverInstance;
+use anonet_sim::{Graph, SetCoverInstance, Trace};
 use proptest::prelude::*;
 
 /// All §4 guarantees in one checker.
@@ -270,6 +270,97 @@ fn vc_broadcast_frucht_symmetry() {
 fn vc_broadcast_schedule() {
     let cfg = VcBcastConfig::new(3, 9);
     assert_eq!(cfg.total_rounds(), ScConfig::new(2, 3, 9).total_rounds() + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins: traces, covers and dual values recorded from the
+// straightforward implementation (whole-history §5 messages, per-send §4
+// payload vectors). The shared-chain histories and precomputed §4 schedule
+// must reproduce them exactly under both value types.
+// ---------------------------------------------------------------------------
+
+/// One pinned run: its trace, its cover as a `0`/`1` string, and the
+/// `Display` of its dual value Σy.
+struct Pin {
+    trace: Trace,
+    cover: &'static str,
+    dual: &'static str,
+}
+
+fn pin_trace(rounds: u64, messages: u64, total_bits: u64, max_message_bits: u64) -> Trace {
+    Trace { rounds, messages, total_bits, max_message_bits }
+}
+
+fn cover_bits(cover: &[bool]) -> String {
+    cover.iter().map(|&b| if b { '1' } else { '0' }).collect()
+}
+
+fn assert_pin(what: &str, trace: &Trace, cover: &[bool], dual: String, pin: &Pin) {
+    assert_eq!(trace, &pin.trace, "{what}: trace");
+    assert_eq!(cover_bits(cover), pin.cover, "{what}: cover");
+    assert_eq!(dual, pin.dual, "{what}: dual value");
+}
+
+fn check_vc_pin<V: PackingValue>(what: &str, g: &Graph, w: &[u64], pin: &Pin) {
+    let run = run_vc_broadcast::<V>(g, w).unwrap();
+    assert!(run.all_saturated, "{what}: Theorem 2");
+    assert_pin(what, &run.trace, &run.cover, run.dual_value.to_string(), pin);
+}
+
+#[test]
+fn golden_vc_broadcast_pins() {
+    let petersen_w = WeightSpec::Uniform(9).draw_many(10, 3);
+    let cases: [(&str, Graph, Vec<u64>, Pin); 3] = [
+        (
+            "Δ = 2 path, w = (1, 2, 1)",
+            family::path(3),
+            vec![1, 2, 1],
+            Pin { trace: pin_trace(168, 672, 1_198_064, 3839), cover: "111", dual: "2" },
+        ),
+        (
+            "Frucht, unit weights",
+            family::frucht(),
+            vec![1; 12],
+            Pin {
+                trace: pin_trace(428, 15_408, 70_700_724, 9661),
+                cover: "111111111111",
+                dual: "6",
+            },
+        ),
+        (
+            "weighted Petersen",
+            family::petersen(),
+            petersen_w,
+            Pin {
+                trace: pin_trace(428, 12_840, 67_194_354, 11_658),
+                cover: "1011111001",
+                dual: "58/3",
+            },
+        ),
+    ];
+    for (what, g, w, pin) in &cases {
+        check_vc_pin::<AutoRat>(what, g, w, pin);
+        check_vc_pin::<BigRat>(what, g, w, pin);
+    }
+}
+
+fn check_sc_pin<V: PackingValue>(what: &str, inst: &SetCoverInstance, pin: &Pin) {
+    let run = run_fractional_packing::<V>(inst).unwrap();
+    assert!(run.packing.is_maximal(inst), "{what}: Theorem 2");
+    assert_pin(what, &run.trace, &run.cover, run.packing.dual_value().to_string(), pin);
+}
+
+#[test]
+fn golden_set_cover_pin() {
+    let inst = setcover::random_bounded(32, 16, 2, 3, WeightSpec::Uniform(16), 11);
+    assert_eq!((inst.f(), inst.k()), (2, 3));
+    let pin = Pin {
+        trace: pin_trace(427, 40_992, 561_344, 170),
+        cover: "1001111111111111",
+        dual: "304/3",
+    };
+    check_sc_pin::<AutoRat>("k = 3 random set cover", &inst, &pin);
+    check_sc_pin::<BigRat>("k = 3 random set cover", &inst, &pin);
 }
 
 proptest! {

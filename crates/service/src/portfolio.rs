@@ -175,7 +175,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         weighted: true,
         factor_num: 2,
         factor_den: 1,
-        rounds: "O(Δ + log*W) (simulated broadcast)",
+        rounds: "O(Δ² + Δ·log*W) (simulated §4)",
         supports_async: false,
         run: run_vc_bcast,
     },
@@ -187,7 +187,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         weighted: true,
         factor_num: 0, // f is instance-dependent; the certificate carries it
         factor_den: 1,
-        rounds: "O(f·k + f·log*W)",
+        rounds: "O(f²k² + fk·log*W)",
         supports_async: false,
         run: run_set_cover,
     },
@@ -547,6 +547,17 @@ mod tests {
         assert_eq!(SolverId::VC_PN.name(), "vc_pn");
         assert_eq!(SolverId::VC_BCAST.name(), "vc_bcast");
         assert_eq!(SolverId::SET_COVER.name(), "set_cover");
+    }
+
+    #[test]
+    fn broadcast_descriptors_state_the_paper_bounds() {
+        // §5 simulates §4 on the incidence structure; both are broadcast-model.
+        let vc = by_name("vc_bcast").unwrap();
+        assert_eq!(vc.model, SolverModel::Broadcast);
+        assert_eq!(vc.rounds, "O(Δ² + Δ·log*W) (simulated §4)");
+        let sc = by_name("set_cover").unwrap();
+        assert_eq!(sc.model, SolverModel::Broadcast);
+        assert_eq!(sc.rounds, "O(f²k² + fk·log*W)");
     }
 
     #[test]
