@@ -27,8 +27,8 @@ use crate::encode::{cv_step, cv_step_root, CvSchedule, SeqEncoder};
 use crate::packing::FractionalPacking;
 use anonet_bigmath::{PackingValue, UBig};
 use anonet_sim::{
-    run_bcast_many, run_bcast_threads, BcastAlgorithm, BcastJob, MessageSize, RunResult,
-    SetCoverInstance, SimError, Trace,
+    run_bcast_threads, run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineOptions,
+    EngineScratch, MessageSize, RunResult, SetCoverInstance, SimError, Trace,
 };
 use std::sync::Arc;
 
@@ -603,11 +603,19 @@ pub fn run_fractional_packing_with<V: PackingValue>(
     threads: usize,
 ) -> Result<ScRun<V>, SimError> {
     let cfg = ScConfig::new(f, k, max_weight);
-    let inputs: Vec<Option<u64>> =
-        (0..inst.graph.n()).map(|v| inst.is_subset(v).then(|| inst.weights[v])).collect();
-    let res: RunResult<ScOutput<V>> =
-        run_bcast_threads::<ScNode<V>>(&inst.graph, &cfg, &inputs, cfg.total_rounds(), threads)?;
+    let res: RunResult<ScOutput<V>> = run_bcast_threads::<ScNode<V>>(
+        &inst.graph,
+        &cfg,
+        &sc_inputs(inst),
+        cfg.total_rounds(),
+        threads,
+    )?;
     Ok(assemble_sc_run(inst, res))
+}
+
+/// Per-node §4 inputs: a subset's weight, `None` for an element.
+fn sc_inputs(inst: &SetCoverInstance) -> Vec<Option<u64>> {
+    (0..inst.graph.n()).map(|v| inst.is_subset(v).then(|| inst.weights[v])).collect()
 }
 
 /// Runs the §4 algorithm deriving (f, k, W) from the instance.
@@ -671,25 +679,27 @@ pub fn run_fractional_packing_many_with<V: PackingValue>(
     instances: &[ScInstance<'_>],
     threads: usize,
 ) -> Vec<Result<ScRun<V>, SimError>> {
-    let cfgs: Vec<ScConfig> =
-        instances.iter().map(|i| ScConfig::new(i.f, i.k, i.max_weight)).collect();
-    let input_sets: Vec<Vec<Option<u64>>> = instances
-        .iter()
-        .map(|i| {
-            (0..i.inst.graph.n()).map(|v| i.inst.is_subset(v).then(|| i.inst.weights[v])).collect()
-        })
-        .collect();
-    let jobs: Vec<BcastJob<'_, ScNode<V>>> = instances
-        .iter()
-        .zip(&cfgs)
-        .zip(&input_sets)
-        .map(|((i, cfg), inputs)| BcastJob::new(&i.inst.graph, cfg, inputs, cfg.total_rounds()))
-        .collect();
-    run_bcast_many(&jobs, threads)
-        .into_iter()
-        .zip(instances)
-        .map(|(res, i)| res.map(|r| assemble_sc_run(i.inst, r)))
-        .collect()
+    BatchRunner::new(threads).map(instances, run_fractional_packing_scratch)
+}
+
+/// One §4 instance on a single-threaded engine whose allocations are taken
+/// from and returned to `scratch` — the per-instance entry point for callers
+/// that fan out themselves. Bit-identical to the same instance's result
+/// from [`run_fractional_packing_many_with`].
+pub fn run_fractional_packing_scratch<V: PackingValue>(
+    inst: &ScInstance<'_>,
+    scratch: &mut EngineScratch<ScNode<V>, Broadcast>,
+) -> Result<ScRun<V>, SimError> {
+    let cfg = ScConfig::new(inst.f, inst.k, inst.max_weight);
+    let res = run_engine_scratch::<ScNode<V>, Broadcast>(
+        &inst.inst.graph,
+        &cfg,
+        &sc_inputs(inst.inst),
+        cfg.total_rounds(),
+        EngineOptions::default(),
+        scratch,
+    )?;
+    Ok(assemble_sc_run(inst.inst, res))
 }
 
 /// Runs the §4 algorithm on many independent instances (bounds derived per

@@ -59,8 +59,8 @@ use crate::sc_bcast::{ScConfig, ScMsg, ScNode, ScOutput};
 use crate::vc_pn::VcInstance;
 use anonet_bigmath::PackingValue;
 use anonet_sim::{
-    run_bcast_many, run_bcast_threads, BcastAlgorithm, BcastJob, Graph, MessageSize, RunResult,
-    SimError, Trace,
+    run_bcast_threads, run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineOptions,
+    EngineScratch, Graph, MessageSize, RunResult, SimError, Trace,
 };
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -449,14 +449,27 @@ pub fn run_vc_broadcast_many<V: PackingValue>(
     instances: &[VcInstance<'_>],
     threads: usize,
 ) -> Vec<Result<VcBcastRun<V>, SimError>> {
-    let cfgs: Vec<VcBcastConfig> =
-        instances.iter().map(|i| VcBcastConfig::new(i.delta, i.max_weight)).collect();
-    let jobs: Vec<BcastJob<'_, VcBcastNode<V>>> = instances
-        .iter()
-        .zip(&cfgs)
-        .map(|(i, cfg)| BcastJob::new(i.graph, cfg, i.weights, cfg.total_rounds()))
-        .collect();
-    run_bcast_many(&jobs, threads).into_iter().map(|res| res.map(assemble_vc_bcast_run)).collect()
+    BatchRunner::new(threads).map(instances, run_vc_broadcast_scratch)
+}
+
+/// One §5 instance on a single-threaded engine whose allocations are taken
+/// from and returned to `scratch` — the per-instance entry point for callers
+/// that fan out themselves. Bit-identical to the same instance's result
+/// from [`run_vc_broadcast_many`].
+pub fn run_vc_broadcast_scratch<V: PackingValue>(
+    inst: &VcInstance<'_>,
+    scratch: &mut EngineScratch<VcBcastNode<V>, Broadcast>,
+) -> Result<VcBcastRun<V>, SimError> {
+    let cfg = VcBcastConfig::new(inst.delta, inst.max_weight);
+    let res = run_engine_scratch::<VcBcastNode<V>, Broadcast>(
+        inst.graph,
+        &cfg,
+        inst.weights,
+        cfg.total_rounds(),
+        EngineOptions::default(),
+        scratch,
+    )?;
+    Ok(assemble_vc_bcast_run(res))
 }
 
 /// Runs the §5 broadcast-model vertex cover deriving Δ and W from the

@@ -25,7 +25,8 @@ use crate::encode::{cv_step, cv_step_root, CvSchedule, SeqEncoder};
 use crate::packing::EdgePacking;
 use anonet_bigmath::{PackingValue, UBig};
 use anonet_sim::{
-    run_pn_many, run_pn_threads, Graph, MessageSize, PnAlgorithm, PnJob, RunResult, SimError, Trace,
+    run_engine_scratch, run_pn_threads, BatchRunner, EngineOptions, EngineScratch, Graph,
+    MessageSize, PnAlgorithm, PortNumbering, RunResult, SimError, Trace,
 };
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -643,18 +644,27 @@ pub fn run_edge_packing_many<V: PackingValue>(
     instances: &[VcInstance<'_>],
     threads: usize,
 ) -> Vec<Result<VcRun<V>, SimError>> {
-    let cfgs: Vec<VcConfig> =
-        instances.iter().map(|i| VcConfig::new(i.delta, i.max_weight)).collect();
-    let jobs: Vec<PnJob<'_, EdgePackingNode<V>>> = instances
-        .iter()
-        .zip(&cfgs)
-        .map(|(i, cfg)| PnJob::new(i.graph, cfg, i.weights, cfg.total_rounds()))
-        .collect();
-    run_pn_many(&jobs, threads)
-        .into_iter()
-        .zip(instances)
-        .map(|(res, i)| res.map(|r| assemble_vc_run(i.graph, r)))
-        .collect()
+    BatchRunner::new(threads).map(instances, run_edge_packing_scratch)
+}
+
+/// One §3 instance on a single-threaded engine whose allocations are taken
+/// from and returned to `scratch` — the per-instance entry point for callers
+/// that fan out themselves. Bit-identical to the same instance's result
+/// from [`run_edge_packing_many`].
+pub fn run_edge_packing_scratch<V: PackingValue>(
+    inst: &VcInstance<'_>,
+    scratch: &mut EngineScratch<EdgePackingNode<V>, PortNumbering>,
+) -> Result<VcRun<V>, SimError> {
+    let cfg = VcConfig::new(inst.delta, inst.max_weight);
+    let res = run_engine_scratch::<EdgePackingNode<V>, PortNumbering>(
+        inst.graph,
+        &cfg,
+        inst.weights,
+        cfg.total_rounds(),
+        EngineOptions::default(),
+        scratch,
+    )?;
+    Ok(assemble_vc_run(inst.graph, res))
 }
 
 /// Runs the §3 algorithm deriving Δ and W from the instance.

@@ -99,8 +99,7 @@ fn main() {
         let f = flag.as_str();
         match f {
             "--addr" => cfg.addr = val(f, &mut args),
-            // `--problem` is the pre-portfolio spelling; kept as an alias.
-            "--solver" | "--problem" => spec.solver = parse_solver(f, &val(f, &mut args)),
+            "--solver" => spec.solver = parse_solver(f, &val(f, &mut args)),
             "--portfolio" => mixed_portfolio = true,
             "--family" => {
                 spec.family = match val(f, &mut args).as_str() {

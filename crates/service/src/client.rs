@@ -3,7 +3,7 @@
 
 use crate::portfolio::{InstanceKind, SolverId};
 use crate::wire::{
-    self, SolveRequest, SolveResponse, StatsSnapshot, MSG_DEBUG_DUMP_RESPONSE,
+    self, SolveRequest, SolveResponse, StatsSnapshot, WireError, MSG_DEBUG_DUMP_RESPONSE,
     MSG_METRICS_RESPONSE, MSG_SOLVE_RESPONSE, MSG_STATS_RESPONSE,
 };
 use anonet_core::canon::{self, ByteReader};
@@ -40,56 +40,54 @@ impl Client {
         }
     }
 
-    fn roundtrip(&mut self, payload: &[u8]) -> io::Result<Vec<u8>> {
+    /// Sends `payload` and decodes the reply, which must be a `want` frame.
+    fn call<T>(&mut self, payload: &[u8], want: u8, decode: Decoder<T>) -> io::Result<T> {
         wire::write_frame(&mut self.stream, payload)?;
-        wire::read_frame(&mut self.stream)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))
+        let reply = wire::read_frame(&mut self.stream)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
+        Ok(decode_reply(&reply, want, decode)?)
     }
 
     /// Sends a solve request and waits for the response.
     pub fn solve(&mut self, req: &SolveRequest) -> io::Result<SolveResponse> {
-        let reply = self.roundtrip(&wire::encode_solve_request(req))?;
-        let mut r = ByteReader::new(&reply);
-        let t = wire::read_header(&mut r)?;
-        if t != MSG_SOLVE_RESPONSE {
-            return Err(wire::WireError::BadMessageType(t).into());
-        }
-        Ok(wire::decode_solve_response(&mut r)?)
+        self.call(&wire::encode_solve_request(req), MSG_SOLVE_RESPONSE, wire::decode_solve_response)
     }
 
     /// Fetches the server's statistics counters.
     pub fn stats(&mut self) -> io::Result<StatsSnapshot> {
-        let reply = self.roundtrip(&wire::encode_stats_request())?;
-        let mut r = ByteReader::new(&reply);
-        let t = wire::read_header(&mut r)?;
-        if t != MSG_STATS_RESPONSE {
-            return Err(wire::WireError::BadMessageType(t).into());
-        }
-        Ok(wire::decode_stats_response(&mut r)?)
+        self.call(&wire::encode_stats_request(), MSG_STATS_RESPONSE, wire::decode_stats_response)
     }
 
     /// Fetches the server's self-describing metrics snapshot (phase
     /// histograms, per-problem solve counters, legacy stats counters).
     pub fn metrics(&mut self) -> io::Result<anonet_obs::Snapshot> {
-        let reply = self.roundtrip(&wire::encode_metrics_request())?;
-        let mut r = ByteReader::new(&reply);
-        let t = wire::read_header(&mut r)?;
-        if t != MSG_METRICS_RESPONSE {
-            return Err(wire::WireError::BadMessageType(t).into());
-        }
-        Ok(wire::decode_metrics_response(&mut r)?)
+        self.call(
+            &wire::encode_metrics_request(),
+            MSG_METRICS_RESPONSE,
+            wire::decode_metrics_response,
+        )
     }
 
     /// Fetches the server's flight-recorder dump: the last N request
     /// records as a JSON document.
     pub fn debug_dump(&mut self) -> io::Result<String> {
-        let reply = self.roundtrip(&wire::encode_debug_dump_request())?;
-        let mut r = ByteReader::new(&reply);
-        let t = wire::read_header(&mut r)?;
-        if t != MSG_DEBUG_DUMP_RESPONSE {
-            return Err(wire::WireError::BadMessageType(t).into());
-        }
-        Ok(wire::decode_debug_dump_response(&mut r)?)
+        self.call(
+            &wire::encode_debug_dump_request(),
+            MSG_DEBUG_DUMP_RESPONSE,
+            wire::decode_debug_dump_response,
+        )
+    }
+}
+
+/// A wire body decoder, as [`decode_reply`] takes it.
+type Decoder<T> = fn(&mut ByteReader<'_>) -> Result<T, WireError>;
+
+/// Decodes one reply frame, which must carry message type `want`.
+pub(crate) fn decode_reply<T>(frame: &[u8], want: u8, decode: Decoder<T>) -> Result<T, WireError> {
+    let mut r = ByteReader::new(frame);
+    match wire::read_header(&mut r)? {
+        t if t == want => decode(&mut r),
+        t => Err(WireError::BadMessageType(t)),
     }
 }
 

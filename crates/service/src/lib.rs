@@ -19,20 +19,23 @@
 //!   servable algorithm (the paper's §3/§4/§5 solvers plus the related-work
 //!   baselines PS3, KVY-(2+ε) and BCHS-(2+ε)), consumed by wire decode,
 //!   server dispatch, telemetry registration, the load generator, and the
-//!   bench bins — registering a solver is a one-row change;
-//! * [`server`] — accept loop, bounded job queue with backpressure (a full
-//!   queue answers `Busy` + retry-after instead of blocking), and a worker
-//!   pool that dispatches each request to its solver's registry entry point
-//!   (the legacy solvers funnel through the
-//!   `anonet_sim::batch::BatchRunner`-backed `_many` entry points), so
+//!   bench bins. Every entry runs one shared solve pipeline (decode, pool
+//!   fan-out, solve, certify, encode), so a solver supplies only its
+//!   canonical decoder and a per-instance `solve_one` that runs and
+//!   certifies it — registering a solver is that function plus one row;
+//! * [`server`] — accept loop, one request dispatch shared by both
+//!   connection models, bounded job queue with backpressure (a full queue
+//!   answers `Busy` + retry-after instead of blocking), and a worker pool
+//!   that runs each request through its solver's registry entry, so
 //!   responses are bit-identical to direct batch runs;
 //! * [`cache`] — an LRU result cache keyed by the canonical instance + mode
 //!   bytes, with hit/miss/eviction counters surfaced through the stats
 //!   endpoint;
 //! * [`client`] — a blocking client plus request-building helpers;
-//! * [`telemetry`] — per-request phase tracing into `anonet-obs` histograms
-//!   (read / decode / queue / solve / encode / write), per-problem-kind
-//!   solve counters, and the flight recorder: a ring of the last N request
+//! * [`telemetry`] — the service's one metrics registry: per-request phase
+//!   tracing into `anonet-obs` histograms (read / decode / queue / solve /
+//!   encode / write), per-solver solve counters, the stats counters, and
+//!   the flight recorder: a ring of the last N request
 //!   records dumped as JSON on panic, on a wire debug-dump request, or at
 //!   exit;
 //! * [`loadgen`] — workload synthesis from `anonet-gen` families and an

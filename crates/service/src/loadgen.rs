@@ -525,12 +525,11 @@ fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Res
     // threaded driver's per-response accounting (Busy backoff excepted:
     // pipelined connections never sleep).
     let settle_reply = |frame: &[u8], queued_at: Instant, report: &mut Report| {
-        let mut r = canon::ByteReader::new(frame);
-        let resp = match crate::wire::read_header(&mut r) {
-            Ok(crate::wire::MSG_SOLVE_RESPONSE) => crate::wire::decode_solve_response(&mut r),
-            Ok(t) => Err(crate::wire::WireError::BadMessageType(t)),
-            Err(e) => Err(e),
-        };
+        let resp = crate::client::decode_reply(
+            frame,
+            crate::wire::MSG_SOLVE_RESPONSE,
+            crate::wire::decode_solve_response,
+        );
         match resp {
             Ok(SolveResponse::Ok(results)) => {
                 let mut any_err = false;

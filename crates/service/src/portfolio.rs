@@ -5,9 +5,20 @@
 //! Each entry is a [`SolverDescriptor`]: the stable wire id, the name (which
 //! doubles as the telemetry counter suffix and the flight-recorder label),
 //! the communication model, capability flags, the approximation factor as an
-//! **exact rational**, and the execute entry point the worker calls. Adding
-//! a solver is a one-row change here — nothing else in the stack enumerates
-//! solver kinds by hand.
+//! **exact rational**, and the execute entry point the worker calls.
+//!
+//! ## One solve pipeline
+//!
+//! Every entry point is the same generic pipeline: decode each canonical
+//! blob, fan the instances out over the worker's persistent pool
+//! (`anonet_sim::pool::map_with`, one engine scratch per pool worker), run
+//! the solver's `solve_one`, record the trace, and encode the body. A
+//! solver therefore supplies only its canonical decoder (`canon::decode_vc`
+//! or `canon::decode_sc`) and a `solve_one(&inst, mode, &mut scratch)` that
+//! runs the fixed local schedule and certifies the result under the
+//! solver's rule, returning the cover, the certificate and the wire trace.
+//! Adding a solver is a new `solve_one` plus one row here — nothing else in
+//! the stack enumerates solver kinds by hand.
 //!
 //! ## Wire ids
 //!
@@ -37,18 +48,21 @@ use anonet_baselines::bchs::run_bchs;
 use anonet_baselines::kvy_eps::run_kvy;
 use anonet_baselines::ps3::{half_matching_packing, run_ps3_scratch, PsNode};
 use anonet_bigmath::{AutoRat, BigRat};
-use anonet_core::canon;
+use anonet_core::canon::{self, OwnedScInstance, OwnedVcInstance};
 use anonet_core::certify::{
     certify_set_cover, certify_vertex_cover, certify_vertex_cover_rational, Certificate,
+    CertifyError,
 };
-use anonet_core::sc_bcast::{run_fractional_packing_many_with, ScInstance};
-use anonet_core::vc_bcast::run_vc_broadcast_many;
+use anonet_core::packing::EdgePacking;
+use anonet_core::sc_bcast::{run_fractional_packing_scratch, ScInstance, ScNode};
+use anonet_core::vc_bcast::{run_vc_broadcast_scratch, VcBcastNode};
 use anonet_core::vc_pn::{
-    fold_vc_outputs, run_edge_packing_many, EdgePackingNode, VcConfig, VcInstance,
+    fold_vc_outputs, run_edge_packing_scratch, EdgePackingNode, VcConfig, VcInstance,
 };
 use anonet_runtime::{run_async_pn, scenario, AsyncTrace, NetworkConfig};
 use anonet_sim::pool as sim_pool;
-use anonet_sim::{EngineScratch, PortNumbering, Trace};
+use anonet_sim::{Broadcast, EngineScratch, PortNumbering, SimError, Trace};
+use std::fmt::Display;
 
 /// A solver's stable wire identifier — the byte after the message header in
 /// a solve request. Only ids present in the registry are constructible, so a
@@ -117,6 +131,7 @@ pub(crate) type InstanceOutcome = Result<(bool, Vec<u8>), String>;
 
 /// The execute entry point: runs the not-yet-cached instances (`missing` are
 /// indices into `req.instances`) and returns one outcome per index in order.
+/// Every entry is `pipeline` over the solver's decoder and `solve_one`.
 pub(crate) type SolverRun = fn(&Shared, &SolveRequest, &[usize]) -> Vec<InstanceOutcome>;
 
 /// One registered solver — everything the stack needs to decode, dispatch,
@@ -165,7 +180,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         factor_den: 1,
         rounds: "O(Δ + log*W)",
         supports_async: true,
-        run: run_vc_pn,
+        run: |sh, req, missing| pipeline(sh, req, missing, canon::decode_vc, solve_vc_pn),
     },
     SolverDescriptor {
         id: SolverId::VC_BCAST,
@@ -177,7 +192,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         factor_den: 1,
         rounds: "O(Δ² + Δ·log*W) (simulated §4)",
         supports_async: false,
-        run: run_vc_bcast,
+        run: |sh, req, missing| pipeline(sh, req, missing, canon::decode_vc, solve_vc_bcast),
     },
     SolverDescriptor {
         id: SolverId::SET_COVER,
@@ -189,7 +204,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         factor_den: 1,
         rounds: "O(f²k² + fk·log*W)",
         supports_async: false,
-        run: run_set_cover,
+        run: |sh, req, missing| pipeline(sh, req, missing, canon::decode_sc, solve_set_cover),
     },
     SolverDescriptor {
         id: SolverId::VC_PS3,
@@ -201,7 +216,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         factor_den: 1,
         rounds: "2Δ",
         supports_async: false,
-        run: run_vc_ps3,
+        run: |sh, req, missing| pipeline(sh, req, missing, canon::decode_vc, solve_vc_ps3),
     },
     SolverDescriptor {
         id: SolverId::VC_KVY,
@@ -213,7 +228,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         factor_den: 3,
         rounds: "data-dependent (grows with W)",
         supports_async: false,
-        run: run_vc_kvy,
+        run: |sh, req, missing| pipeline(sh, req, missing, canon::decode_vc, solve_vc_kvy),
     },
     SolverDescriptor {
         id: SolverId::VC_BCHS,
@@ -225,7 +240,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         factor_den: 3,
         rounds: "data-dependent, weight-scale-free",
         supports_async: false,
-        run: run_vc_bchs,
+        run: |sh, req, missing| pipeline(sh, req, missing, canon::decode_vc, solve_vc_bchs),
     },
 ];
 
@@ -241,7 +256,7 @@ pub fn by_name(name: &str) -> Option<&'static SolverDescriptor> {
     SOLVERS.iter().find(|d| d.name == norm)
 }
 
-pub(crate) fn sync_trace(t: &Trace) -> WireTrace {
+fn sync_trace(t: &Trace) -> WireTrace {
     WireTrace {
         is_async: false,
         rounds: t.rounds,
@@ -266,7 +281,7 @@ fn async_trace(t: &AsyncTrace) -> WireTrace {
     }
 }
 
-pub(crate) fn scenario_config(s: Scenario, seed: u64) -> NetworkConfig {
+fn scenario_config(s: Scenario, seed: u64) -> NetworkConfig {
     match s {
         Scenario::Ideal => scenario::ideal(),
         Scenario::Datacenter => scenario::datacenter(seed),
@@ -276,237 +291,155 @@ pub(crate) fn scenario_config(s: Scenario, seed: u64) -> NetworkConfig {
     }
 }
 
-/// Widens a fast-path certificate to the `BigRat` wire representation. The
-/// solvers run on [`AutoRat`] (fixed-width with checked promotion); the wire
-/// format and result cache stay on exact arbitrary precision.
-fn widen_cert(c: Certificate<AutoRat>) -> Certificate<BigRat> {
-    Certificate {
-        cover_weight: c.cover_weight,
-        dual_value: c.dual_value.to_bigrat(),
-        factor: c.factor,
-    }
-}
+/// What a solver's `solve_one` hands the pipeline: the cover, its
+/// certificate widened to the wire's `BigRat`, and the wire trace — or the
+/// per-instance error string the client sees.
+type Solution = Result<(Vec<bool>, Certificate<BigRat>, WireTrace), String>;
 
-/// Decodes the VC blobs of the `missing` instances, keeping per-instance
-/// errors in place so outcomes line up with request order.
-fn decode_vc_batch(
-    req: &SolveRequest,
-    missing: &[usize],
-) -> Vec<Result<canon::OwnedVcInstance, String>> {
-    missing
-        .iter()
-        .map(|&i| canon::decode_vc(&req.instances[i]).map_err(|e| e.to_string()))
-        .collect()
-}
-
-fn run_vc_pn(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    let threads = shared.cfg.threads_per_job;
-    let decoded = decode_vc_batch(req, missing);
-    match req.mode {
-        ExecMode::Sync => {
-            let good: Vec<&canon::OwnedVcInstance> =
-                decoded.iter().filter_map(|d| d.as_ref().ok()).collect();
-            let insts: Vec<VcInstance<'_>> = good
-                .iter()
-                .map(|d| VcInstance::with_bounds(&d.graph, &d.weights, d.delta, d.max_weight))
-                .collect();
-            let mut runs = run_edge_packing_many::<AutoRat>(&insts, threads).into_iter();
-            decoded
-                .iter()
-                .map(|dec| {
-                    let d = dec.as_ref().map_err(|e| e.clone())?;
-                    // `runs` holds exactly one entry per Ok-decoded instance, zipped back in order.
-                    let run = runs.next().expect("one run per good instance");
-                    let vc = run.map_err(|e| format!("execution failed: {e}"))?;
-                    let cert = widen_cert(
-                        certify_vertex_cover(&d.graph, &d.weights, &vc.packing, &vc.cover)
-                            .map_err(|e| format!("certification failed: {e}"))?,
-                    );
-                    let t = sync_trace(&vc.trace);
-                    shared.telemetry.record_solve_trace(t.rounds, t.bits);
-                    Ok((false, wire::encode_solved_body(&vc.cover, &cert, &t)))
-                })
-                .collect()
-        }
-        ExecMode::Async(s, seed) => {
-            let run_one = |dec: &Result<canon::OwnedVcInstance, String>| {
-                let d = dec.as_ref().map_err(|e| e.clone())?;
-                let cfg = VcConfig::new(d.delta, d.max_weight);
-                let net = scenario_config(s, seed);
-                let res = run_async_pn::<EdgePackingNode<AutoRat>>(
-                    &d.graph,
-                    &cfg,
-                    &d.weights,
-                    cfg.total_rounds(),
-                    &net,
-                )
-                .map_err(|e| format!("async execution failed: {e}"))?;
-                let (cover, packing) = fold_vc_outputs(&d.graph, &res.outputs);
-                let cert = widen_cert(
-                    certify_vertex_cover(&d.graph, &d.weights, &packing, &cover)
-                        .map_err(|e| format!("certification failed: {e}"))?,
-                );
-                let t = async_trace(&res.trace);
-                shared.telemetry.record_solve_trace(t.rounds, t.bits);
-                Ok((false, wire::encode_solved_body(&cover, &cert, &t)))
-            };
-            // Each instance is an independent, per-seed-deterministic
-            // run, so fan the batch across the job's pool width like
-            // the sync arm (which goes through the batch runner)
-            // instead of monopolising the worker sequentially. The
-            // pool threads persist per service worker (thread-local
-            // `RoundPool` cached at the machine-derived width, so
-            // varying batch sizes don't respawn it), and repeated
-            // async requests stop paying per-request thread spawns.
-            let width = sim_pool::clamp_width(sim_pool::resolve_threads(threads));
-            if width <= 1 || decoded.len() <= 1 {
-                decoded.iter().map(run_one).collect()
-            } else {
-                sim_pool::with_local_pool(width, |p| {
-                    p.map(decoded.iter().collect(), |_, d| run_one(d))
-                })
-            }
-        }
-    }
-}
-
-fn run_vc_bcast(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    let threads = shared.cfg.threads_per_job;
-    let decoded = decode_vc_batch(req, missing);
-    let good: Vec<&canon::OwnedVcInstance> =
-        decoded.iter().filter_map(|d| d.as_ref().ok()).collect();
-    let insts: Vec<VcInstance<'_>> = good
-        .iter()
-        .map(|d| VcInstance::with_bounds(&d.graph, &d.weights, d.delta, d.max_weight))
-        .collect();
-    let mut runs = run_vc_broadcast_many::<AutoRat>(&insts, threads).into_iter();
-    decoded
-        .iter()
-        .map(|dec| {
-            let d = dec.as_ref().map_err(|e| e.clone())?;
-            // `runs` holds exactly one entry per Ok-decoded instance, zipped back in order.
-            let run = runs.next().expect("one run per good instance");
-            let vc = run.map_err(|e| format!("execution failed: {e}"))?;
-            // §5 outputs do not carry the full packing; the maximality
-            // witness is `all_saturated` (Theorem 2) and the cover +
-            // ratio bound are checked directly.
-            let cover_weight: u64 =
-                (0..d.graph.n()).filter(|&v| vc.cover[v]).map(|v| d.weights[v]).sum();
-            let covers = d.graph.edge_iter().all(|(_, u, v)| vc.cover[u] || vc.cover[v]);
-            let cert =
-                Certificate { cover_weight, dual_value: vc.dual_value.to_bigrat(), factor: 2 };
-            if !vc.all_saturated || !covers || !canon::certificate_bound_holds(&cert) {
-                return Err("certification failed: §5 invariants violated".into());
-            }
-            let t = sync_trace(&vc.trace);
-            shared.telemetry.record_solve_trace(t.rounds, t.bits);
-            Ok((false, wire::encode_solved_body(&vc.cover, &cert, &t)))
-        })
-        .collect()
-}
-
-fn run_set_cover(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    let threads = shared.cfg.threads_per_job;
-    let decoded: Vec<Result<canon::OwnedScInstance, String>> = missing
-        .iter()
-        .map(|&i| canon::decode_sc(&req.instances[i]).map_err(|e| e.to_string()))
-        .collect();
-    let good: Vec<&canon::OwnedScInstance> =
-        decoded.iter().filter_map(|d| d.as_ref().ok()).collect();
-    let insts: Vec<ScInstance<'_>> =
-        good.iter().map(|d| ScInstance::with_bounds(&d.inst, d.f, d.k, d.max_weight)).collect();
-    let mut runs = run_fractional_packing_many_with::<AutoRat>(&insts, threads).into_iter();
-    decoded
-        .iter()
-        .map(|dec| {
-            let d = dec.as_ref().map_err(|e| e.clone())?;
-            // `runs` holds exactly one entry per Ok-decoded instance, zipped back in order.
-            let run = runs.next().expect("one run per good instance");
-            let sc = run.map_err(|e| format!("execution failed: {e}"))?;
-            let cert = widen_cert(
-                certify_set_cover(&d.inst, &sc.packing, &sc.cover)
-                    .map_err(|e| format!("certification failed: {e}"))?,
-            );
-            let t = sync_trace(&sc.trace);
-            shared.telemetry.record_solve_trace(t.rounds, t.bits);
-            Ok((false, wire::encode_solved_body(&sc.cover, &cert, &t)))
-        })
-        .collect()
-}
-
-fn run_vc_ps3(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    let decoded = decode_vc_batch(req, missing);
-    // Short deterministic runs, sequential over the batch with the engine
-    // scratch reused — the repeated-short-run entry point.
-    let mut scratch: EngineScratch<PsNode, PortNumbering> = EngineScratch::new();
-    decoded
-        .iter()
-        .map(|dec| {
-            let d = dec.as_ref().map_err(|e| e.clone())?;
-            // Capability check at instance-decode time: PS3 is unweighted.
-            if let Some(w) = d.weights.iter().find(|&&w| w != 1) {
-                return Err(format!("solver vc_ps3 is unweighted: weight {w} ≠ 1 present"));
-            }
-            let run = run_ps3_scratch(&d.graph, d.delta, &mut scratch)
-                .map_err(|e| format!("execution failed: {e}"))?;
-            let packing = half_matching_packing::<AutoRat>(&d.graph, &run.roles);
-            let cert = widen_cert(
-                certify_vertex_cover_rational(&d.graph, &d.weights, &packing, &run.cover, 4, 1)
-                    .map_err(|e| format!("certification failed: {e}"))?,
-            );
-            let t = sync_trace(&run.trace);
-            shared.telemetry.record_solve_trace(t.rounds, t.bits);
-            Ok((false, wire::encode_solved_body(&run.cover, &cert, &t)))
-        })
-        .collect()
-}
-
-/// Per-instance entry point for the (2+ε) family: cover, dual packing, trace.
-type EpsRunner = fn(&canon::OwnedVcInstance) -> Result<(Vec<bool>, EpsPacking, Trace), String>;
-type EpsPacking = anonet_core::packing::EdgePacking<AutoRat>;
-
-/// Shared driver for the two (2+ε) primal–dual solvers: per-instance
-/// engine runs fanned across the job's pool width, certified at 8/3.
-fn run_eps_family(
+/// The one solve pipeline behind every registry entry: decode each
+/// not-yet-cached blob, fan the instances out over this worker's persistent
+/// pool (each pool worker recycling one `S` engine scratch across the
+/// instances it pulls), solve and certify each with the solver's
+/// `solve_one`, record the trace, and encode the body. Per-instance errors
+/// stay in place, so outcomes line up with `missing`.
+fn pipeline<I, E: Display, S: Default>(
     shared: &Shared,
     req: &SolveRequest,
     missing: &[usize],
-    runner: EpsRunner,
+    decode: fn(&[u8]) -> Result<I, E>,
+    solve_one: fn(&I, ExecMode, &mut S) -> Solution,
 ) -> Vec<InstanceOutcome> {
-    let decoded = decode_vc_batch(req, missing);
-    let run_one = |dec: &Result<canon::OwnedVcInstance, String>| {
-        let d = dec.as_ref().map_err(|e| e.clone())?;
-        let (cover, packing, trace) = runner(d)?;
-        let cert = widen_cert(
-            certify_vertex_cover_rational(&d.graph, &d.weights, &packing, &cover, 8, 3)
-                .map_err(|e| format!("certification failed: {e}"))?,
-        );
-        let t = sync_trace(&trace);
-        shared.telemetry.record_solve_trace(t.rounds, t.bits);
-        Ok((false, wire::encode_solved_body(&cover, &cert, &t)))
-    };
+    let blobs: Vec<&[u8]> = missing.iter().map(|&i| req.instances[i].as_slice()).collect();
+    // Cached per service worker at the machine-derived width, so varying
+    // batch sizes do not respawn it; width 1 runs inline.
     let width = sim_pool::clamp_width(sim_pool::resolve_threads(shared.cfg.threads_per_job));
-    if width <= 1 || decoded.len() <= 1 {
-        decoded.iter().map(run_one).collect()
-    } else {
-        sim_pool::with_local_pool(width, |p| p.map(decoded.iter().collect(), |_, d| run_one(d)))
+    sim_pool::with_local_pool(width, |pool| {
+        sim_pool::map_with(Some(pool), blobs, S::default, |scratch, _, blob| {
+            let inst = decode(blob).map_err(|e| e.to_string())?;
+            let (cover, cert, trace) = solve_one(&inst, req.mode, scratch)?;
+            shared.telemetry.record_solve_trace(trace.rounds, trace.bits);
+            Ok((false, wire::encode_solved_body(&cover, &cert, &trace)))
+        })
+    })
+}
+
+fn execution_failed(e: SimError) -> String {
+    format!("execution failed: {e}")
+}
+
+/// Widens a fast-path certificate to the `BigRat` wire representation. The
+/// solvers run on [`AutoRat`] (fixed-width with checked promotion); the wire
+/// format and result cache stay on exact arbitrary precision.
+fn widen(c: Result<Certificate<AutoRat>, CertifyError>) -> Result<Certificate<BigRat>, String> {
+    let c = c.map_err(|e| format!("certification failed: {e}"))?;
+    Ok(Certificate {
+        cover_weight: c.cover_weight,
+        dual_value: c.dual_value.to_bigrat(),
+        factor: c.factor,
+    })
+}
+
+/// The certify rule of the solvers without a §3 maximality witness: dual
+/// feasibility, cover validity and `den·w(C) ≤ num·Σy`.
+fn certify_rational(
+    d: &OwnedVcInstance,
+    cover: Vec<bool>,
+    packing: &EdgePacking<AutoRat>,
+    trace: &Trace,
+    num: u64,
+    den: u64,
+) -> Solution {
+    let cert =
+        widen(certify_vertex_cover_rational(&d.graph, &d.weights, packing, &cover, num, den))?;
+    Ok((cover, cert, sync_trace(trace)))
+}
+
+fn vc_instance(d: &OwnedVcInstance) -> VcInstance<'_> {
+    VcInstance::with_bounds(&d.graph, &d.weights, d.delta, d.max_weight)
+}
+
+fn solve_vc_pn(
+    d: &OwnedVcInstance,
+    mode: ExecMode,
+    scratch: &mut EngineScratch<EdgePackingNode<AutoRat>, PortNumbering>,
+) -> Solution {
+    let (cover, packing, trace) = match mode {
+        ExecMode::Sync => {
+            let run =
+                run_edge_packing_scratch(&vc_instance(d), scratch).map_err(execution_failed)?;
+            (run.cover, run.packing, sync_trace(&run.trace))
+        }
+        ExecMode::Async(s, seed) => {
+            let cfg = VcConfig::new(d.delta, d.max_weight);
+            let res = run_async_pn::<EdgePackingNode<AutoRat>>(
+                &d.graph,
+                &cfg,
+                &d.weights,
+                cfg.total_rounds(),
+                &scenario_config(s, seed),
+            )
+            .map_err(|e| format!("async execution failed: {e}"))?;
+            let (cover, packing) = fold_vc_outputs(&d.graph, &res.outputs);
+            (cover, packing, async_trace(&res.trace))
+        }
+    };
+    let cert = widen(certify_vertex_cover(&d.graph, &d.weights, &packing, &cover))?;
+    Ok((cover, cert, trace))
+}
+
+fn solve_vc_bcast(
+    d: &OwnedVcInstance,
+    _: ExecMode,
+    scratch: &mut EngineScratch<VcBcastNode<AutoRat>, Broadcast>,
+) -> Solution {
+    let run = run_vc_broadcast_scratch(&vc_instance(d), scratch).map_err(execution_failed)?;
+    // §5 outputs do not carry the full packing; the maximality witness is
+    // `all_saturated` (Theorem 2) and the cover + ratio bound are checked
+    // directly.
+    let cover_weight: u64 = (0..d.graph.n()).filter(|&v| run.cover[v]).map(|v| d.weights[v]).sum();
+    let covers = d.graph.edge_iter().all(|(_, u, v)| run.cover[u] || run.cover[v]);
+    let cert = Certificate { cover_weight, dual_value: run.dual_value.to_bigrat(), factor: 2 };
+    if !run.all_saturated || !covers || !canon::certificate_bound_holds(&cert) {
+        return Err("certification failed: §5 invariants violated".into());
     }
+    Ok((run.cover, cert, sync_trace(&run.trace)))
 }
 
-fn run_vc_kvy(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    run_eps_family(shared, req, missing, |d| {
-        let run = run_kvy::<AutoRat>(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS)
-            .map_err(|e| format!("execution failed: {e}"))?;
-        Ok((run.cover, run.packing, run.trace))
-    })
+fn solve_set_cover(
+    d: &OwnedScInstance,
+    _: ExecMode,
+    scratch: &mut EngineScratch<ScNode<AutoRat>, Broadcast>,
+) -> Solution {
+    let inst = ScInstance::with_bounds(&d.inst, d.f, d.k, d.max_weight);
+    let run = run_fractional_packing_scratch(&inst, scratch).map_err(execution_failed)?;
+    let cert = widen(certify_set_cover(&d.inst, &run.packing, &run.cover))?;
+    Ok((run.cover, cert, sync_trace(&run.trace)))
 }
 
-fn run_vc_bchs(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    run_eps_family(shared, req, missing, |d| {
-        let run = run_bchs::<AutoRat>(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS)
-            .map_err(|e| format!("execution failed: {e}"))?;
-        Ok((run.cover, run.packing, run.trace))
-    })
+fn solve_vc_ps3(
+    d: &OwnedVcInstance,
+    _: ExecMode,
+    scratch: &mut EngineScratch<PsNode, PortNumbering>,
+) -> Solution {
+    // Capability check at instance-decode time: PS3 is unweighted.
+    if let Some(w) = d.weights.iter().find(|&&w| w != 1) {
+        return Err(format!("solver vc_ps3 is unweighted: weight {w} ≠ 1 present"));
+    }
+    let run = run_ps3_scratch(&d.graph, d.delta, scratch).map_err(execution_failed)?;
+    let packing = half_matching_packing::<AutoRat>(&d.graph, &run.roles);
+    certify_rational(d, run.cover, &packing, &run.trace, 4, 1)
+}
+
+fn solve_vc_kvy(d: &OwnedVcInstance, _: ExecMode, _: &mut ()) -> Solution {
+    let run = run_kvy::<AutoRat>(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS)
+        .map_err(execution_failed)?;
+    certify_rational(d, run.cover, &run.packing, &run.trace, 8, 3)
+}
+
+fn solve_vc_bchs(d: &OwnedVcInstance, _: ExecMode, _: &mut ()) -> Solution {
+    let run = run_bchs::<AutoRat>(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS)
+        .map_err(execution_failed)?;
+    certify_rational(d, run.cover, &run.packing, &run.trace, 8, 3)
 }
 
 /// The whole-request guard a worker applies before dispatching to

@@ -4,61 +4,50 @@
 //! Under [`ConnModel::Reactor`](crate::server::ConnModel::Reactor) a single
 //! `anonet-net` reactor thread owns every client socket. Its handler — the
 //! [`ServiceHandler`] here — runs *on the reactor thread*, so it must never
-//! block: info requests (stats, metrics, debug dump) and error replies are
-//! answered inline (they only read counters), while solve requests are
-//! enqueued on the same bounded job queue the threads model uses and
-//! answered [`Action::Pending`]. A worker later finishes the job and pushes
-//! the payload through the reactor's completion queue
+//! block: it hands each frame to the shared [`dispatch`], which answers info
+//! requests (stats, metrics, debug dump) and error replies inline, while
+//! solve requests are enqueued on the same bounded job queue the threads
+//! model uses and answered [`Action::Pending`]. A worker later finishes the
+//! job and pushes the payload through the reactor's completion queue
 //! ([`ReactorReply::finish`]), which wakes the event loop via its eventfd.
 //!
 //! ## Byte identity with the threads model
 //!
-//! The dispatch below mirrors `handle_conn` arm for arm — same decode
-//! calls, same error strings, same counter bumps — so identical request
-//! streams produce **byte-identical** responses under either model (the
-//! differential loopback test asserts exactly this). What differs is only
-//! the flight record's transport phases: the reactor reads and writes
-//! asynchronously on behalf of every connection at once, so per-request
-//! `read_us`/`write_us` are not attributable and stay 0; queue/solve/encode
-//! timings are measured by the worker exactly as before.
+//! Both models parse, count and answer through the same [`dispatch`] and
+//! the same worker path, so identical request streams produce
+//! **byte-identical** responses under either model (the differential
+//! loopback test asserts exactly this). What differs is only the flight
+//! record's transport phases: the reactor reads and writes asynchronously
+//! on behalf of every connection at once, so per-request `read_us`/`write_us`
+//! are not attributable and stay 0; queue/solve/encode timings are measured
+//! by the worker exactly as in the threads model.
 
-use crate::server::{NetHandles, Reply, Shared};
-use crate::telemetry::{outcome, RequestRecord, Telemetry};
-use crate::wire::{
-    self, SolveResponse, WireError, MSG_DEBUG_DUMP_REQUEST, MSG_METRICS_REQUEST, MSG_SOLVE_REQUEST,
-    MSG_STATS_REQUEST,
-};
+use crate::server::{dispatch, Dispatch, Reply, Shared};
+use crate::telemetry::{RequestRecord, Telemetry};
+use crate::wire;
 use anonet_net::{Action, CompletionSender, Handler, NetMetrics, Reactor, ReactorConfig, Token};
-use anonet_obs::clock::{unix_millis, Stopwatch};
+use anonet_obs::clock::Stopwatch;
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// The reply half of a reactor-submitted job: everything a worker needs to
+/// The reply route of a reactor-submitted job: everything a worker needs to
 /// finish the flight record and route the payload back to the right
 /// connection (and the right pipeline position) on the event loop.
 pub(crate) struct ReactorReply {
     token: Token,
     seq: u64,
-    rec: RequestRecord,
     started: Stopwatch,
     done: CompletionSender,
 }
 
 impl ReactorReply {
-    /// Completes the job from a worker thread: folds the worker-side phase
-    /// measurements into the flight record, commits it, and hands the
-    /// payload to the reactor's completion queue (waking the event loop).
-    pub(crate) fn finish(self, payload: Vec<u8>, ph: crate::server::ExecPhases, tel: &Telemetry) {
-        let mut rec = self.rec;
-        rec.queue_us = ph.queue_us;
-        rec.solve_us = ph.solve_us;
-        rec.encode_us = ph.encode_us;
-        rec.cache_hits = ph.cache_hits;
-        rec.cache_misses = ph.cache_misses;
-        rec.outcome = ph.outcome;
+    /// Completes the job from a worker thread: commits the flight record the
+    /// worker filled in and hands the payload to the reactor's completion
+    /// queue (waking the event loop).
+    pub(crate) fn finish(self, payload: Vec<u8>, mut rec: RequestRecord, tel: &Telemetry) {
         rec.bytes_out = payload.len() as u64;
         rec.total_us = self.started.total_us();
         tel.commit(rec);
@@ -66,7 +55,7 @@ impl ReactorReply {
     }
 }
 
-/// The per-reactor frame handler: parses each request frame and either
+/// The per-reactor frame handler: dispatches each request frame and either
 /// answers inline or queues a job. One instance serves every connection —
 /// `(token, seq)` is all the per-request state it needs.
 pub(crate) struct ServiceHandler {
@@ -76,89 +65,21 @@ pub(crate) struct ServiceHandler {
 
 impl Handler for ServiceHandler {
     fn on_frame(&mut self, token: Token, seq: u64, payload: Vec<u8>) -> Action {
-        let shared = &self.shared;
-        let mut sw = Stopwatch::start();
-        let mut rec = RequestRecord {
-            t_unix_ms: unix_millis(),
-            bytes_in: payload.len() as u64,
-            outcome: outcome::INFO,
-            ..RequestRecord::default()
-        };
-        let mut r = anonet_core::canon::ByteReader::new(&payload);
-        let reply = match wire::read_header(&mut r) {
-            Ok(MSG_SOLVE_REQUEST) => {
-                rec.msg_type = MSG_SOLVE_REQUEST;
-                match wire::decode_solve_request(&mut r) {
-                    Ok(req) => {
-                        rec.decode_us = sw.lap_us();
-                        rec.problem = req.solver.name();
-                        rec.instances = req.instances.len() as u32;
-                        let rr =
-                            ReactorReply { token, seq, rec, started: sw, done: self.done.clone() };
-                        match shared.submit_reply(req, Reply::Reactor(rr)) {
-                            Ok(()) => return Action::Pending,
-                            // Busy: take the flight record back out of the
-                            // rejected reply and answer inline.
-                            Err((busy, Reply::Reactor(rr))) => {
-                                rec = rr.rec;
-                                rec.outcome = outcome::BUSY;
-                                busy
-                            }
-                            // `submit_reply` returns the reply it was given;
-                            // this arm only exists to satisfy the match.
-                            Err((busy, Reply::Thread(_))) => {
-                                rec = RequestRecord::default();
-                                busy
-                            }
-                        }
-                    }
-                    // Mirrors `handle_conn`: unknown solver id is a
-                    // capability gap, not a protocol violation — structured
-                    // `Unsupported`, no malformed strike, identical string.
-                    Err(WireError::UnknownSolver(id)) => {
-                        rec.decode_us = sw.lap_us();
-                        rec.outcome = outcome::UNSUPPORTED;
-                        wire::encode_solve_response(&SolveResponse::Unsupported(format!(
-                            "unknown solver id {id}"
-                        )))
-                    }
-                    Err(e) => {
-                        rec.decode_us = sw.lap_us();
-                        rec.outcome = outcome::MALFORMED;
-                        shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                        wire::encode_solve_response(&SolveResponse::Malformed(e.to_string()))
-                    }
+        let started = Stopwatch::start();
+        let mut rec = RequestRecord::default();
+        let reply = match dispatch(&self.shared, &payload, &mut rec) {
+            Dispatch::Reply(reply) => reply,
+            Dispatch::Submit(req) => {
+                let route = ReactorReply { token, seq, started, done: self.done.clone() };
+                match self.shared.submit(req, &mut rec, Reply::Reactor(route)) {
+                    Ok(()) => return Action::Pending,
+                    Err(busy) => busy,
                 }
-            }
-            Ok(MSG_STATS_REQUEST) => {
-                rec.msg_type = MSG_STATS_REQUEST;
-                wire::encode_stats_response(&shared.snapshot())
-            }
-            Ok(MSG_METRICS_REQUEST) => {
-                rec.msg_type = MSG_METRICS_REQUEST;
-                wire::encode_metrics_response(&shared.metrics_snapshot())
-            }
-            Ok(MSG_DEBUG_DUMP_REQUEST) => {
-                rec.msg_type = MSG_DEBUG_DUMP_REQUEST;
-                wire::encode_debug_dump_response(&shared.telemetry.dump_json("on-demand"))
-            }
-            Ok(t) => {
-                rec.msg_type = t;
-                rec.outcome = outcome::MALFORMED;
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                wire::encode_solve_response(&SolveResponse::Malformed(format!(
-                    "unexpected message type {t}"
-                )))
-            }
-            Err(e) => {
-                rec.outcome = outcome::MALFORMED;
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                wire::encode_solve_response(&SolveResponse::Malformed(e.to_string()))
             }
         };
         rec.bytes_out = reply.len() as u64;
-        rec.total_us = sw.total_us();
-        shared.telemetry.commit(rec);
+        rec.total_us = started.total_us();
+        self.shared.telemetry.commit(rec);
         Action::Reply(reply)
     }
 }
@@ -186,7 +107,6 @@ pub(crate) fn spawn(
     shared: &Arc<Shared>,
 ) -> io::Result<(JoinHandle<()>, ReactorControl)> {
     let metrics = NetMetrics::register(&shared.telemetry.registry);
-    let _ = shared.net.set(NetHandles { shed: Arc::clone(&metrics.shed_conns) });
     let rcfg = ReactorConfig {
         max_conns: shared.cfg.max_conns,
         idle_timeout_ms: shared.cfg.idle_timeout_ms,

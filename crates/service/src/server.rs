@@ -1,20 +1,29 @@
 //! The solver service: a TCP accept loop, a bounded job queue with
-//! backpressure, a worker pool funnelling jobs through the batch runner,
+//! backpressure, a worker pool running each job through the solve pipeline,
 //! and the LRU result cache.
 //!
 //! ## Request lifecycle
 //!
-//! A connection thread reads one frame, parses it, and **tries** to enqueue
-//! the job. If the queue is at capacity the client immediately receives a
+//! Both connection models hand every request frame to [`dispatch`], the one
+//! place frames are parsed, counted and labelled: info requests (stats,
+//! metrics, debug dump) and protocol errors are answered inline, and a
+//! well-formed solve request comes back for the caller to **try** to
+//! enqueue. If the queue is at capacity the client immediately receives a
 //! `Busy` response with a retry-after hint — the server never blocks a
 //! client on a full queue. Otherwise the job waits for a worker, which
 //! probes the result cache per instance (key = solver + mode + canonical
-//! blob), dispatches the misses to the requested solver's registry entry
-//! point ([`crate::portfolio`] — the legacy solvers funnel through the
-//! `_many` entry points of `anonet-core` and `anonet_sim::batch::BatchRunner`),
-//! certifies every result, caches the encoded bodies, and replies. Responses
-//! are therefore **bit-identical to direct batch-runner runs** of the same
-//! instances — the loopback integration test asserts it.
+//! blob), runs the misses through the requested solver's registry entry
+//! ([`crate::portfolio`]: one pipeline of canonical decode, pool fan-out,
+//! engine run, certification and body encode for every solver), caches the
+//! encoded bodies, and replies. Responses are therefore **bit-identical to
+//! direct batch-runner runs** of the same instances — the loopback
+//! integration test asserts it.
+//!
+//! ## Metrics
+//!
+//! Every counter lives in the telemetry registry; the cache, queue and
+//! worker values are read into gauges when a snapshot is taken. The metrics
+//! frame is that snapshot, and the legacy 11×u64 stats frame is read off it.
 //!
 //! ## Execution modes
 //!
@@ -33,13 +42,13 @@ use crate::wire::{
 };
 use anonet_core::canon::ByteReader;
 use anonet_obs::clock::{unix_millis, Stopwatch};
-use anonet_obs::MetricValue;
+use anonet_obs::{MetricValue, Snapshot};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// How client connections are multiplexed onto the service.
@@ -119,45 +128,22 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Phase measurements the worker hands back alongside the response payload,
-/// so the connection thread can commit one complete flight record.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ExecPhases {
-    pub(crate) queue_us: u64,
-    pub(crate) solve_us: u64,
-    pub(crate) encode_us: u64,
-    pub(crate) cache_hits: u32,
-    pub(crate) cache_misses: u32,
-    pub(crate) outcome: &'static str,
-}
-
-/// Where a finished job's payload goes: back to the blocking connection
-/// thread (threads model) or into the reactor's completion queue with the
-/// flight record the worker finishes off (reactor model).
+/// Where a finished job's payload and flight record go: back to the
+/// blocking connection thread (threads model), or into the reactor's
+/// completion queue, where the worker commits the record itself (reactor
+/// model).
 pub(crate) enum Reply {
-    Thread(mpsc::Sender<(Vec<u8>, ExecPhases)>),
+    Thread(mpsc::Sender<(Vec<u8>, RequestRecord)>),
     Reactor(crate::reactor::ReactorReply),
 }
 
+/// A queued solve request with its flight record, which the worker fills in
+/// with the queue, solve and encode phases.
 struct Job {
     req: SolveRequest,
+    rec: RequestRecord,
     reply: Reply,
     queued: Stopwatch,
-}
-
-#[derive(Default)]
-pub(crate) struct Counters {
-    pub(crate) served_ok: AtomicU64,
-    pub(crate) rejected_busy: AtomicU64,
-    pub(crate) malformed: AtomicU64,
-    pub(crate) exec_errors: AtomicU64,
-    pub(crate) shed_conns: AtomicU64,
-}
-
-/// Reactor-owned metrics the stats endpoint folds into its legacy counters
-/// (the reactor sheds at its own accept path, not through `Counters`).
-pub(crate) struct NetHandles {
-    pub(crate) shed: Arc<anonet_obs::Counter>,
 }
 
 pub(crate) struct Shared {
@@ -165,15 +151,24 @@ pub(crate) struct Shared {
     queue: Mutex<VecDeque<Job>>,
     cv: Condvar,
     cache: Mutex<LruCache>,
-    pub(crate) counters: Counters,
     conns: AtomicUsize,
     stop: AtomicBool,
     pub(crate) telemetry: Telemetry,
-    /// Set once by the reactor spawn path; `None` under the threads model.
-    pub(crate) net: OnceLock<NetHandles>,
 }
 
 impl Shared {
+    fn new(cfg: ServiceConfig) -> Shared {
+        Shared {
+            cfg,
+            queue: Mutex::new(VecDeque::new()),
+            cv: Condvar::new(),
+            cache: Mutex::new(LruCache::with_byte_budget(cfg.cache_cap, cfg.cache_bytes)),
+            conns: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            telemetry: Telemetry::new(cfg.flight_cap),
+        }
+    }
+
     /// Locks the result cache, recovering from poisoning: a job that
     /// panicked mid-mutation may have left the slab inconsistent, so the
     /// contents (counters included) are dropped and serving continues with
@@ -208,98 +203,151 @@ impl Shared {
         }
     }
 
-    /// Enqueues a request or — when the queue is full or the service is
-    /// stopping — hands back the encoded `Busy` payload *and* the reply
-    /// handle, so a reactor caller can recover the flight record it parked
-    /// inside the handle and commit the busy outcome itself.
-    // The fat Err is the point: handing the payload and handle back by value
-    // is what lets the reactor recover its flight record without a clone, and
-    // the rejection path is already off the hot path (clippy::result_large_err).
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn submit_reply(
+    /// Enqueues a solve request, moving its flight record into the job, or
+    /// — when the queue is full or the service is stopping — leaves the
+    /// record with the caller (outcome `busy`) and returns the encoded
+    /// `Busy` payload to answer inline.
+    pub(crate) fn submit(
         &self,
         req: SolveRequest,
+        rec: &mut RequestRecord,
         reply: Reply,
-    ) -> Result<(), (Vec<u8>, Reply)> {
+    ) -> Result<(), Vec<u8>> {
         let mut q = self.lock_queue();
         if self.stop.load(Ordering::Relaxed) || q.len() >= self.cfg.queue_cap {
-            self.counters.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            let busy = wire::encode_solve_response(&SolveResponse::Busy {
+            self.telemetry.rejected_busy.inc();
+            rec.outcome = outcome::BUSY;
+            return Err(wire::encode_solve_response(&SolveResponse::Busy {
                 retry_after_ms: self.cfg.retry_after_ms,
                 queue_len: q.len() as u32,
-            });
-            return Err((busy, reply));
+            }));
         }
-        q.push_back(Job { req, reply, queued: Stopwatch::start() });
+        let rec = std::mem::take(rec);
+        q.push_back(Job { req, rec, reply, queued: Stopwatch::start() });
         drop(q);
         self.cv.notify_one();
         Ok(())
     }
 
-    /// Enqueues a request or returns the encoded `Busy` payload.
-    fn submit(&self, req: SolveRequest) -> Result<mpsc::Receiver<(Vec<u8>, ExecPhases)>, Vec<u8>> {
-        let (tx, rx) = mpsc::channel();
-        match self.submit_reply(req, Reply::Thread(tx)) {
-            Ok(()) => Ok(rx),
-            Err((busy, _)) => Err(busy),
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        let (cache_hits, cache_misses, cache_evictions, cache_len) = {
+    /// The one metrics snapshot both info frames are built from: the cache,
+    /// queue and worker values are read into their gauges first, and the
+    /// reactor's own shed count (`net.shed_conns`) is folded into
+    /// `shed_conns`, so that entry reads the same under either connection
+    /// model.
+    pub(crate) fn metrics_snapshot(&self) -> Snapshot {
+        let (hits, misses, evictions, len) = {
             let cache = self.lock_cache();
             let (h, m, e) = cache.counters();
             (h, m, e, cache.len() as u64)
         };
-        // The reactor sheds at its own accept path; fold its count into the
-        // legacy counter so the stats frame reads the same in either model.
-        let net_shed = self.net.get().map_or(0, |n| n.shed.get());
-        StatsSnapshot {
-            served_ok: self.counters.served_ok.load(Ordering::Relaxed),
-            rejected_busy: self.counters.rejected_busy.load(Ordering::Relaxed),
-            malformed: self.counters.malformed.load(Ordering::Relaxed),
-            exec_errors: self.counters.exec_errors.load(Ordering::Relaxed),
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            cache_len,
-            queue_len: self.lock_queue().len() as u64,
-            workers: self.cfg.workers as u64,
-            shed_conns: self.counters.shed_conns.load(Ordering::Relaxed) + net_shed,
+        let queue_len = self.lock_queue().len() as u64;
+        let registry = &self.telemetry.registry;
+        for (name, value) in [
+            ("cache_hits", hits),
+            ("cache_misses", misses),
+            ("cache_evictions", evictions),
+            ("cache_len", len),
+            ("queue_len", queue_len),
+            ("workers", self.cfg.workers as u64),
+        ] {
+            registry.gauge(name).set(value);
         }
+        let mut snap = registry.snapshot();
+        let net_shed = snap.scalar("net.shed_conns").unwrap_or(0);
+        if let Some((_, MetricValue::Counter(shed))) =
+            snap.entries.iter_mut().find(|(name, _)| name == "shed_conns")
+        {
+            *shed += net_shed;
+        }
+        snap
     }
 
-    /// The self-describing metrics view: phase histograms and solve counters
-    /// from the telemetry registry, merged with the legacy stats counters
-    /// (whose sources — cache, queue — live outside the registry), in one
-    /// name-sorted snapshot.
-    pub(crate) fn metrics_snapshot(&self) -> anonet_obs::Snapshot {
-        let stats = self.snapshot();
-        let mut snap = self.telemetry.registry.snapshot();
-        let legacy = [
-            ("served_ok", MetricValue::Counter(stats.served_ok)),
-            ("rejected_busy", MetricValue::Counter(stats.rejected_busy)),
-            ("malformed", MetricValue::Counter(stats.malformed)),
-            ("exec_errors", MetricValue::Counter(stats.exec_errors)),
-            ("cache_hits", MetricValue::Counter(stats.cache_hits)),
-            ("cache_misses", MetricValue::Counter(stats.cache_misses)),
-            ("cache_evictions", MetricValue::Counter(stats.cache_evictions)),
-            ("cache_len", MetricValue::Gauge(stats.cache_len)),
-            ("queue_len", MetricValue::Gauge(stats.queue_len)),
-            ("workers", MetricValue::Gauge(stats.workers)),
-            ("shed_conns", MetricValue::Counter(stats.shed_conns)),
-        ];
-        for (name, value) in legacy {
-            snap.entries.push((name.to_string(), value));
+    /// The legacy stats view, read off [`Shared::metrics_snapshot`].
+    pub(crate) fn stats(&self) -> StatsSnapshot {
+        let snap = self.metrics_snapshot();
+        let get = |name: &str| snap.scalar(name).unwrap_or(0);
+        StatsSnapshot {
+            served_ok: get("served_ok"),
+            rejected_busy: get("rejected_busy"),
+            malformed: get("malformed"),
+            exec_errors: get("exec_errors"),
+            cache_hits: get("cache_hits"),
+            cache_misses: get("cache_misses"),
+            cache_evictions: get("cache_evictions"),
+            cache_len: get("cache_len"),
+            queue_len: get("queue_len"),
+            workers: get("workers"),
+            shed_conns: get("shed_conns"),
         }
-        snap.entries.sort_by(|a, b| a.0.cmp(&b.0));
-        snap
     }
 }
 
+/// What [`dispatch`] decided for one request frame.
+pub(crate) enum Dispatch {
+    /// Answer inline with this payload.
+    Reply(Vec<u8>),
+    /// A decoded solve request for the caller to [`Shared::submit`].
+    Submit(SolveRequest),
+}
+
+/// The one request dispatch both connection models share: parses the frame,
+/// answers info requests and protocol errors inline, and labels the request
+/// in `rec` (arrival, size, message type, decode time, solver, outcome).
+/// Identical request streams therefore get identical replies and counter
+/// movements under either model. The caller owns only the transport phases.
+pub(crate) fn dispatch(shared: &Shared, payload: &[u8], rec: &mut RequestRecord) -> Dispatch {
+    let sw = Stopwatch::start();
+    rec.t_unix_ms = unix_millis();
+    rec.bytes_in = payload.len() as u64;
+    rec.outcome = outcome::INFO;
+    let mut r = ByteReader::new(payload);
+    let header = wire::read_header(&mut r);
+    if let Ok(t) = header {
+        rec.msg_type = t;
+    }
+    let reply = match header {
+        Ok(MSG_SOLVE_REQUEST) => {
+            let decoded = wire::decode_solve_request(&mut r);
+            rec.decode_us = sw.total_us();
+            match decoded {
+                Ok(req) => {
+                    rec.problem = req.solver.name();
+                    rec.instances = req.instances.len() as u32;
+                    return Dispatch::Submit(req);
+                }
+                // A well-formed frame naming a solver this build does not
+                // register is a capability gap, not a protocol violation:
+                // structured `Unsupported`, no malformed strike.
+                Err(WireError::UnknownSolver(id)) => {
+                    rec.outcome = outcome::UNSUPPORTED;
+                    SolveResponse::Unsupported(format!("unknown solver id {id}"))
+                }
+                Err(e) => SolveResponse::Malformed(e.to_string()),
+            }
+        }
+        Ok(MSG_STATS_REQUEST) => {
+            return Dispatch::Reply(wire::encode_stats_response(&shared.stats()))
+        }
+        Ok(MSG_METRICS_REQUEST) => {
+            return Dispatch::Reply(wire::encode_metrics_response(&shared.metrics_snapshot()))
+        }
+        Ok(MSG_DEBUG_DUMP_REQUEST) => {
+            let dump = shared.telemetry.dump_json("on-demand");
+            return Dispatch::Reply(wire::encode_debug_dump_response(&dump));
+        }
+        Ok(t) => SolveResponse::Malformed(format!("unexpected message type {t}")),
+        Err(e) => SolveResponse::Malformed(e.to_string()),
+    };
+    if matches!(reply, SolveResponse::Malformed(_)) {
+        rec.outcome = outcome::MALFORMED;
+        shared.telemetry.malformed.inc();
+    }
+    Dispatch::Reply(wire::encode_solve_response(&reply))
+}
+
 /// Executes one request end to end, returning the response payload and
-/// filling in the worker-side phase measurements.
-fn execute(shared: &Shared, req: &SolveRequest, phases: &mut ExecPhases) -> Vec<u8> {
+/// filling in the worker-side phases and outcome of its flight record.
+fn execute(shared: &Shared, req: &SolveRequest, rec: &mut RequestRecord) -> Vec<u8> {
     if cfg!(debug_assertions) && req.flags & wire::FLAG_TEST_PANIC != 0 {
         // lint: allow(panic-path) — deliberate test instrumentation, debug builds only, and the worker_loop catch_unwind is exactly what it exercises
         panic!("FLAG_TEST_PANIC set: deliberate worker panic (test instrumentation)");
@@ -307,10 +355,12 @@ fn execute(shared: &Shared, req: &SolveRequest, phases: &mut ExecPhases) -> Vec<
     // Modes a solver does not support (per its registry capability flags)
     // are answered with a structured `Unsupported` before any counting.
     if let Err(unsupported) = portfolio::mode_supported(req) {
+        rec.outcome = outcome::UNSUPPORTED;
         return unsupported;
     }
 
-    shared.telemetry.kind_counter(req.solver).inc();
+    let tel = &shared.telemetry;
+    tel.kind_counter(req.solver).inc();
     let mut sw = Stopwatch::start();
     let k = req.instances.len();
     let mut outcomes: Vec<Option<InstanceOutcome>> = (0..k).map(|_| None).collect();
@@ -348,22 +398,19 @@ fn execute(shared: &Shared, req: &SolveRequest, phases: &mut ExecPhases) -> Vec<
         // lint: allow(panic-path) — every slot is filled by construction: the cache pass writes hits, the execute pass writes the rest
         outcomes.into_iter().map(|o| o.expect("every instance resolved")).collect();
     let cache_hits = results.iter().filter(|r| matches!(r, Ok((true, _)))).count() as u32;
-    phases.cache_hits = cache_hits;
-    phases.cache_misses = k as u32 - cache_hits;
-    let errors = results.iter().filter(|r| r.is_err()).count() as u64;
-    if errors > 0 {
-        shared.counters.exec_errors.fetch_add(errors, Ordering::Relaxed);
-    }
-    shared.counters.served_ok.fetch_add(1, Ordering::Relaxed);
-    phases.solve_us = sw.lap_us();
+    rec.cache_hits = cache_hits;
+    rec.cache_misses = k as u32 - cache_hits;
+    tel.exec_errors.add(results.iter().filter(|r| r.is_err()).count() as u64);
+    tel.served_ok.inc();
+    rec.solve_us = sw.lap_us();
     let payload = wire::encode_solve_response_raw(&results);
-    phases.encode_us = sw.lap_us();
+    rec.encode_us = sw.lap_us();
     payload
 }
 
 fn worker_loop(shared: Arc<Shared>) {
     loop {
-        let job = {
+        let Job { req, mut rec, reply, queued } = {
             let mut q = shared.lock_queue();
             loop {
                 if let Some(job) = q.pop_front() {
@@ -384,38 +431,36 @@ fn worker_loop(shared: Arc<Shared>) {
                 };
             }
         };
-        let queue_us = job.queued.total_us();
+        rec.queue_us = queued.total_us();
+        rec.outcome = outcome::OK;
         // A panicking job must not take the worker down with it (a handful
         // of hostile requests would otherwise silently drain the pool until
         // nothing drains the queue): unwind here, answer with per-instance
         // errors, and keep the thread. The unwind path also dumps the
         // flight recorder to stderr — the records preceding the panic are
         // exactly the evidence a post-mortem needs.
-        let (payload, phases) = match catch_unwind(AssertUnwindSafe(|| {
-            let mut ph = ExecPhases { queue_us, outcome: outcome::OK, ..ExecPhases::default() };
-            let payload = execute(&shared, &job.req, &mut ph);
-            (payload, ph)
-        })) {
-            Ok(done) => done,
+        let payload = match catch_unwind(AssertUnwindSafe(|| execute(&shared, &req, &mut rec))) {
+            Ok(payload) => payload,
             Err(_) => {
-                shared.telemetry.dump_on_panic();
-                let n = job.req.instances.len();
-                shared.counters.exec_errors.fetch_add(n as u64, Ordering::Relaxed);
-                shared.counters.served_ok.fetch_add(1, Ordering::Relaxed);
+                let tel = &shared.telemetry;
+                tel.dump_on_panic();
+                let n = req.instances.len();
+                tel.exec_errors.add(n as u64);
+                tel.served_ok.inc();
+                rec.outcome = outcome::PANIC;
                 let errs: Vec<InstanceOutcome> =
                     (0..n).map(|_| Err("internal error: execution panicked".to_string())).collect();
-                let ph = ExecPhases { queue_us, outcome: outcome::PANIC, ..ExecPhases::default() };
-                (wire::encode_solve_response_raw(&errs), ph)
+                wire::encode_solve_response_raw(&errs)
             }
         };
-        match job.reply {
+        match reply {
             // The client may have gone away; that is its problem, not ours.
             Reply::Thread(tx) => {
-                let _ = tx.send((payload, phases));
+                let _ = tx.send((payload, rec));
             }
             // The reactor path owns the flight record: finish it here (the
             // reactor thread only moves bytes) and wake the event loop.
-            Reply::Reactor(r) => r.finish(payload, phases, &shared.telemetry),
+            Reply::Reactor(r) => r.finish(payload, rec, &shared.telemetry),
         }
     }
 }
@@ -442,94 +487,36 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
             .set_read_timeout(Some(std::time::Duration::from_millis(shared.cfg.idle_timeout_ms)));
     }
     loop {
-        // One stopwatch walks the whole request: laps are the phase splits,
-        // `total_us` at the end is read start → write end. The read phase of
-        // a keep-alive connection includes the wait for the next frame.
+        // One stopwatch walks the whole request: laps are the transport
+        // splits, `total_us` at the end is read start → write end. The read
+        // phase of a keep-alive connection includes the wait for the next
+        // frame.
         let mut sw = Stopwatch::start();
         let payload = match wire::read_frame(&mut stream) {
             Ok(Some(p)) => p,
             _ => return, // clean close or broken transport
         };
-        let mut rec = RequestRecord {
-            t_unix_ms: unix_millis(),
-            bytes_in: payload.len() as u64,
-            read_us: sw.lap_us(),
-            outcome: outcome::INFO,
-            ..RequestRecord::default()
-        };
-        let mut r = ByteReader::new(&payload);
-        let reply = match wire::read_header(&mut r) {
-            Ok(MSG_SOLVE_REQUEST) => {
-                rec.msg_type = MSG_SOLVE_REQUEST;
-                match wire::decode_solve_request(&mut r) {
-                    Ok(req) => {
-                        rec.decode_us = sw.lap_us();
-                        rec.problem = req.solver.name();
-                        rec.instances = req.instances.len() as u32;
-                        match shared.submit(req) {
-                            Ok(rx) => match rx.recv() {
-                                Ok((p, ph)) => {
-                                    rec.queue_us = ph.queue_us;
-                                    rec.solve_us = ph.solve_us;
-                                    rec.encode_us = ph.encode_us;
-                                    rec.cache_hits = ph.cache_hits;
-                                    rec.cache_misses = ph.cache_misses;
-                                    rec.outcome = ph.outcome;
-                                    p
-                                }
-                                Err(_) => return, // service shut down mid-flight
-                            },
-                            Err(busy) => {
-                                rec.outcome = outcome::BUSY;
-                                busy
-                            }
+        let mut rec = RequestRecord { read_us: sw.lap_us(), ..RequestRecord::default() };
+        let reply = match dispatch(shared, &payload, &mut rec) {
+            Dispatch::Reply(reply) => reply,
+            Dispatch::Submit(req) => {
+                let (tx, rx) = mpsc::channel();
+                match shared.submit(req, &mut rec, Reply::Thread(tx)) {
+                    Ok(()) => match rx.recv() {
+                        Ok((reply, done)) => {
+                            rec = done;
+                            reply
                         }
-                    }
-                    // A well-formed frame naming a solver this build does not
-                    // register is a capability gap, not a protocol violation:
-                    // structured `Unsupported`, no malformed strike.
-                    Err(WireError::UnknownSolver(id)) => {
-                        rec.decode_us = sw.lap_us();
-                        rec.outcome = outcome::UNSUPPORTED;
-                        wire::encode_solve_response(&SolveResponse::Unsupported(format!(
-                            "unknown solver id {id}"
-                        )))
-                    }
-                    Err(e) => {
-                        rec.decode_us = sw.lap_us();
-                        rec.outcome = outcome::MALFORMED;
-                        shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                        wire::encode_solve_response(&SolveResponse::Malformed(e.to_string()))
-                    }
+                        Err(_) => return, // service shut down mid-flight
+                    },
+                    Err(busy) => busy,
                 }
-            }
-            Ok(MSG_STATS_REQUEST) => {
-                rec.msg_type = MSG_STATS_REQUEST;
-                wire::encode_stats_response(&shared.snapshot())
-            }
-            Ok(MSG_METRICS_REQUEST) => {
-                rec.msg_type = MSG_METRICS_REQUEST;
-                wire::encode_metrics_response(&shared.metrics_snapshot())
-            }
-            Ok(MSG_DEBUG_DUMP_REQUEST) => {
-                rec.msg_type = MSG_DEBUG_DUMP_REQUEST;
-                wire::encode_debug_dump_response(&shared.telemetry.dump_json("on-demand"))
-            }
-            Ok(t) => {
-                rec.msg_type = t;
-                rec.outcome = outcome::MALFORMED;
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                wire::encode_solve_response(&SolveResponse::Malformed(format!(
-                    "unexpected message type {t}"
-                )))
-            }
-            Err(e) => {
-                rec.outcome = outcome::MALFORMED;
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                wire::encode_solve_response(&SolveResponse::Malformed(e.to_string()))
             }
         };
         rec.bytes_out = reply.len() as u64;
+        // Decode, queue, solve and encode are already split out in `rec`;
+        // restart the lap so the write phase is the write alone.
+        sw.lap_us();
         let write_ok = wire::write_frame(&mut stream, &reply).is_ok();
         rec.write_us = sw.lap_us();
         rec.total_us = sw.total_us();
@@ -561,17 +548,7 @@ impl Server {
     pub fn start(addr: &str, cfg: ServiceConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            cfg,
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            cache: Mutex::new(LruCache::with_byte_budget(cfg.cache_cap, cfg.cache_bytes)),
-            counters: Counters::default(),
-            conns: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            telemetry: Telemetry::new(cfg.flight_cap),
-            net: OnceLock::new(),
-        });
+        let shared = Arc::new(Shared::new(cfg));
         let workers = (0..cfg.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
@@ -591,7 +568,7 @@ impl Server {
                             // race-free: handlers can only *lower* the count.
                             if shared.conns.load(Ordering::Relaxed) >= shared.cfg.max_conns {
                                 // Over the cap: shed the connection (visibly).
-                                shared.counters.shed_conns.fetch_add(1, Ordering::Relaxed);
+                                shared.telemetry.shed_conns.inc();
                                 continue;
                             }
                             shared.conns.fetch_add(1, Ordering::Relaxed);
@@ -617,12 +594,12 @@ impl Server {
 
     /// A point-in-time statistics snapshot (also served over the wire).
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.snapshot()
+        self.shared.stats()
     }
 
     /// The self-describing metrics snapshot (also served over the wire as
-    /// the metrics frame): phase histograms, per-problem solve counters,
-    /// and the legacy stats counters, name-sorted.
+    /// the metrics frame): phase histograms, per-solver solve counters, and
+    /// the legacy stats counters and gauges, name-sorted.
     pub fn metrics(&self) -> anonet_obs::Snapshot {
         self.shared.metrics_snapshot()
     }
@@ -677,17 +654,7 @@ mod tests {
 
     #[test]
     fn cache_lock_recovers_from_poisoning() {
-        let shared = Shared {
-            cfg: ServiceConfig::default(),
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            cache: Mutex::new(LruCache::new(4)),
-            counters: Counters::default(),
-            conns: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            telemetry: Telemetry::new(8),
-            net: OnceLock::new(),
-        };
+        let shared = Shared::new(ServiceConfig::default());
         shared.lock_cache().insert(vec![1], vec![2]);
         // Poison the mutex: panic while holding the guard. The accessor is
         // fine here — the mutex is healthy at lock time; it is the panic

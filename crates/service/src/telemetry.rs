@@ -160,8 +160,9 @@ impl FlightRecorder {
 /// the flight recorder. One per [`Server`](crate::Server), shared by every
 /// connection and worker thread.
 pub struct Telemetry {
-    /// The underlying registry (gauges for queue/cache state are set at
-    /// snapshot time by the server, which owns those sources).
+    /// The underlying registry — the service's one metrics store (gauges
+    /// for queue/cache/worker state are set at snapshot time by the server,
+    /// which owns those sources).
     pub registry: Registry,
     /// Frame read phase.
     pub read_us: Arc<Histo>,
@@ -191,6 +192,17 @@ pub struct Telemetry {
     kinds: Vec<Arc<Counter>>,
     /// Worker panics caught and answered with per-instance errors.
     pub worker_panics: Arc<Counter>,
+    /// Requests answered with an `Ok` response.
+    pub served_ok: Arc<Counter>,
+    /// Requests rejected with `Busy` (queue full).
+    pub rejected_busy: Arc<Counter>,
+    /// Frames that failed to parse.
+    pub malformed: Arc<Counter>,
+    /// Per-instance decode/execution errors inside `Ok` responses.
+    pub exec_errors: Arc<Counter>,
+    /// Connections the threads model closed at accept over `max_conns` (the
+    /// reactor counts its own in `net.shed_conns`).
+    pub shed_conns: Arc<Counter>,
     flight: FlightRecorder,
 }
 
@@ -216,6 +228,11 @@ impl Telemetry {
                 .map(|d| registry.counter(&format!("solve.kind.{}", d.name)))
                 .collect(),
             worker_panics: registry.counter("worker.panics"),
+            served_ok: registry.counter("served_ok"),
+            rejected_busy: registry.counter("rejected_busy"),
+            malformed: registry.counter("malformed"),
+            exec_errors: registry.counter("exec_errors"),
+            shed_conns: registry.counter("shed_conns"),
             flight: FlightRecorder::new(flight_cap),
             registry,
         }

@@ -479,6 +479,30 @@ fn metrics_frame_and_flight_recorder_over_the_wire() {
     server.shutdown();
 }
 
+#[test]
+fn mode_unsupported_requests_are_recorded_as_unsupported() {
+    // Async execution of a sync-only solver: the worker answers with the
+    // structured `Unsupported` reply, and the flight record says so instead
+    // of keeping the `ok` the worker starts every job with.
+    let server = start(ServiceConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let g = family::petersen();
+    let blob = canon::encode_vc(&g, &[2u64; 10], 3, 2);
+    let req = SolveRequest::new(SolverId::VC_KVY, vec![blob]).with_scenario(Scenario::Ideal, 7);
+    match c.solve(&req).unwrap() {
+        SolveResponse::Unsupported(msg) => assert!(msg.contains("vc_kvy"), "{msg}"),
+        other => panic!("expected Unsupported, got {other:?}"),
+    }
+    let dump = c.debug_dump().unwrap();
+    assert!(dump.contains("\"problem\":\"vc_kvy\""), "{dump}");
+    assert!(dump.contains("\"outcome\":\"unsupported\""), "{dump}");
+    assert!(!dump.contains("\"outcome\":\"ok\""), "{dump}");
+    // Counters are unchanged by the relabelling: nothing was served.
+    let stats = c.stats().unwrap();
+    assert_eq!((stats.served_ok, stats.exec_errors, stats.malformed), (0, 0, 0));
+    server.shutdown();
+}
+
 // FLAG_TEST_PANIC is honoured in debug builds only (as in
 // `worker_pool_survives_panicking_jobs`).
 #[cfg(debug_assertions)]

@@ -36,7 +36,8 @@ fn roundtrip_raw(addr: SocketAddr, frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
 
 /// The request stream both models must answer identically: solves across
 /// every problem kind, cache hits, per-instance errors, async scenarios,
-/// unsupported combinations, and malformed frames.
+/// unsupported combinations, malformed frames, and the stats counters they
+/// leave behind.
 fn differential_stream() -> Vec<Vec<u8>> {
     let g1 = family::petersen();
     let w1 = WeightSpec::Uniform(9).draw_many(10, 3);
@@ -82,6 +83,9 @@ fn differential_stream() -> Vec<Vec<u8>> {
         wire::encode_solve_request(&bcast.clone().with_scenario(Scenario::Ideal, 1)),
         // Garbage after the magic: the Malformed arm.
         b"ANSVxxxxxx".to_vec(),
+        // Last: the 11×u64 stats counters after everything above, so both
+        // models must also have counted the whole stream identically.
+        wire::encode_stats_request(),
     ]
 }
 

@@ -4,15 +4,15 @@
 //! The paper's algorithms finish in rounds that depend only on local
 //! parameters (Δ, W), never on n — so the interesting workloads are *many*
 //! instances, not one giant one. This module is the "serve many requests"
-//! entry point the bench binaries, the figure/table experiments, and the
-//! service layer funnel through: the workers of this OS thread's persistent
-//! [`RoundPool`](crate::pool::RoundPool) (shared with the engine machinery
-//! via [`pool::with_local_pool`], so repeated batches — e.g. one per service
-//! request — reuse the spawned threads instead of nesting fresh scoped
-//! spawns) pull jobs off a shared atomic queue and run each instance on a
+//! entry point the bench binaries, the figure/table experiments, and
+//! `anonet-core`'s `_many` runners funnel through: the workers of this OS
+//! thread's persistent [`RoundPool`](crate::pool::RoundPool) (shared with
+//! the engine machinery via [`pool::with_local_pool`], so repeated batches
+//! reuse the spawned threads instead of nesting fresh scoped spawns) pull
+//! jobs through [`pool::map_with`] and run each instance on a
 //! single-threaded engine with frontier skipping: all parallelism is across
 //! instances, where it is embarrassingly effective, and each worker recycles
-//! one [`EngineScratch`] across its jobs.
+//! one [`EngineScratch`] across its jobs (the `map_with` per-worker state).
 //!
 //! Use [`BatchRunner`] for control over pool size and engine options, or the
 //! [`run_pn_many`] / [`run_bcast_many`] convenience wrappers.
@@ -23,8 +23,6 @@ use crate::graph::Graph;
 use crate::model::{BcastAlgorithm, PnAlgorithm};
 use crate::pool;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One (graph, config, inputs) instance of a batch, under delivery model `D`.
 ///
@@ -90,9 +88,7 @@ impl BatchRunner {
         jobs: &[Job<'_, A, D>],
     ) -> Vec<Result<RunResult<D::Output>, SimError>> {
         let opts = EngineOptions { threads: 1, frontier_skipping: self.frontier_skipping };
-        // One `EngineScratch` per worker: every job after a worker's first
-        // reuses the previous engine's allocations.
-        let run_one = |job: &Job<'_, A, D>, scratch: &mut EngineScratch<A, D>| {
+        self.map(jobs, |job, scratch: &mut EngineScratch<A, D>| {
             run_engine_scratch::<A, D>(
                 job.graph,
                 job.cfg,
@@ -101,40 +97,36 @@ impl BatchRunner {
                 opts,
                 scratch,
             )
+        })
+    }
+
+    /// Maps `f` over `items` on this runner's pool; `results[i]` corresponds
+    /// to `items[i]`. Each worker builds one `S` — typically an
+    /// [`EngineScratch`] — and recycles it across the items it pulls, so
+    /// every engine after a worker's first reuses the previous one's
+    /// allocations. The per-instance runners of `anonet-core` fan out
+    /// through here.
+    pub fn map<T: Sync, S: Default, R: Send>(
+        &self,
+        items: &[T],
+        f: impl Fn(&T, &mut S) -> R + Sync,
+    ) -> Vec<R> {
+        let run = |pool: Option<&mut pool::RoundPool>| {
+            pool::map_with(pool, items.iter().collect(), S::default, |scratch, _, item| {
+                f(item, scratch)
+            })
         };
         let width = pool::clamp_width(pool::resolve_threads(self.threads));
-        if width <= 1 || jobs.len() <= 1 {
-            let mut scratch = EngineScratch::new();
-            return jobs.iter().map(|job| run_one(job, &mut scratch)).collect();
+        if width <= 1 || items.len() <= 1 {
+            return run(None);
         }
         // Fan out over this thread's persistent round pool — spawned once
-        // per OS thread and reused across batches — instead of spawning a
-        // fresh scoped pool per call. The pool is cached at the
-        // machine-derived width, *not* min(width, jobs): coupling it to the
+        // per OS thread and reused across batches. The pool is cached at the
+        // machine-derived width, *not* min(width, items): coupling it to the
         // batch size would respawn the threads whenever consecutive batches
         // differ in size, while an excess worker merely exits on its first
-        // pull. Each pool worker keeps one scratch for all the jobs it
-        // pulls.
-        type Slot<O> = Mutex<Option<Result<RunResult<O>, SimError>>>;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Slot<D::Output>> = (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-        pool::with_local_pool(width, |p| {
-            p.run(&|_worker| {
-                let mut scratch = EngineScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let r = run_one(&jobs[i], &mut scratch);
-                    *slots[i].lock().expect("result slot poisoned") = Some(r);
-                }
-            });
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("result slot poisoned").expect("every job ran"))
-            .collect()
+        // pull.
+        pool::with_local_pool(width, |p| run(Some(p)))
     }
 }
 

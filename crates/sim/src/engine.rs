@@ -725,9 +725,12 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                     .zip(chunks)
                     .map(|(((list, nodes), bufs), chunk)| (list, nodes, bufs.start, chunk))
                     .collect();
-                pool::map_with(worker_pool.as_mut(), tasks, |_, (list, nodes, base, chunk)| {
-                    send_part(list, nodes, base, chunk)
-                })
+                pool::map_with(
+                    worker_pool.as_mut(),
+                    tasks,
+                    || (),
+                    |_, _, (list, nodes, base, chunk)| send_part(list, nodes, base, chunk),
+                )
                 .into_iter()
                 .fold((0u64, 0u64), |(t, m), (pt, pm)| (t + pt, m.max(pm)))
             }
@@ -842,7 +845,10 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                 pool::map_with(
                     worker_pool.as_mut(),
                     tasks,
-                    |_, (list, span, sc, oc, dc, arena)| recv_part(list, span, sc, oc, dc, arena),
+                    || (),
+                    |_, _, (list, span, sc, oc, dc, arena)| {
+                        recv_part(list, span, sc, oc, dc, arena)
+                    },
                 );
             }
         }

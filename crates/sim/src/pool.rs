@@ -227,7 +227,7 @@ impl RoundPool {
         tasks: Vec<T>,
         f: impl Fn(usize, T) -> R + Sync,
     ) -> Vec<R> {
-        map_with(Some(self), tasks, f)
+        map_with(Some(self), tasks, || (), |_, i, t| f(i, t))
     }
 }
 
@@ -278,37 +278,51 @@ fn worker_loop(idx: usize, shared: &Shared) {
     }
 }
 
-/// [`RoundPool::map`] with an optional pool: `None` (or a width-1 pool, or a
-/// single task) degrades to a plain sequential loop with identical results.
-/// This keeps the task-construction code of pooled and sequential callers
-/// literally the same, so the sequential path exercises the exact zip/merge
-/// logic the pooled path runs.
-pub fn map_with<T: Send, R: Send>(
+/// [`RoundPool::map`] with an optional pool and per-worker state: `None`
+/// (or a width-1 pool, or a single task) degrades to a plain sequential loop
+/// with identical results. This keeps the task-construction code of pooled
+/// and sequential callers literally the same, so the sequential path
+/// exercises the exact zip/merge logic the pooled path runs.
+///
+/// Each worker builds its state with `init` on its first task and hands it
+/// to every task it pulls after that (so `init` runs at most `width` times),
+/// letting a caller recycle allocations such as an
+/// [`EngineScratch`](crate::engine::EngineScratch) across tasks. Results
+/// must not depend on which worker ran a task; pass `|| ()` when there is
+/// no state.
+pub fn map_with<S, T: Send, R: Send>(
     pool: Option<&mut RoundPool>,
     tasks: Vec<T>,
-    f: impl Fn(usize, T) -> R + Sync,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, T) -> R + Sync,
 ) -> Vec<R> {
     match pool {
         Some(pool) if pool.width() > 1 && tasks.len() > 1 => {
             let slots: Vec<Mutex<(Option<T>, Option<R>)>> =
                 tasks.into_iter().map(|t| Mutex::new((Some(t), None))).collect();
             let next = AtomicUsize::new(0);
-            pool.run(&|_worker| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= slots.len() {
-                    break;
+            pool.run(&|_worker| {
+                let mut state = None;
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= slots.len() {
+                        break;
+                    }
+                    // Uncontended: each slot is claimed by exactly one worker.
+                    let mut slot = slots[i].lock().expect("task slot poisoned");
+                    let task = slot.0.take().expect("task claimed once");
+                    slot.1 = Some(f(state.get_or_insert_with(&init), i, task));
                 }
-                // Uncontended: each slot is claimed by exactly one worker.
-                let mut slot = slots[i].lock().expect("task slot poisoned");
-                let task = slot.0.take().expect("task claimed once");
-                slot.1 = Some(f(i, task));
             });
             slots
                 .into_iter()
                 .map(|m| m.into_inner().expect("task slot poisoned").1.expect("every task ran"))
                 .collect()
         }
-        _ => tasks.into_iter().enumerate().map(|(i, t)| f(i, t)).collect(),
+        _ => {
+            let mut state = init();
+            tasks.into_iter().enumerate().map(|(i, t)| f(&mut state, i, t)).collect()
+        }
     }
 }
 
@@ -460,10 +474,46 @@ mod tests {
 
     #[test]
     fn map_with_none_is_sequential() {
-        let got = map_with(None, vec![3u32, 1, 4], |i, t| (i, t));
+        let got = map_with(None, vec![3u32, 1, 4], || (), |_, i, t| (i, t));
         assert_eq!(got, vec![(0, 3), (1, 1), (2, 4)]);
         let empty: Vec<u32> = Vec::new();
-        assert!(map_with(None, empty, |_, t: u32| t).is_empty());
+        assert!(map_with(None, empty, || (), |_, _, t: u32| t).is_empty());
+    }
+
+    #[test]
+    fn map_with_keeps_per_worker_state() {
+        // `RoundPool::new` does not clamp, so every width below spawns a
+        // real multi-worker pool even on a one-core box.
+        let expect: Vec<u64> = (0..97u64).map(|i| i * 3).collect();
+        for width in [1usize, 2, 3, 4, 8] {
+            let mut pool = RoundPool::new(width);
+            let inits = AtomicUsize::new(0);
+            // Each worker's state records the tasks it ran, so a task can
+            // check that it sees exactly what earlier tasks on the same
+            // worker left behind.
+            let got = map_with(
+                Some(&mut pool),
+                (0..97u64).collect(),
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<u64>::new()
+                },
+                |seen, i, t| {
+                    assert_eq!(i as u64, t);
+                    assert!(seen.iter().all(|&s| s < t), "width={width}: tasks pulled in order");
+                    seen.push(t);
+                    (t * 3, seen.len())
+                },
+            );
+            let results: Vec<u64> = got.iter().map(|&(r, _)| r).collect();
+            assert_eq!(results, expect, "width={width}");
+            let runs = inits.load(Ordering::Relaxed);
+            assert!((1..=width).contains(&runs), "width={width}: init ran {runs} times");
+            // Every task after a worker's first saw that worker's history:
+            // the per-task history lengths sum to Σ_w (1 + … + tasks_w).
+            let firsts = got.iter().filter(|&&(_, len)| len == 1).count();
+            assert_eq!(firsts, runs, "width={width}: one fresh state per initialised worker");
+        }
     }
 
     #[test]
