@@ -13,8 +13,16 @@
 //! parameters only — how many steps reach the 6-colour fixpoint, so every
 //! node runs the identical schedule without communication (§1.3: anonymous
 //! nodes share only the global parameters).
+//!
+//! [`Colour`] carries a §3 forest colour on machine words: inline while it
+//! fits 128 bits, a heap [`UBig`] only beyond (the [`AutoRat`] precedent).
+//! After the first Cole–Vishkin step every colour is a few bits, so the
+//! colour rounds stop allocating.
+//!
+//! [`AutoRat`]: anonet_bigmath::AutoRat
 
 use anonet_bigmath::{PackingValue, UBig};
+use std::borrow::Cow;
 
 /// Order-preserving injection from length-`len` sequences of packing values
 /// (each in `(0, W]` with denominator dividing `scale`) into big integers.
@@ -140,6 +148,87 @@ pub fn cv_step(own: &UBig, successor: &UBig) -> UBig {
 /// root's).
 pub fn cv_step_root(own: &UBig) -> UBig {
     UBig::from_u64(u64::from(own.bit(0)))
+}
+
+/// A Cole–Vishkin colour that stays inline while it fits 128 bits.
+///
+/// Canonical-arm invariant: a value below 2¹²⁸ is always held inline, so
+/// the derived equality is numeric equality.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Colour(ColourRepr);
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum ColourRepr {
+    /// Every colour below 2¹²⁸.
+    Small(u128),
+    /// Only colours of more than 128 bits.
+    Big(UBig),
+}
+
+impl Colour {
+    /// The colour `c`.
+    pub fn small(c: u64) -> Colour {
+        Colour(ColourRepr::Small(u128::from(c)))
+    }
+
+    /// The colour `u`, held inline when it fits.
+    pub fn from_ubig(u: UBig) -> Colour {
+        Colour(u.to_u128().map_or(ColourRepr::Big(u), ColourRepr::Small))
+    }
+
+    /// The colour as a big integer (borrowed when it is one already).
+    pub fn to_ubig(&self) -> Cow<'_, UBig> {
+        match &self.0 {
+            ColourRepr::Small(c) => Cow::Owned(UBig::from_u128(*c)),
+            ColourRepr::Big(u) => Cow::Borrowed(u),
+        }
+    }
+
+    /// The colour as a `u64`, if it fits.
+    pub fn to_u64(&self) -> Option<u64> {
+        match &self.0 {
+            ColourRepr::Small(c) => u64::try_from(*c).ok(),
+            ColourRepr::Big(_) => None,
+        }
+    }
+
+    /// Number of significant bits (0 for the colour 0), as [`UBig::bits`].
+    pub fn bits(&self) -> u64 {
+        match &self.0 {
+            ColourRepr::Small(c) => u64::from(128 - c.leading_zeros()),
+            ColourRepr::Big(u) => u.bits(),
+        }
+    }
+
+    /// Value of bit `i`.
+    pub fn bit(&self, i: u64) -> bool {
+        match &self.0 {
+            ColourRepr::Small(c) => i < 128 && (c >> i) & 1 == 1,
+            ColourRepr::Big(u) => u.bit(i),
+        }
+    }
+
+    /// [`cv_step`] on colours: `2i + bit_i(self)` for the lowest bit `i` at
+    /// which `self` and `successor` differ. Allocates only when either
+    /// colour is wider than 128 bits.
+    ///
+    /// # Panics
+    /// Panics if the colours are equal.
+    pub fn cv_step(&self, successor: &Colour) -> Colour {
+        let i = match (&self.0, &successor.0) {
+            (ColourRepr::Small(a), ColourRepr::Small(b)) => {
+                assert_ne!(a, b, "first_diff_bit: colours are equal");
+                u64::from((a ^ b).trailing_zeros())
+            }
+            _ => first_diff_bit(&self.to_ubig(), &successor.to_ubig()),
+        };
+        Colour::small(2 * i + u64::from(self.bit(i)))
+    }
+
+    /// [`cv_step_root`] on colours: `bit_0(self)`.
+    pub fn cv_step_root(&self) -> Colour {
+        Colour::small(u64::from(self.bit(0)))
+    }
 }
 
 /// The deterministic Cole–Vishkin schedule for a given initial colour space.
@@ -274,6 +363,43 @@ mod tests {
                 assert_ne!(cv_step(&c, &r), cv_step_root(&r), "root={root} child={child}");
             }
         }
+    }
+
+    /// Colours agree with the `UBig` primitives on both sides of the
+    /// 128-bit promotion boundary.
+    #[test]
+    fn colours_match_ubig_across_the_promotion_boundary() {
+        let one = UBig::one();
+        let values = [
+            UBig::zero(),
+            UBig::from_u64(1),
+            UBig::from_u64(0b1011_0000),
+            UBig::from_u128(u128::MAX),
+            one.shl_bits(127),
+            one.shl_bits(128),
+            one.shl_bits(128).mul_ref(&UBig::from_u64(3)),
+            one.shl_bits(200).mul_ref(&UBig::from_u64(5)),
+        ];
+        for a in &values {
+            let ca = Colour::from_ubig(a.clone());
+            assert_eq!(ca.bits(), a.bits());
+            assert_eq!(ca.to_u64(), a.to_u64());
+            assert_eq!(*ca.to_ubig(), *a);
+            assert_eq!(ca.cv_step_root(), Colour::from_ubig(cv_step_root(a)));
+            for i in [0, 5, 127, 128, 200, 202] {
+                assert_eq!(ca.bit(i), a.bit(i), "bit {i} of {a}");
+            }
+            for b in &values {
+                let cb = Colour::from_ubig(b.clone());
+                assert_eq!(ca == cb, a == b);
+                if a != b {
+                    assert_eq!(ca.cv_step(&cb), Colour::from_ubig(cv_step(a, b)), "{a} vs {b}");
+                }
+            }
+        }
+        assert_eq!(Colour::from_ubig(one.shl_bits(127)).to_ubig().bits(), 128);
+        assert!(matches!(Colour::from_ubig(one.shl_bits(128)).0, ColourRepr::Big(_)));
+        assert!(matches!(Colour::from_ubig(UBig::from_u128(u128::MAX)).0, ColourRepr::Small(_)));
     }
 
     #[test]

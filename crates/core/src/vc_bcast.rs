@@ -26,14 +26,24 @@
 //! the engine accounts are unchanged (`64 + Σ approx_bits`, as if the whole
 //! sequence were copied, which is what the model charges).
 //!
+//! **Interning.** Appends are hash-consed: the run's intern table, kept in
+//! [`VcBcastConfig`] and dropped with it, maps each new link's digest to the
+//! first link built with that digest. An append reuses that link when it
+//! extends the same previous link (by pointer) with an equal message, so
+//! equal histories built in one run share one `Arc`, prefix by prefix. A
+//! digest that collides with a different history only forgoes sharing: the
+//! value is kept on a link of its own. Nodes still see only values.
+//!
 //! **Order.** Histories are ordered by length, then by digest, then by
 //! their messages compared newest first. The last step walks both chains
 //! back and stops at the first link the two share by pointer, since
-//! everything before it is equal. Every key is a function of the message
-//! sequence alone, so this is a total order on history *values* — which is
-//! all the engine's canonical multiset needs; no node output depends on
-//! which total order it is, because `receive` sorts what it collects. The
-//! walk, like dropping a chain, is a loop: a long history never recurses.
+//! everything before it is equal — for interned histories of equal value
+//! that is the first link, so equality costs O(1). Every key is a function
+//! of the message sequence alone, so this is a total order on history
+//! *values* — which is all the engine's canonical multiset needs; no node
+//! output depends on which total order it is, because `receive` sorts what
+//! it collects. The walk, like dropping a chain, is a loop: a long history
+//! never recurses.
 //!
 //! ## Memo
 //!
@@ -48,10 +58,12 @@
 //! table holds at most one entry per port (≤ Δ), so that costs at most Δ
 //! comparisons per lookup.
 //!
-//! Determinism note: the memo tables are keyed lookups only — nothing ever
-//! *iterates* a `HashMap` here. Outputs (`elem_info`, message order) are
-//! produced by walking `incoming` in port order and sorting collected
-//! multisets, so no hash order reaches a `Trace` or an output. The
+//! Determinism note: the memo and intern tables are keyed lookups only —
+//! nothing ever *iterates* a `HashMap` here. Outputs (`elem_info`, message
+//! order) are produced by walking `incoming` in port order and sorting
+//! collected multisets, so no hash order reaches a `Trace` or an output.
+//! Which of two equal links a multi-threaded run shares depends on timing,
+//! but values, sizes and digests do not. The
 //! `anonet-lint` `determinism` check enforces this; the waivers below each
 //! assert membership-only use.
 
@@ -62,12 +74,13 @@ use anonet_sim::{
     run_bcast_threads, run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineOptions,
     EngineScratch, Graph, MessageSize, RunResult, SimError, Trace,
 };
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A seedless multiply-rotate [`Hasher`] (the FxHash word step) for the
 /// history digests and the history-keyed memo tables: each word costs a
@@ -123,18 +136,44 @@ impl Hasher for HistoryHasher {
 /// The memo tables' map type.
 type HistoryMap<K, T> = HashMap<K, T, BuildHasherDefault<HistoryHasher>>; // lint: allow(determinism) — membership-only memo tables, never iterated
 
+/// The intern table's map type: digest → the link first built with it.
+type InternMap<V> = HashMap<u64, Arc<Link<V>>, BuildHasherDefault<HistoryHasher>>; // lint: allow(determinism) — membership-only intern table, never iterated
+
+/// One run's hash-cons table of history links (see the module docs),
+/// shared by every node of the run and freed with it. It is type-erased so
+/// that [`VcBcastConfig`] does not depend on the value type; it holds an
+/// `InternMap<V>` once the first link is interned.
+#[derive(Default)]
+struct Interner(Mutex<Option<Box<dyn Any + Send>>>);
+
 /// Global configuration: the §4 configuration of the derived instance
-/// (`f = 2`, `k = Δ`).
-#[derive(Clone, Debug)]
+/// (`f = 2`, `k = Δ`), plus the run's history intern table.
 pub struct VcBcastConfig {
     /// Configuration of the simulated §4 run.
     pub sc: ScConfig,
+    /// Shared links of the run's histories; a clone starts empty.
+    intern: Interner,
+}
+
+impl Clone for VcBcastConfig {
+    fn clone(&self) -> Self {
+        VcBcastConfig { sc: self.sc.clone(), intern: Interner::default() }
+    }
+}
+
+impl fmt::Debug for VcBcastConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("VcBcastConfig").field("sc", &self.sc).finish_non_exhaustive()
+    }
 }
 
 impl VcBcastConfig {
     /// Builds the configuration for bounds Δ and W.
     pub fn new(delta: usize, max_weight: u64) -> VcBcastConfig {
-        VcBcastConfig { sc: ScConfig::new(2, delta.max(1), max_weight) }
+        VcBcastConfig {
+            sc: ScConfig::new(2, delta.max(1), max_weight),
+            intern: Interner::default(),
+        }
     }
 
     /// Total rounds on G: one more than the simulated §4 schedule (after
@@ -189,19 +228,47 @@ struct Link<V: PackingValue> {
 }
 
 impl<V: PackingValue> HistoryMsg<V> {
-    /// The history extended by `msg`.
+    /// The history extended by `msg`, on a link of its own.
+    #[cfg(test)]
     fn push(&self, msg: ScMsg<V>) -> HistoryMsg<V> {
+        HistoryMsg(Some(Arc::new(self.link(msg))))
+    }
+
+    /// The history extended by `msg`, sharing the link of an equal history
+    /// built earlier in the same run when there is one.
+    fn push_interned(&self, msg: ScMsg<V>, intern: &Interner) -> HistoryMsg<V> {
+        let mut guard = intern.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if !guard.as_ref().is_some_and(|t| t.is::<InternMap<V>>()) {
+            *guard = Some(Box::new(InternMap::<V>::default()));
+        }
+        let table = guard.as_mut().and_then(|t| t.downcast_mut::<InternMap<V>>());
+        let table = table.expect("intern table holds this value type");
+        let link = self.link(msg);
+        match table.entry(link.digest) {
+            Entry::Occupied(e) => {
+                let shared = e.get();
+                let same_prev = match (&shared.prev, &link.prev) {
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    (a, b) => a.is_none() && b.is_none(),
+                };
+                if same_prev && shared.msg == link.msg {
+                    return HistoryMsg(Some(Arc::clone(shared)));
+                }
+                // A digest collision: the value stays correct on a link of
+                // its own, it only forgoes sharing.
+                HistoryMsg(Some(Arc::new(link)))
+            }
+            Entry::Vacant(e) => HistoryMsg(Some(Arc::clone(e.insert(Arc::new(link))))),
+        }
+    }
+
+    /// The link that extends this history by `msg`.
+    fn link(&self, msg: ScMsg<V>) -> Link<V> {
         let (len, bits, digest) = self.0.as_ref().map_or((0, 0, 0), |l| (l.len, l.bits, l.digest));
         let mut h = HistoryHasher(digest);
         msg.hash(&mut h);
         let bits = bits + msg.approx_bits();
-        HistoryMsg(Some(Arc::new(Link {
-            msg,
-            prev: self.0.clone(),
-            len: len + 1,
-            bits,
-            digest: h.finish(),
-        })))
+        Link { msg, prev: self.0.clone(), len: len + 1, bits, digest: h.finish() }
     }
 
     /// Number of messages.
@@ -385,7 +452,7 @@ impl<V: PackingValue> BcastAlgorithm for VcBcastNode<V> {
         if t < total {
             // Advance s(v): its §4-round-(t+1) broadcast.
             let next = self.subset.send(&cfg.sc, t + 1);
-            self.history = self.history.push(next);
+            self.history = self.history.push_interned(next, &cfg.intern);
             None
         } else {
             self.elem_info.sort();
@@ -498,6 +565,7 @@ mod tests {
     use super::*;
     use anonet_bigmath::BigRat;
     use anonet_gen::Rng;
+    use anonet_sim::BcastEngine;
     use std::hash::BuildHasher;
 
     type H = HistoryMsg<BigRat>;
@@ -641,6 +709,44 @@ mod tests {
         let done: Vec<_> = outputs.into_iter().flatten().collect();
         assert_eq!(done.len(), 2, "both nodes halt in the last round");
         assert!(done.iter().all(|o| o.elem_info == vec![(BigRat::from_u64(2), true)]));
+    }
+
+    #[test]
+    fn interned_pushes_of_equal_messages_share_links() {
+        let intern = Interner::default();
+        let msgs = [ScMsg::Y(BigRat::from_u64(3)), ScMsg::Nil, ScMsg::Cols(Arc::from([0, 4]))];
+        let interned = |msgs: &[ScMsg<BigRat>]| {
+            msgs.iter().fold(H::default(), |h, m| h.push_interned(m.clone(), &intern))
+        };
+        let (a, b) = (interned(&msgs), interned(&msgs));
+        assert!(same_chain(&a, &b), "equal histories share one link");
+        assert!(same_chain(&a.prefix(), &interned(&msgs[..2])));
+        assert_eq!(a, build(&msgs), "interning keeps the value");
+        let c = interned(&[ScMsg::Y(BigRat::from_u64(3)), ScMsg::InUyi]);
+        assert_ne!(a.prefix(), c);
+        assert!(same_chain(&a.prefix().prefix(), &c.prefix()), "a shared prefix is shared");
+    }
+
+    #[test]
+    fn equal_histories_of_a_petersen_run_share_links() {
+        let g = anonet_gen::family::petersen();
+        let w: Vec<u64> = (0..10).map(|i| i % 3 + 1).collect();
+        let cfg = VcBcastConfig::new(g.max_degree(), 3);
+        let mut engine = BcastEngine::<VcBcastNode<BigRat>>::new(&g, &cfg, &w, 1).unwrap();
+        let mut equal_pairs = 0;
+        for _ in 0..40 {
+            engine.step();
+            let hs: Vec<&H> = engine.states().iter().map(|s| &s.history).collect();
+            for (i, a) in hs.iter().enumerate() {
+                for b in &hs[i + 1..] {
+                    if to_vec(a) == to_vec(b) {
+                        assert!(same_chain(a, b), "round {}: equal histories", engine.round());
+                        equal_pairs += 1;
+                    }
+                }
+            }
+        }
+        assert!(equal_pairs > 0, "the weights repeat, so some histories are equal");
     }
 
     #[test]

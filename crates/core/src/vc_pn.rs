@@ -21,9 +21,9 @@
 //! so full sequences never travel on the wire. Phase II encodes the local
 //! sequence into the Lemma 2 integer and 3-colours each forest.
 
-use crate::encode::{cv_step, cv_step_root, CvSchedule, SeqEncoder};
+use crate::encode::{Colour, CvSchedule, SeqEncoder};
 use crate::packing::EdgePacking;
-use anonet_bigmath::{PackingValue, UBig};
+use anonet_bigmath::PackingValue;
 use anonet_sim::{
     run_engine_scratch, run_pn_threads, BatchRunner, EngineOptions, EngineScratch, Graph,
     MessageSize, PnAlgorithm, PortNumbering, RunResult, SimError, Trace,
@@ -152,8 +152,10 @@ pub enum VcMsg<V> {
     /// "This edge is my r-th outgoing edge" (forest index), or `None`.
     Forest(Option<u16>),
     /// Per-forest Cole–Vishkin colours (`None` for forests the sender is not
-    /// in), shared by every port of the sender: built once per node per round.
-    Colours(Arc<[Option<UBig>]>),
+    /// in): the sender's own colour vector, shared by every port and by
+    /// every round until one of its colours changes. Colours are inline
+    /// machine words up to 128 bits ([`Colour`]).
+    Colours(Arc<[Option<Colour>]>),
     /// Star phase: a leaf's residual, sent to its parent.
     Resid(V),
     /// Star phase: the root's granted increment for this edge.
@@ -202,8 +204,10 @@ pub struct EdgePackingNode<V> {
     parent_port: Vec<Option<usize>>,
     /// Per-forest: ports with incoming forest edges (my children).
     children: Vec<Vec<usize>>,
-    /// Per-forest: my current Cole–Vishkin colour (None ⇔ not in the forest).
-    colours: Vec<Option<UBig>>,
+    /// Per-forest: my current Cole–Vishkin colour (None ⇔ not in the
+    /// forest). This is the vector my `Colours` messages share; it is
+    /// copied only when a colour changes while a message still holds it.
+    colours: Arc<[Option<Colour>]>,
     /// Per-port: grant to emit in the next star round (root role).
     pending_grants: Vec<Option<V>>,
     /// Port on which I await a grant (leaf role).
@@ -218,11 +222,24 @@ impl<V: PackingValue> EdgePackingNode<V> {
     fn my_colour_small(&self, i: usize) -> u64 {
         // Clamped total decoding: in fault-free runs colours are ≤ 5 at every
         // call site; corrupted states are clamped into the palette.
-        self.colours[i].as_ref().and_then(UBig::to_u64).unwrap_or(0).min(5)
+        self.colours[i].as_ref().and_then(Colour::to_u64).unwrap_or(0).min(5)
     }
 
-    fn set_colour_small(&mut self, i: usize, c: u64) {
-        self.colours[i] = Some(UBig::from_u64(c));
+    /// Sets forest `i`'s colour, keeping the shared vector when it is
+    /// unchanged and copying it once when messages still hold it.
+    fn set_colour(&mut self, i: usize, c: Colour) {
+        if self.colours[i].as_ref() == Some(&c) {
+            return;
+        }
+        match Arc::get_mut(&mut self.colours) {
+            Some(cs) => cs[i] = Some(c),
+            None => {
+                let c = Some(c);
+                self.colours = (0..self.colours.len())
+                    .map(|j| if j == i { c.clone() } else { self.colours[j].clone() })
+                    .collect();
+            }
+        }
     }
 }
 
@@ -261,7 +278,7 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
             forest_of_port: vec![None; degree],
             parent_port: vec![None; cfg.delta],
             children: vec![Vec::new(); cfg.delta],
-            colours: vec![None; cfg.delta],
+            colours: vec![None; cfg.delta].into(),
             pending_grants: vec![None; degree],
             await_grant: None,
         }
@@ -285,16 +302,15 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                 }
             }
             Phase::Cv | Phase::ShiftDown | Phase::Eliminate { .. } => {
-                let colours: Arc<[Option<UBig>]> = self.colours.as_slice().into();
                 for m in out.iter_mut() {
-                    *m = VcMsg::Colours(Arc::clone(&colours));
+                    *m = VcMsg::Colours(Arc::clone(&self.colours));
                 }
             }
             Phase::StarResid(star) => {
                 // Leaf role: if I am a colour-j child in forest i and still
                 // unsaturated, send my residual to my parent.
                 if let Some(p) = self.parent_port[star.forest] {
-                    if self.colours[star.forest].as_ref().and_then(UBig::to_u64)
+                    if self.colours[star.forest].as_ref().and_then(Colour::to_u64)
                         == Some(star.colour)
                         && self.active()
                     {
@@ -389,34 +405,31 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                 // Initialise Cole–Vishkin colours: the Lemma 2 code of my
                 // Phase I sequence, in every forest I participate in. A
                 // corrupted sequence falls back to a fixed valid code.
-                let code = cfg
-                    .encoder
-                    .try_encode(&self.seq)
-                    .unwrap_or_else(|| cfg.encoder.fallback_code::<V>());
+                let code = Colour::from_ubig(
+                    cfg.encoder
+                        .try_encode(&self.seq)
+                        .unwrap_or_else(|| cfg.encoder.fallback_code::<V>()),
+                );
                 for i in 0..cfg.delta {
                     if self.parent_port[i].is_some() || !self.children[i].is_empty() {
-                        self.colours[i] = Some(code.clone());
+                        self.set_colour(i, code.clone());
                     }
                 }
             }
             Phase::Cv => {
                 for i in 0..cfg.delta {
-                    if self.colours[i].is_none() {
-                        continue;
-                    }
-                    let own = self.colours[i].as_ref().unwrap();
+                    let Some(own) = self.colours[i].as_ref() else { continue };
                     let parent = self.parent_port[i].and_then(|p| match incoming[p] {
-                        VcMsg::Colours(cs) => cs.get(i).cloned().flatten(),
+                        VcMsg::Colours(cs) => cs.get(i).and_then(Option::as_ref),
                         _ => None,
                     });
                     let new = match parent {
                         // A corrupted parent may echo our own colour; the
                         // root rule is a safe total fallback.
-                        Some(pc) if pc != *own => cv_step(own, &pc),
-                        _ if self.parent_port[i].is_none() => cv_step_root(own),
-                        _ => cv_step_root(own),
+                        Some(pc) if pc != own => own.cv_step(pc),
+                        _ => own.cv_step_root(),
                     };
-                    self.colours[i] = Some(new);
+                    self.set_colour(i, new);
                 }
             }
             Phase::ShiftDown => {
@@ -427,12 +440,12 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                     match self.parent_port[i] {
                         Some(p) => {
                             let pc = match incoming[p] {
-                                VcMsg::Colours(cs) => cs.get(i).cloned().flatten(),
+                                VcMsg::Colours(cs) => cs.get(i).and_then(Option::as_ref),
                                 _ => None,
                             };
                             // Clamp to the 6-colour palette (totality).
-                            let c = pc.and_then(|u| u.to_u64()).unwrap_or(0).min(5);
-                            self.set_colour_small(i, c);
+                            let c = pc.and_then(Colour::to_u64).unwrap_or(0).min(5);
+                            self.set_colour(i, Colour::small(c));
                         }
                         None => {
                             // Root: pick the smallest colour in {0,1,2}
@@ -440,7 +453,7 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                             // current one).
                             let cur = self.my_colour_small(i);
                             let new = (0..3).find(|&c| c != cur).unwrap();
-                            self.set_colour_small(i, new);
+                            self.set_colour(i, Colour::small(new));
                         }
                     }
                 }
@@ -470,13 +483,13 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                     // monochromatic children forbid ≤ 2 colours; under faults
                     // fall back to 0 (totality).
                     let new = (0u64..3).find(|&c| !forbidden[c as usize]).unwrap_or(0);
-                    self.set_colour_small(i, new);
+                    self.set_colour(i, Colour::small(new));
                 }
             }
             Phase::StarResid(star) => {
                 // Leaf: remember where I expect a grant.
                 self.await_grant = self.parent_port[star.forest].filter(|_| {
-                    self.colours[star.forest].as_ref().and_then(UBig::to_u64) == Some(star.colour)
+                    self.colours[star.forest].as_ref().and_then(Colour::to_u64) == Some(star.colour)
                         && self.active()
                 });
                 // Root: gather residuals and compute grants now (send() is

@@ -33,20 +33,27 @@
 //! per-node `sort()` of message *references* on every receive — `Θ(d log d)`
 //! message comparisons per node per round. The data-oriented core replaces
 //! that with a **round-global rank table** ([`CanonTable`]): after the send
-//! phase, [`Delivery::build_canon`] sorts the slot indices of the whole
-//! buffer once (`RANKED` deliveries only), assigns each distinct message
-//! value a dense rank, and records one representative slot per rank. A
-//! node's gather then sorts tiny `u32` rank keys (or, for high-degree nodes
-//! when the round has few distinct values, skips sorting entirely via a
-//! counting pass over the reusable [`GatherScratch`] table) and emits
-//! representative references — message comparisons happen once per round,
-//! not once per node. Equal ranks mean equal values, and receivers only
-//! observe values, so the produced multiset is observationally identical to
-//! the sorted one; a debug assertion checks sortedness on every gather.
+//! phase, [`Delivery::build_canon`] (`RANKED` deliveries only) assigns each
+//! distinct message value a dense rank and records one representative slot
+//! per rank. The build deduplicates first and sorts second: every slot is
+//! hashed into an open-addressing table of representative slots, and a hash
+//! match counts only once `==` confirms it, so a hash never decides
+//! equality on its own. Only the D distinct representatives are then sorted,
+//! for O(n) hashes and equality checks plus O(D log D) comparisons per round
+//! instead of O(n log n) comparisons — a broadcast round usually carries far
+//! fewer distinct values than slots. A node's gather then sorts tiny `u32`
+//! rank keys (or, for high-degree nodes when the round has few distinct
+//! values, skips sorting entirely via a counting pass over the reusable
+//! [`GatherScratch`] table) and emits representative references — message
+//! comparisons happen once per round, not once per node. Equal ranks mean
+//! equal values, and receivers only observe values, so the produced multiset
+//! is observationally identical to the sorted one; a debug assertion checks
+//! sortedness on every gather.
 
 use crate::graph::Graph;
 use crate::model::{BcastAlgorithm, MessageSize, PnAlgorithm};
 use std::fmt::Debug;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 /// Round-global canonicalisation table for `RANKED` deliveries (broadcast).
@@ -54,18 +61,82 @@ use std::ops::Range;
 /// Built once per round by [`Delivery::build_canon`] from the post-send
 /// message buffer: `ranks[slot]` is the dense rank of `buf[slot]`'s value
 /// among the round's distinct message values (rank order = value order),
-/// and `reps[rank]` is one representative slot holding that value. All
-/// storage is recycled across rounds and engine runs (via
+/// and `reps[rank]` is one representative slot holding that value. The
+/// build first deduplicates the slots through `table`, an open-addressing
+/// hash table of representatives, and then sorts only the representatives.
+/// All storage is recycled across rounds and engine runs (via
 /// [`EngineScratch`](crate::engine::EngineScratch)) — steady-state rounds
 /// allocate nothing.
 #[derive(Debug, Default)]
 pub struct CanonTable {
-    /// Slot indices `0..buf.len()` sorted by message value (build scratch).
-    idx: Vec<u32>,
+    /// Dedupe table (linear probing, power-of-two size, at most half full):
+    /// each occupied bucket holds a provisional id, vacant ones hold
+    /// `VACANT`. After the dedupe pass it is reused as provisional id → rank.
+    table: Vec<u32>,
+    /// `hashes[id]` = hash of the value with provisional id `id`.
+    hashes: Vec<u64>,
+    /// Provisional ids in value order (sort scratch).
+    order: Vec<u32>,
     /// `ranks[slot]` = dense rank of `buf[slot]`'s value.
     ranks: Vec<u32>,
     /// `reps[rank]` = a slot whose message has that rank's value.
     reps: Vec<u32>,
+}
+
+/// A vacant bucket of [`CanonTable::table`].
+const VACANT: u32 = u32::MAX;
+
+/// Buckets of [`CanonTable::table`] at the start of every build; the table
+/// doubles whenever it would become more than half full.
+const MIN_BUCKETS: usize = 16;
+
+/// The seedless multiply-rotate word hash (the FxHash step) used to
+/// deduplicate a round's slots: deterministic, and one multiply per word.
+#[derive(Default)]
+struct SlotHasher(u64);
+
+impl SlotHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for SlotHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits on top; the table indexes by
+        // the low ones.
+        self.0.rotate_left(26)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.mix(i as u64);
+        self.mix((i >> 64) as u64);
+    }
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
 }
 
 impl CanonTable {
@@ -326,21 +397,69 @@ impl<A: BcastAlgorithm> Delivery<A> for Broadcast {
     }
 
     fn build_canon(_g: &Graph, buf: &[Self::Msg], canon: &mut CanonTable) {
-        debug_assert!(buf.len() <= u32::MAX as usize);
+        debug_assert!(buf.len() < VACANT as usize);
         // hot-path: begin — round-global canonicalisation build
-        let n = buf.len();
-        canon.idx.clear();
-        canon.idx.extend(0..n as u32);
-        canon.idx.sort_unstable_by(|&a, &b| buf[a as usize].cmp(&buf[b as usize]));
-        canon.ranks.clear();
-        canon.ranks.resize(n, 0);
-        canon.reps.clear();
-        for i in 0..n {
-            let s = canon.idx[i] as usize;
-            if i == 0 || buf[canon.idx[i - 1] as usize] != buf[s] {
-                canon.reps.push(s as u32);
+        let CanonTable { table, hashes, order, ranks, reps } = canon;
+        table.clear();
+        table.resize(MIN_BUCKETS, VACANT);
+        hashes.clear();
+        reps.clear();
+        ranks.clear();
+        // Dedupe: give each slot the provisional id of the first slot with
+        // an equal value. A bucket matches only when `==` agrees.
+        for (s, m) in buf.iter().enumerate() {
+            // Neighbouring slots often hold the same value: reuse its id.
+            if s > 0 && buf[s - 1] == *m {
+                ranks.push(ranks[s - 1]);
+                continue;
             }
-            canon.ranks[s] = (canon.reps.len() - 1) as u32;
+            let mut hasher = SlotHasher::default();
+            m.hash(&mut hasher);
+            let h = hasher.finish();
+            let mut b = h as usize & (table.len() - 1);
+            let id = loop {
+                let id = table[b];
+                if id == VACANT {
+                    let id = reps.len() as u32;
+                    reps.push(s as u32);
+                    hashes.push(h);
+                    if 2 * reps.len() > table.len() {
+                        // Keep the load at most 1/2: double and re-insert.
+                        let size = 2 * table.len();
+                        table.clear();
+                        table.resize(size, VACANT);
+                        for (id, &h) in hashes.iter().enumerate() {
+                            let mut b = h as usize & (size - 1);
+                            while table[b] != VACANT {
+                                b = (b + 1) & (size - 1);
+                            }
+                            table[b] = id as u32;
+                        }
+                    } else {
+                        table[b] = id;
+                    }
+                    break id;
+                }
+                if hashes[id as usize] == h && buf[reps[id as usize] as usize] == *m {
+                    break id;
+                }
+                b = (b + 1) & (table.len() - 1);
+            };
+            ranks.push(id);
+        }
+        // Sort the D representatives, then renumber ids into ranks.
+        order.clear();
+        order.extend(0..reps.len() as u32);
+        order.sort_unstable_by(|&a, &b| {
+            buf[reps[a as usize] as usize].cmp(&buf[reps[b as usize] as usize])
+        });
+        for (rank, id) in order.iter_mut().enumerate() {
+            table[*id as usize] = rank as u32;
+            *id = reps[*id as usize];
+        }
+        std::mem::swap(order, reps);
+        for r in ranks.iter_mut() {
+            *r = table[*r as usize];
         }
         // hot-path: end
     }
@@ -555,6 +674,151 @@ mod tests {
                 let mut want = inbox.clone();
                 want.sort();
                 assert_eq!(got, want, "len {len}, dup_mod {dup_mod}");
+            }
+        }
+    }
+
+    /// What a broadcast message type needs, plus `Debug` for assertions.
+    trait TestMsg: Clone + Default + Ord + Hash + Debug + Send + Sync + MessageSize + 'static {}
+    impl<M: Clone + Default + Ord + Hash + Debug + Send + Sync + MessageSize + 'static> TestMsg for M {}
+
+    /// Broadcast algorithm with message type `M`, to instantiate the
+    /// delivery for the test message types below.
+    struct EchoOf<M>(std::marker::PhantomData<M>);
+    impl<M: TestMsg> BcastAlgorithm for EchoOf<M> {
+        type Msg = M;
+        type Input = ();
+        type Output = ();
+        type Config = ();
+        fn init(_: &(), _: usize, _: &()) -> Self {
+            EchoOf(std::marker::PhantomData)
+        }
+        fn send(&self, _: &(), _: u64) -> M {
+            M::default()
+        }
+        fn receive(&mut self, _: &(), _: u64, _: &[&M]) -> Option<()> {
+            None
+        }
+    }
+
+    fn build<M: TestMsg>(buf: &[M]) -> CanonTable {
+        let g = Graph::from_edges(buf.len(), &[]).unwrap();
+        let mut canon = CanonTable::default();
+        <D as Delivery<EchoOf<M>>>::build_canon(&g, buf, &mut canon);
+        canon
+    }
+
+    /// The sort-then-scan build that the dedupe-then-sort build replaced:
+    /// sort every slot by value, then start a new rank wherever neighbours
+    /// differ. Returns the ranks and each rank's value.
+    fn sort_reference<M: Ord + Clone>(buf: &[M]) -> (Vec<u32>, Vec<M>) {
+        let mut idx: Vec<usize> = (0..buf.len()).collect();
+        idx.sort_unstable_by(|&a, &b| buf[a].cmp(&buf[b]));
+        let mut ranks = vec![0u32; buf.len()];
+        let mut values: Vec<M> = Vec::new();
+        for (i, &s) in idx.iter().enumerate() {
+            if i == 0 || buf[idx[i - 1]] != buf[s] {
+                values.push(buf[s].clone());
+            }
+            ranks[s] = (values.len() - 1) as u32;
+        }
+        (ranks, values)
+    }
+
+    fn assert_matches_reference<M: TestMsg>(buf: &[M], what: &str) {
+        let canon = build(buf);
+        let (ranks, values) = sort_reference(buf);
+        assert_eq!(canon.ranks, ranks, "{what}: ranks");
+        let reps: Vec<M> = canon.reps.iter().map(|&s| buf[s as usize].clone()).collect();
+        assert_eq!(reps, values, "{what}: representative values");
+    }
+
+    /// A message whose hash is constant: every probe collides, so only
+    /// `==` can tell values apart.
+    #[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+    struct Collide(u64);
+    impl Hash for Collide {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u64(7);
+        }
+    }
+    impl MessageSize for Collide {
+        fn approx_bits(&self) -> u64 {
+            64
+        }
+    }
+
+    std::thread_local! {
+        static COMPARISONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A message whose `Ord` counts its calls.
+    #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+    struct Counted(u64);
+    impl Ord for Counted {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            COMPARISONS.with(|c| c.set(c.get() + 1));
+            self.0.cmp(&other.0)
+        }
+    }
+    impl PartialOrd for Counted {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl MessageSize for Counted {
+        fn approx_bits(&self) -> u64 {
+            64
+        }
+    }
+
+    /// Dedupe-then-sort gives the same ranks and representative values as
+    /// the sort it replaced, over duplicate-heavy to all-distinct buffers.
+    #[test]
+    fn dedupe_then_sort_matches_the_sort_reference() {
+        let mut seed = 0x0dd_5eed_u64;
+        for n in [0usize, 1, 2, 7, 64, 300] {
+            for dup_mod in [1u64, 2, 3, 8, n.max(1) as u64] {
+                let buf: Vec<u64> = (0..n).map(|_| xorshift(&mut seed) % dup_mod).collect();
+                assert_matches_reference(&buf, &format!("n {n}, dup_mod {dup_mod}"));
+                let wide: Vec<u64> =
+                    buf.iter().map(|v| v.wrapping_mul(0x9e37_79b9 << 20)).collect();
+                assert_matches_reference(&wide, &format!("wide, n {n}, dup_mod {dup_mod}"));
+            }
+        }
+    }
+
+    /// With every hash equal, each probe walks a collision chain and only
+    /// `==` separates the values: the ranks must still be exact.
+    #[test]
+    fn colliding_hashes_still_rank_exactly() {
+        let mut seed = 0x0c01_11de_u64;
+        for (n, dup_mod) in [(40usize, 1u64), (40, 3), (100, 17), (64, 64)] {
+            let buf: Vec<Collide> =
+                (0..n).map(|_| Collide(xorshift(&mut seed) % dup_mod)).collect();
+            assert_matches_reference(&buf, &format!("n {n}, dup_mod {dup_mod}"));
+        }
+    }
+
+    /// Only the D distinct representatives are sorted: the build makes at
+    /// most D·⌈log₂ D⌉ + 2D comparisons, however many slots repeat them.
+    #[test]
+    fn build_compares_only_distinct_values() {
+        let mut seed = 0xc0_47ed_u64;
+        for n in [1usize, 10, 100, 1000, 5000] {
+            for distinct in [1u64, 2, 3, 8, 20, 50, 200, 1000] {
+                let buf: Vec<Counted> =
+                    (0..n).map(|_| Counted(xorshift(&mut seed) % distinct)).collect();
+                COMPARISONS.with(|c| c.set(0));
+                let canon = build(&buf);
+                let cmps = COMPARISONS.with(std::cell::Cell::get);
+                let d = canon.distinct() as u64;
+                let log = u64::from(d.next_power_of_two().trailing_zeros());
+                assert!(
+                    cmps <= d * log + 2 * d,
+                    "n {n}, D {d}: {cmps} comparisons > D·⌈log₂ D⌉ + 2D = {}",
+                    d * log + 2 * d
+                );
             }
         }
     }

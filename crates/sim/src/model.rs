@@ -16,6 +16,7 @@
 //! anonymous model visible in the type signature.
 
 use std::fmt::Debug;
+use std::hash::Hash;
 
 /// Approximate wire size of a message, in bits.
 ///
@@ -135,8 +136,10 @@ pub trait PnAlgorithm: Sized + Send + Sync {
 /// round, and incoming messages arrive as a canonically sorted multiset.
 pub trait BcastAlgorithm: Sized + Send + Sync {
     /// Message type; `Ord` is required so the engine can canonicalise the
-    /// incoming multiset (sender obliviousness is enforced, not assumed).
-    type Msg: Clone + Default + Ord + Send + Sync + MessageSize + 'static;
+    /// incoming multiset (sender obliviousness is enforced, not assumed), and
+    /// `Hash`, which must agree with `Eq`, lets it deduplicate a round's
+    /// messages before sorting them.
+    type Msg: Clone + Default + Ord + Hash + Send + Sync + MessageSize + 'static;
     /// Per-node local input.
     type Input: Clone + Sync;
     /// Per-node output.
