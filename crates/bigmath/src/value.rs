@@ -122,6 +122,10 @@ impl PackingValue for Rat128 {
     }
     fn scale_to_uint(&self, scale: &UBig) -> UBig {
         assert!(self.numer() >= 0, "scale_to_uint on negative value");
+        if let Some((q, r)) = scale_words(self, scale) {
+            assert!(r == 0, "div_exact: non-zero remainder");
+            return UBig::from_u128(q);
+        }
         let num = UBig::from_u128(self.numer() as u128);
         let den = UBig::from_u128(self.denom() as u128);
         num.mul_ref(scale).div_exact(&den)
@@ -129,6 +133,9 @@ impl PackingValue for Rat128 {
     fn checked_scale_to_uint(&self, scale: &UBig) -> Option<UBig> {
         if self.numer() < 0 {
             return None;
+        }
+        if let Some((q, r)) = scale_words(self, scale) {
+            return (r == 0).then(|| UBig::from_u128(q));
         }
         let num = UBig::from_u128(self.numer() as u128);
         let den = UBig::from_u128(self.denom() as u128);
@@ -142,6 +149,15 @@ impl PackingValue for Rat128 {
         let bits = |v: i128| 128 - v.unsigned_abs().leading_zeros() as u64;
         1 + bits(self.numer()) + bits(self.denom())
     }
+}
+
+/// `numer · scale` divided by the denominator, as quotient and remainder,
+/// when the value is non-negative and the product fits a `u128`.
+fn scale_words(r: &Rat128, scale: &UBig) -> Option<(u128, u128)> {
+    let num = u128::try_from(r.numer()).ok()?;
+    let p = num.checked_mul(scale.to_u128()?)?;
+    let d = r.denom() as u128;
+    Some((p / d, p % d))
 }
 
 /// Convenience: sums an iterator of values.
@@ -194,6 +210,31 @@ mod tests {
         let vals = vec![BigRat::from_frac(1, 2), BigRat::from_frac(1, 3), BigRat::from_frac(1, 6)];
         assert_eq!(sum::<BigRat>(&vals), BigRat::one());
         assert_eq!(sum::<BigRat>(&[]), BigRat::zero());
+    }
+
+    /// `Rat128` scaling agrees with `BigRat` whether or not the product
+    /// fits a `u128`, for exact and inexact scales and negative values.
+    #[test]
+    fn rat128_scaling_matches_bigrat_across_the_word_boundary() {
+        let scales = [
+            UBig::from_u64(1),
+            UBig::from_u64(216),
+            UBig::from_u128(u128::MAX / 3),
+            UBig::from_u128(u128::MAX),
+            UBig::one().shl_bits(130),
+        ];
+        let values = [(0i128, 1i128), (5, 6), (-5, 6), (i128::MAX, 3), (1, 7), (12, 1)];
+        for (n, d) in values {
+            let fix = Rat128::new(n, d);
+            let big = BigRat::new(crate::IBig::from_i128(n), UBig::from_u128(d as u128));
+            for scale in &scales {
+                let want = PackingValue::checked_scale_to_uint(&big, scale);
+                assert_eq!(PackingValue::checked_scale_to_uint(&fix, scale), want, "{n}/{d}");
+                if let Some(q) = want {
+                    assert_eq!(PackingValue::scale_to_uint(&fix, scale), q);
+                }
+            }
+        }
     }
 
     #[test]

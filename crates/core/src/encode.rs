@@ -86,15 +86,17 @@ impl SeqEncoder {
         self.base.pow(self.len as u64)
     }
 
-    /// Non-panicking [`encode`](SeqEncoder::encode): `None` if the sequence
-    /// has the wrong length or any element violates the Lemma 2 contract.
-    /// Used by the self-stabilization wrapper, which must stay total under
-    /// arbitrarily corrupted state.
-    pub fn try_encode<V: PackingValue>(&self, seq: &[V]) -> Option<UBig> {
+    /// Non-panicking [`encode`](SeqEncoder::encode), as a [`Colour`]:
+    /// `None` if the sequence has the wrong length or any element violates
+    /// the Lemma 2 contract. The code is accumulated on machine words while
+    /// it fits 128 bits. Used by the self-stabilization wrapper, which must
+    /// stay total under arbitrarily corrupted state.
+    pub fn try_encode<V: PackingValue>(&self, seq: &[V]) -> Option<Colour> {
         if seq.len() != self.len {
             return None;
         }
-        let mut acc = UBig::zero();
+        let base = self.base.to_u128();
+        let mut acc = Colour::small(0);
         for q in seq {
             if !q.is_positive() {
                 return None;
@@ -103,17 +105,29 @@ impl SeqEncoder {
             if digit.is_zero() || digit >= self.base {
                 return None;
             }
-            acc = acc.mul_ref(&self.base);
-            acc.add_assign_ref(&digit);
+            let small = match (&acc.0, base, digit.to_u128()) {
+                (ColourRepr::Small(a), Some(b), Some(d)) => {
+                    a.checked_mul(b).and_then(|x| x.checked_add(d))
+                }
+                _ => None,
+            };
+            acc = match small {
+                Some(c) => Colour(ColourRepr::Small(c)),
+                None => {
+                    let mut big = acc.to_ubig().mul_ref(&self.base);
+                    big.add_assign_ref(&digit);
+                    Colour::from_ubig(big)
+                }
+            };
         }
         Some(acc)
     }
 
     /// A guaranteed-valid fallback code (the all-ones sequence): used when a
     /// corrupted state fails [`try_encode`](SeqEncoder::try_encode).
-    pub fn fallback_code<V: PackingValue>(&self) -> UBig {
+    pub fn fallback_code<V: PackingValue>(&self) -> Colour {
         let ones = vec![V::one(); self.len];
-        self.encode(&ones)
+        Colour::from_ubig(self.encode(&ones))
     }
 }
 
@@ -275,7 +289,7 @@ pub fn log_star(mut n: f64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anonet_bigmath::BigRat;
+    use anonet_bigmath::{AutoRat, BigRat};
 
     #[test]
     fn encoder_is_order_preserving_injection() {
@@ -303,6 +317,43 @@ mod tests {
         for c in &codes {
             assert!(*c < enc.code_bound());
         }
+    }
+
+    /// `try_encode` gives `encode`'s code on either side of 128 bits, and
+    /// `None` where `encode` would panic.
+    #[test]
+    fn try_encode_matches_encode_across_the_promotion_boundary() {
+        let r = |n: i64, d: u64| BigRat::from_frac(n, d);
+        for (delta, w) in [(3usize, 4u64), (3, 1 << 40), (4, 1 << 20), (8, 1)] {
+            let enc = SeqEncoder::phase1(delta, w);
+            let seqs = [
+                vec![r(1, 1); delta],
+                (0..delta).map(|i| r(1, i as u64 + 1)).collect::<Vec<_>>(),
+                vec![r(w as i64, 1); delta],
+            ];
+            for seq in &seqs {
+                let want = enc.encode(seq);
+                assert_eq!(
+                    enc.try_encode(seq),
+                    Some(Colour::from_ubig(want.clone())),
+                    "Δ {delta}, W {w}"
+                );
+                assert_eq!(*enc.try_encode(seq).unwrap().to_ubig(), want);
+                assert_eq!(
+                    enc.try_encode(
+                        &seq.iter().cloned().map(AutoRat::from_bigrat).collect::<Vec<_>>()
+                    ),
+                    enc.try_encode(seq)
+                );
+            }
+            assert_eq!(enc.try_encode(&vec![r(1, 1); delta + 1]), None, "wrong length");
+            let mut bad = vec![r(1, 1); delta];
+            bad[delta - 1] = r(w as i64 + 1, 1);
+            assert_eq!(enc.try_encode(&bad), None, "digit out of range");
+            bad[delta - 1] = BigRat::zero();
+            assert_eq!(enc.try_encode(&bad), None, "zero digit");
+        }
+        assert!(SeqEncoder::phase1(3, 1 << 40).code_bound().bits() > 128);
     }
 
     #[test]

@@ -208,6 +208,8 @@ pub struct EdgePackingNode<V> {
     /// forest). This is the vector my `Colours` messages share; it is
     /// copied only when a colour changes while a message still holds it.
     colours: Arc<[Option<Colour>]>,
+    /// The colour vector before the last change (see `set_colour`).
+    spare: Option<Arc<[Option<Colour>]>>,
     /// Per-port: grant to emit in the next star round (root role).
     pending_grants: Vec<Option<V>>,
     /// Port on which I await a grant (leaf role).
@@ -225,21 +227,26 @@ impl<V: PackingValue> EdgePackingNode<V> {
         self.colours[i].as_ref().and_then(Colour::to_u64).unwrap_or(0).min(5)
     }
 
-    /// Sets forest `i`'s colour, keeping the shared vector when it is
-    /// unchanged and copying it once when messages still hold it.
+    /// Sets forest `i`'s colour. An unchanged colour keeps the vector this
+    /// round's messages share. The first change of a round moves to the
+    /// spare vector, which last round's messages held and which is free
+    /// again by now, so steady colour rounds allocate nothing.
     fn set_colour(&mut self, i: usize, c: Colour) {
         if self.colours[i].as_ref() == Some(&c) {
             return;
         }
-        match Arc::get_mut(&mut self.colours) {
-            Some(cs) => cs[i] = Some(c),
-            None => {
-                let c = Some(c);
-                self.colours = (0..self.colours.len())
-                    .map(|j| if j == i { c.clone() } else { self.colours[j].clone() })
-                    .collect();
-            }
+        if Arc::get_mut(&mut self.colours).is_none() {
+            let next = match self.spare.as_mut().and_then(Arc::get_mut) {
+                Some(spare) => {
+                    spare.clone_from_slice(&self.colours);
+                    self.spare.take()
+                }
+                None => None,
+            };
+            let next = next.unwrap_or_else(|| self.colours.iter().cloned().collect());
+            self.spare = Some(std::mem::replace(&mut self.colours, next));
         }
+        Arc::get_mut(&mut self.colours).expect("colours unshared")[i] = Some(c);
     }
 }
 
@@ -279,6 +286,7 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
             parent_port: vec![None; cfg.delta],
             children: vec![Vec::new(); cfg.delta],
             colours: vec![None; cfg.delta].into(),
+            spare: None,
             pending_grants: vec![None; degree],
             await_grant: None,
         }
@@ -405,11 +413,10 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                 // Initialise Cole–Vishkin colours: the Lemma 2 code of my
                 // Phase I sequence, in every forest I participate in. A
                 // corrupted sequence falls back to a fixed valid code.
-                let code = Colour::from_ubig(
-                    cfg.encoder
-                        .try_encode(&self.seq)
-                        .unwrap_or_else(|| cfg.encoder.fallback_code::<V>()),
-                );
+                let code = cfg
+                    .encoder
+                    .try_encode(&self.seq)
+                    .unwrap_or_else(|| cfg.encoder.fallback_code::<V>());
                 for i in 0..cfg.delta {
                     if self.parent_port[i].is_some() || !self.children[i].is_empty() {
                         self.set_colour(i, code.clone());
