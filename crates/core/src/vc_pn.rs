@@ -205,10 +205,10 @@ pub struct EdgePackingNode<V> {
     /// Per-forest: ports with incoming forest edges (my children).
     children: Vec<Vec<usize>>,
     /// Per-forest: my current Cole–Vishkin colour (None ⇔ not in the
-    /// forest). This is the vector my `Colours` messages share; it is
-    /// copied only when a colour changes while a message still holds it.
+    /// forest). My `Colours` messages share this vector; only
+    /// `set_colour` changes it.
     colours: Arc<[Option<Colour>]>,
-    /// The colour vector before the last change (see `set_colour`).
+    /// The colour vector before the last change, reused by `set_colour`.
     spare: Option<Arc<[Option<Colour>]>>,
     /// Per-port: grant to emit in the next star round (root role).
     pending_grants: Vec<Option<V>>,
