@@ -20,7 +20,7 @@
 //! to its newest link, and each link holds one §4 message, a shared pointer
 //! to the history before it, and three running totals — the length, the
 //! summed [`MessageSize::approx_bits`] of its messages, and a digest, a hash
-//! chain built with the seedless multiply-rotate `HistoryHasher`. A node
+//! chain built with the seedless multiply-rotate [`WordHasher`]. A node
 //! extends its own chain by one link per round, so a send is an `Arc` clone
 //! and the size, the hash and most comparisons are O(1); the message bits
 //! the engine accounts are unchanged (`64 + Σ approx_bits`, as if the whole
@@ -72,7 +72,7 @@ use crate::vc_pn::VcInstance;
 use anonet_bigmath::PackingValue;
 use anonet_sim::{
     run_bcast_threads, run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineOptions,
-    EngineScratch, Graph, MessageSize, RunResult, SimError, Trace,
+    EngineScratch, Graph, MessageSize, RunResult, SimError, Trace, WordHasher,
 };
 use std::any::Any;
 use std::cmp::Ordering;
@@ -82,62 +82,11 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// A seedless multiply-rotate [`Hasher`] (the FxHash word step) for the
-/// history digests and the history-keyed memo tables: each word costs a
-/// rotate, a xor and a multiply, and the same history always hashes the
-/// same.
-#[derive(Clone, Copy, Default)]
-struct HistoryHasher(u64);
-
-impl HistoryHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for HistoryHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The multiply leaves its best bits on top; the table indexes by
-        // the low ones.
-        self.0.rotate_left(26)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.mix(u64::from(i));
-    }
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.mix(u64::from(i));
-    }
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.mix(i);
-    }
-    #[inline]
-    fn write_u128(&mut self, i: u128) {
-        self.mix(i as u64);
-        self.mix((i >> 64) as u64);
-    }
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.mix(i as u64);
-    }
-}
-
 /// The memo tables' map type.
-type HistoryMap<K, T> = HashMap<K, T, BuildHasherDefault<HistoryHasher>>; // lint: allow(determinism) — membership-only memo tables, never iterated
+type HistoryMap<K, T> = HashMap<K, T, BuildHasherDefault<WordHasher>>; // lint: allow(determinism) — membership-only memo tables, never iterated
 
 /// The intern table's map type: digest → the link first built with it.
-type InternMap<V> = HashMap<u64, Arc<Link<V>>, BuildHasherDefault<HistoryHasher>>; // lint: allow(determinism) — membership-only intern table, never iterated
+type InternMap<V> = HashMap<u64, Arc<Link<V>>, BuildHasherDefault<WordHasher>>; // lint: allow(determinism) — membership-only intern table, never iterated
 
 /// One run's hash-cons table of history links (see the module docs),
 /// shared by every node of the run and freed with it. It is type-erased so
@@ -265,7 +214,7 @@ impl<V: PackingValue> HistoryMsg<V> {
     /// The link that extends this history by `msg`.
     fn link(&self, msg: ScMsg<V>) -> Link<V> {
         let (len, bits, digest) = self.0.as_ref().map_or((0, 0, 0), |l| (l.len, l.bits, l.digest));
-        let mut h = HistoryHasher(digest);
+        let mut h = WordHasher::from_state(digest);
         msg.hash(&mut h);
         let bits = bits + msg.approx_bits();
         Link { msg, prev: self.0.clone(), len: len + 1, bits, digest: h.finish() }
@@ -582,7 +531,7 @@ mod tests {
     }
 
     fn hash_of(h: &H) -> u64 {
-        BuildHasherDefault::<HistoryHasher>::default().hash_one(h)
+        BuildHasherDefault::<WordHasher>::default().hash_one(h)
     }
 
     fn same_chain(a: &H, b: &H) -> bool {

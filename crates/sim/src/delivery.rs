@@ -90,19 +90,28 @@ const VACANT: u32 = u32::MAX;
 /// doubles whenever it would become more than half full.
 const MIN_BUCKETS: usize = 16;
 
-/// The seedless multiply-rotate word hash (the FxHash step) used to
-/// deduplicate a round's slots: deterministic, and one multiply per word.
-#[derive(Default)]
-struct SlotHasher(u64);
+/// A seedless multiply-rotate [`Hasher`] (the FxHash word step): each word
+/// costs a rotate, a xor and a multiply, and a value always hashes the
+/// same. [`Broadcast::build_canon`](Delivery::build_canon) deduplicates a
+/// round's slots with it, and `anonet-core` chains §5 history digests with
+/// it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WordHasher(u64);
 
-impl SlotHasher {
+impl WordHasher {
+    /// A hasher whose state is `state`, e.g. an earlier
+    /// [`finish`](Hasher::finish), so that a digest can be extended.
+    pub fn from_state(state: u64) -> WordHasher {
+        WordHasher(state)
+    }
+
     #[inline]
     fn mix(&mut self, word: u64) {
         self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
-impl Hasher for SlotHasher {
+impl Hasher for WordHasher {
     #[inline]
     fn finish(&self) -> u64 {
         // The multiply leaves its best bits on top; the table indexes by
@@ -413,7 +422,7 @@ impl<A: BcastAlgorithm> Delivery<A> for Broadcast {
                 ranks.push(ranks[s - 1]);
                 continue;
             }
-            let mut hasher = SlotHasher::default();
+            let mut hasher = WordHasher::default();
             m.hash(&mut hasher);
             let h = hasher.finish();
             let mut b = h as usize & (table.len() - 1);

@@ -61,7 +61,7 @@ pub mod pool;
 
 pub use batch::{run_bcast_many, run_pn_many, BatchRunner, BcastJob, Job, PnJob};
 pub use bipartite::{SetCoverError, SetCoverInstance};
-pub use delivery::{Broadcast, CanonTable, Delivery, GatherScratch, PortNumbering};
+pub use delivery::{Broadcast, CanonTable, Delivery, GatherScratch, PortNumbering, WordHasher};
 pub use engine::{
     run_bcast, run_bcast_threads, run_engine, run_engine_observed, run_engine_scratch, run_pn,
     run_pn_threads, BcastEngine, Engine, EngineOptions, EngineScratch, NoopObserver, PnEngine,
