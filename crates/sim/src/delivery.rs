@@ -605,25 +605,33 @@ mod tests {
     use crate::graph::Graph;
     use crate::model::BcastAlgorithm;
 
-    /// Minimal broadcast algorithm used only to instantiate the delivery.
-    struct Echo;
-    impl BcastAlgorithm for Echo {
-        type Msg = u64;
-        type Input = u64;
+    type D = Broadcast;
+
+    /// What a broadcast message type needs, plus `Debug` for assertions.
+    trait TestMsg: Clone + Default + Ord + Hash + Debug + Send + Sync + MessageSize + 'static {}
+    impl<M: Clone + Default + Ord + Hash + Debug + Send + Sync + MessageSize + 'static> TestMsg for M {}
+
+    /// Broadcast algorithm with message type `M`, to instantiate the
+    /// delivery for each test message type.
+    struct EchoOf<M>(std::marker::PhantomData<M>);
+    impl<M: TestMsg> BcastAlgorithm for EchoOf<M> {
+        type Msg = M;
+        type Input = ();
         type Output = ();
         type Config = ();
-        fn init(_: &(), _: usize, _: &u64) -> Echo {
-            Echo
+        fn init(_: &(), _: usize, _: &()) -> Self {
+            EchoOf(std::marker::PhantomData)
         }
-        fn send(&self, _: &(), _: u64) -> u64 {
-            0
+        fn send(&self, _: &(), _: u64) -> M {
+            M::default()
         }
-        fn receive(&mut self, _: &(), _: u64, _: &[&u64]) -> Option<()> {
+        fn receive(&mut self, _: &(), _: u64, _: &[&M]) -> Option<()> {
             None
         }
     }
 
-    type D = Broadcast;
+    /// The `u64` instance the gather tests use.
+    type Echo = EchoOf<u64>;
 
     /// Reference canonicalisation: what the pre-table implementation did.
     fn sorted_values(g: &Graph, v: usize, buf: &[u64]) -> Vec<u64> {
@@ -684,29 +692,6 @@ mod tests {
                 want.sort();
                 assert_eq!(got, want, "len {len}, dup_mod {dup_mod}");
             }
-        }
-    }
-
-    /// What a broadcast message type needs, plus `Debug` for assertions.
-    trait TestMsg: Clone + Default + Ord + Hash + Debug + Send + Sync + MessageSize + 'static {}
-    impl<M: Clone + Default + Ord + Hash + Debug + Send + Sync + MessageSize + 'static> TestMsg for M {}
-
-    /// Broadcast algorithm with message type `M`, to instantiate the
-    /// delivery for the test message types below.
-    struct EchoOf<M>(std::marker::PhantomData<M>);
-    impl<M: TestMsg> BcastAlgorithm for EchoOf<M> {
-        type Msg = M;
-        type Input = ();
-        type Output = ();
-        type Config = ();
-        fn init(_: &(), _: usize, _: &()) -> Self {
-            EchoOf(std::marker::PhantomData)
-        }
-        fn send(&self, _: &(), _: u64) -> M {
-            M::default()
-        }
-        fn receive(&mut self, _: &(), _: u64, _: &[&M]) -> Option<()> {
-            None
         }
     }
 
