@@ -1,16 +1,17 @@
 //! **Machine-readable engine perf baseline**: runs fixed-seed engine
-//! workloads and writes `BENCH_engine.json` (ns/round and rounds/sec per
-//! workload), so successive PRs have a numeric trajectory to compare
-//! against instead of eyeballing criterion logs.
+//! workloads and writes `BENCH_engine.json` (ns/round as median and
+//! quartiles over repeated timed calls, and rounds/sec at the median), so
+//! successive PRs have a numeric trajectory to compare against instead of
+//! eyeballing criterion logs.
 //!
 //! Regenerate with:
 //! `cargo run --release -p anonet-bench --bin perf_baseline [-- out.json]`
 //!
 //! `--assert-parallel` additionally fails the run (exit 1) unless the
 //! multithreaded steady-state workloads are at least 0.9× as fast as their
-//! single-threaded twins — the CI guard that the persistent round pool
-//! never regresses back to "more threads = slower" (the generous margin
-//! absorbs box noise). On a machine with one hardware thread the ratios say
+//! single-threaded twins, median against median — the CI guard that the
+//! persistent round pool never regresses back to "more threads = slower"
+//! (the generous margin absorbs box noise). On a machine with one hardware thread the ratios say
 //! nothing about the pool: the file marks those rows `"informative":
 //! false`, and `--assert-parallel` skips them with a note on stderr.
 //!
@@ -45,58 +46,61 @@ use anonet_sim::{
 };
 use std::time::{Duration, Instant};
 
-/// One measured workload.
+/// Median and quartiles of one workload's time per unit, in ns.
+struct Quartiles {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+/// One warmup call, then `reps` timed calls of `f`, which returns how many
+/// units (rounds, or 1 for a whole run) it executed. Returns that count and
+/// the quartiles of the per-unit time.
+fn time_runs(reps: usize, mut f: impl FnMut() -> u64) -> (u64, Quartiles) {
+    let mut units = f();
+    let mut ns: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            units = f();
+            t.elapsed().as_nanos() as f64 / units.max(1) as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    let at = |q: f64| ns[((reps - 1) as f64 * q).round() as usize];
+    (units, Quartiles { q1: at(0.25), median: at(0.5), q3: at(0.75) })
+}
+
+/// One engine workload: ns per round.
 struct Sample {
     name: &'static str,
     rounds: u64,
-    ns_per_round: f64,
+    ns: Quartiles,
 }
 
-impl Sample {
-    fn rounds_per_sec(&self) -> f64 {
-        if self.ns_per_round > 0.0 {
-            1e9 / self.ns_per_round
-        } else {
-            0.0
-        }
-    }
+/// Reps per engine row. The steady rows step one engine 20 rounds per rep,
+/// so warmup + `ENGINE_REPS` × 20 must stay below the halt round 255.
+const ENGINE_REPS: usize = 11;
+
+/// Times an engine workload; `f` returns the rounds it executed.
+fn time_engine(name: &'static str, f: impl FnMut() -> u64) -> Sample {
+    let (rounds, ns) = time_runs(ENGINE_REPS, f);
+    Sample { name, rounds, ns }
 }
 
-/// One warmup call, then the fastest of `reps` timed calls of `f`, which
-/// returns the number of rounds it executed.
-fn time_reps(reps: u32, mut f: impl FnMut() -> u64) -> Sample {
-    let mut rounds = f();
-    let mut best = f64::MAX;
-    for _ in 0..reps {
-        let t = Instant::now();
-        rounds = f();
-        best = best.min(t.elapsed().as_nanos() as f64);
-    }
-    Sample { name: "", rounds, ns_per_round: best / rounds.max(1) as f64 }
-}
-
-/// One whole-run solver workload: µs per run, median and quartiles.
+/// One whole-run solver workload: ns per run.
 struct RunSample {
     name: &'static str,
     reps: usize,
-    q1_us: f64,
-    median_us: f64,
-    q3_us: f64,
+    ns: Quartiles,
 }
 
-/// One warmup call, then `reps` timed calls of `f`; reports the quartiles.
-fn time_runs(name: &'static str, reps: usize, mut f: impl FnMut()) -> RunSample {
-    f();
-    let mut us: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64 / 1e3
-        })
-        .collect();
-    us.sort_by(f64::total_cmp);
-    let at = |q: f64| us[((reps - 1) as f64 * q).round() as usize];
-    RunSample { name, reps, q1_us: at(0.25), median_us: at(0.5), q3_us: at(0.75) }
+/// Times `reps` whole solver runs.
+fn time_solver(name: &'static str, reps: usize, mut f: impl FnMut()) -> RunSample {
+    let (_, ns) = time_runs(reps, || {
+        f();
+        1
+    });
+    RunSample { name, reps, ns }
 }
 
 fn main() {
@@ -120,7 +124,7 @@ fn main() {
     // Steady-state round throughput, 10k nodes, degree 8 (fixed seed 7).
     // The engine lives outside the timed region so ns_per_round measures
     // stepping only, not construction; halt round 0xFF = 255 keeps every
-    // node active for the whole measurement (warmup + reps × 20 < 255).
+    // node active for the whole measurement (warmup + ENGINE_REPS × 20 < 255).
     let g10k = family::random_regular(10_000, 8, 7);
     let steady_inputs = halting_inputs(10_000, |_| 0xFF);
     for (threads, name) in
@@ -128,14 +132,13 @@ fn main() {
     {
         let mut engine = PnEngine::<HaltingGossip>::new(&g10k, &(), &steady_inputs, threads)
             .expect("inputs match");
-        let mut s = time_reps(5, || {
+        let s = time_engine(name, || {
             for _ in 0..20 {
                 engine.step();
             }
             20
         });
         assert!(engine.round() < 0xFF, "steady-state window exceeded the halt round");
-        s.name = name;
         samples.push(s);
     }
 
@@ -147,14 +150,13 @@ fn main() {
         let mut engine =
             PnEngine::<HaltingGossip>::new(&g10k, &(), &steady_inputs, 1).expect("inputs match");
         engine.set_observer(&mut noop);
-        let mut s = time_reps(5, || {
+        let s = time_engine("pn_steady_n10k_d8_t1_observed", || {
             for _ in 0..20 {
                 engine.step();
             }
             20
         });
         assert!(engine.round() < 0xFF, "steady-state window exceeded the halt round");
-        s.name = "pn_steady_n10k_d8_t1_observed";
         samples.push(s);
     }
 
@@ -167,14 +169,13 @@ fn main() {
     {
         let mut engine = PnEngine::<HaltingGossip>::new(&g50k, &(), &steady_inputs_50k, threads)
             .expect("inputs match");
-        let mut s = time_reps(5, || {
+        let s = time_engine(name, || {
             for _ in 0..20 {
                 engine.step();
             }
             20
         });
         assert!(engine.round() < 0xFF, "steady-state window exceeded the halt round");
-        s.name = name;
         samples.push(s);
     }
 
@@ -187,7 +188,7 @@ fn main() {
         let mut engine =
             BcastEngine::<HaltingBcastGossip>::new(&g10k, &(), &steady_inputs, threads)
                 .expect("inputs match");
-        let mut s = time_reps(5, || {
+        let s = time_engine(name, || {
             for _ in 0..20 {
                 engine.step();
             }
@@ -201,7 +202,6 @@ fn main() {
             engine.canon_rounds(),
             engine.round()
         );
-        s.name = name;
         samples.push(s);
     }
 
@@ -210,17 +210,16 @@ fn main() {
     // all the work; the arc-weight partition isolates the hub instead.
     let gstar = family::star(9_999);
     let star_inputs = halting_inputs(10_000, |_| 0xFF);
-    for threads in [1usize, 4] {
+    for (threads, name) in [(1usize, "pn_steady_star_n10k_t1"), (4, "pn_steady_star_n10k_t4")] {
         let mut engine = PnEngine::<HaltingGossip>::new(&gstar, &(), &star_inputs, threads)
             .expect("inputs match");
-        let mut s = time_reps(5, || {
+        let s = time_engine(name, || {
             for _ in 0..20 {
                 engine.step();
             }
             20
         });
         assert!(engine.round() < 0xFF, "steady-state window exceeded the halt round");
-        s.name = if threads == 1 { "pn_steady_star_n10k_t1" } else { "pn_steady_star_n10k_t4" };
         samples.push(s);
     }
 
@@ -231,16 +230,14 @@ fn main() {
     for (name, skip) in
         [("pn_collapse_n10k_d8_skip", true), ("pn_collapse_n10k_d8_sweep_all", false)]
     {
-        let mut s = time_reps(5, || {
+        samples.push(time_engine(name, || {
             let opts = EngineOptions { threads: 1, frontier_skipping: skip };
             let mut engine =
                 PnEngine::<HaltingGossip>::with_options(&g10k, &(), &collapse_inputs, opts)
                     .expect("inputs match");
             while !engine.step() {}
             engine.trace().rounds
-        });
-        s.name = name;
-        samples.push(s);
+        }));
     }
 
     // Batched multi-instance throughput: 32 × 256-node instances, one pool.
@@ -248,13 +245,11 @@ fn main() {
     let batch_inputs = halting_inputs(256, |v| v % 12 + 1);
     let jobs: Vec<Job<'_, HaltingGossip, PortNumbering>> =
         graphs.iter().map(|g| Job::new(g, &(), &batch_inputs, 64)).collect();
-    for threads in [1usize, 4] {
-        let mut s = time_reps(5, || {
+    for (threads, name) in [(1usize, "pn_batch_x32_n256_t1"), (4, "pn_batch_x32_n256_t4")] {
+        samples.push(time_engine(name, || {
             let runs = BatchRunner::new(threads).run(&jobs);
             runs.iter().map(|r| r.as_ref().unwrap().trace.rounds).sum()
-        });
-        s.name = if threads == 1 { "pn_batch_x32_n256_t1" } else { "pn_batch_x32_n256_t4" };
-        samples.push(s);
+        }));
     }
 
     // The paper's solvers, whole runs on the service's value type: §4, §5
@@ -267,16 +262,16 @@ fn main() {
     let g256 = family::random_regular(256, 3, 1);
     let w256 = WeightSpec::LogUniform(1 << 16).draw_many(256, 2);
     let run_samples = [
-        time_runs("sc_bcast_k3_n32", 21, || {
+        time_solver("sc_bcast_k3_n32", 21, || {
             run_fractional_packing::<AutoRat>(&sc_inst).expect("§4 run");
         }),
-        time_runs("vc_bcast_path_d2", 21, || {
+        time_solver("vc_bcast_path_d2", 21, || {
             run_vc_broadcast::<AutoRat>(&path, &[1, 2, 1]).expect("§5 run");
         }),
-        time_runs("vc_bcast_petersen", 21, || {
+        time_solver("vc_bcast_petersen", 21, || {
             run_vc_broadcast::<AutoRat>(&petersen, &petersen_w).expect("§5 run");
         }),
-        time_runs("vc_pn_n256_d3", 21, || {
+        time_solver("vc_pn_n256_d3", 21, || {
             run_edge_packing_with::<AutoRat>(&g256, &w256, 3, 1 << 16, 1).expect("§3 run");
         }),
     ];
@@ -547,10 +542,10 @@ fn main() {
         }
     }
 
-    // Parallel speedup ratios (t1 ns / t4 ns; > 1 means threads help). The
-    // CI guard (`--assert-parallel`) keys off these.
+    // Parallel speedup ratios (median t1 ns / median t4 ns; > 1 means
+    // threads help). The CI guard (`--assert-parallel`) keys off these.
     let ns_of = |name: &str| {
-        samples.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("{name}")).ns_per_round
+        samples.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("{name}")).ns.median
     };
     let speedups = [
         (
@@ -592,17 +587,19 @@ fn main() {
 
     // Hand-rolled JSON (no serde in the offline workspace).
     let mut json = format!(
-        "{{\n  \"schema\": \"anonet-bench-engine/9\",\n  \"hardware_threads\": {hardware_threads},\n  \
+        "{{\n  \"schema\": \"anonet-bench-engine/10\",\n  \"hardware_threads\": {hardware_threads},\n  \
          \"rustc\": \"{}\",\n  \"git_rev\": \"{git_rev}\",\n  \"workloads\": [\n",
         env!("ANONET_BENCH_RUSTC_VERSION")
     );
     for (i, s) in samples.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"rounds\": {}, \"ns_per_round\": {:.1}, \"rounds_per_sec\": {:.1}}}{}\n",
+            "    {{\"name\": \"{}\", \"reps\": {ENGINE_REPS}, \"rounds\": {}, \"ns_per_round\": {:.1}, \"ns_q1\": {:.1}, \"ns_q3\": {:.1}, \"rounds_per_sec\": {:.1}}}{}\n",
             s.name,
             s.rounds,
-            s.ns_per_round,
-            s.rounds_per_sec(),
+            s.ns.median,
+            s.ns.q1,
+            s.ns.q3,
+            1e9 / s.ns.median,
             if i + 1 < samples.len() { "," } else { "" }
         ));
     }
@@ -612,9 +609,9 @@ fn main() {
             "    {{\"name\": \"{}\", \"reps\": {}, \"us_per_run\": {:.1}, \"us_q1\": {:.1}, \"us_q3\": {:.1}}}{}\n",
             s.name,
             s.reps,
-            s.median_us,
-            s.q1_us,
-            s.q3_us,
+            s.ns.median / 1e3,
+            s.ns.q1 / 1e3,
+            s.ns.q3 / 1e3,
             if i + 1 < run_samples.len() { "," } else { "" }
         ));
     }
