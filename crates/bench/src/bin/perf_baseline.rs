@@ -25,9 +25,7 @@
 //! path and on the Petersen graph, and §3 on a random 3-regular graph with
 //! 256 nodes.
 //!
-//! The workload ([`HaltingGossip`]) is shared with the criterion `engine`
-//! bench, so the committed baseline and the bench numbers measure the same
-//! thing. Numbers are machine-dependent; the committed file records the
+//! Numbers are machine-dependent; the committed file records the
 //! shape (which workloads exist and their relative cost), CI uploads a
 //! fresh one per run as an artifact.
 
