@@ -11,8 +11,8 @@
 use anonet_bigmath::PackingValue;
 use anonet_core::packing::EdgePacking;
 use anonet_sim::{
-    run_engine_scratch, EngineOptions, EngineScratch, Graph, MessageSize, PnAlgorithm,
-    PortNumbering, SimError, Trace,
+    run_engine_scratch, EngineScratch, Graph, MessageSize, PnAlgorithm, PortNumbering, SimError,
+    Trace,
 };
 
 /// Messages of the PS algorithm.
@@ -187,7 +187,7 @@ pub fn run_ps3_scratch(
         &cfg,
         &vec![(); g.n()],
         cfg.total_rounds(),
-        EngineOptions::default(),
+        1,
         scratch,
     )?;
     let cover = res.outputs.iter().map(|o| o.in_cover).collect();

@@ -39,8 +39,8 @@ use anonet_runtime::{run_async_pn, DelayModel, NetworkConfig};
 use anonet_service::loadgen::{drive, synthesize, DriveConfig, FamilyKind, LoopMode, WorkloadSpec};
 use anonet_service::{Client, ConnModel, Server, ServiceConfig, SolverId};
 use anonet_sim::{
-    run_engine_observed, run_pn, BatchRunner, BcastEngine, EngineOptions, EngineScratch, Graph,
-    Job, NoopObserver, PnEngine, PortNumbering, RoundObserver, RoundStats,
+    run_engine_observed, run_pn, BatchRunner, BcastEngine, EngineScratch, Graph, Job, NoopObserver,
+    PnEngine, PortNumbering, RoundObserver, RoundStats,
 };
 use std::time::{Duration, Instant};
 
@@ -222,21 +222,15 @@ fn main() {
     }
 
     // Frontier collapse: 95% of nodes halt after round 1, stragglers run 40
-    // rounds — the workload halted-frontier skipping targets. Whole runs
+    // rounds — the workload the halted-frontier sweep targets. Whole runs
     // (construction included): the collapse only happens once per engine.
     let collapse_inputs = halting_inputs(10_000, |v| if v % 20 == 0 { 40 } else { 1 });
-    for (name, skip) in
-        [("pn_collapse_n10k_d8_skip", true), ("pn_collapse_n10k_d8_sweep_all", false)]
-    {
-        samples.push(time_engine(name, || {
-            let opts = EngineOptions { threads: 1, frontier_skipping: skip };
-            let mut engine =
-                PnEngine::<HaltingGossip>::with_options(&g10k, &(), &collapse_inputs, opts)
-                    .expect("inputs match");
-            while !engine.step() {}
-            engine.trace().rounds
-        }));
-    }
+    samples.push(time_engine("pn_collapse_n10k_d8", || {
+        let mut engine =
+            PnEngine::<HaltingGossip>::new(&g10k, &(), &collapse_inputs, 1).expect("inputs match");
+        while !engine.step() {}
+        engine.trace().rounds
+    }));
 
     // Batched multi-instance throughput: 32 × 256-node instances, one pool.
     let graphs: Vec<Graph> = (0..32).map(|i| family::random_regular(256, 4, 100 + i)).collect();
@@ -288,9 +282,10 @@ fn main() {
 
     // RoundObserver cross-check on a fixed workload: the observer's
     // per-round sums must reproduce the engine's own Trace accounting
-    // exactly — with frontier skipping off every slot is written every
-    // round, so summed slots-written equals the model's message count.
-    // A drift here means the hook is reading stale per-round state.
+    // exactly. Every node halts in round 10, the last round, so every slot
+    // is written every round and summed slots-written equals the model's
+    // message count. A drift here means the hook is reading stale
+    // per-round state.
     {
         struct Sums {
             rounds: u64,
@@ -305,13 +300,12 @@ fn main() {
             }
         }
         let mut sums = Sums { rounds: 0, bits: 0, slots: 0 };
-        let opts = EngineOptions { threads: 1, frontier_skipping: false };
         let res = run_engine_observed::<HaltingGossip, PortNumbering>(
             &g1k,
             &(),
             &rt_inputs,
             12,
-            opts,
+            1,
             &mut EngineScratch::new(),
             &mut sums,
         )

@@ -27,8 +27,8 @@ use crate::encode::{cv_step, cv_step_root, CvSchedule, SeqEncoder};
 use crate::packing::FractionalPacking;
 use anonet_bigmath::{PackingValue, UBig};
 use anonet_sim::{
-    run_bcast_threads, run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineOptions,
-    EngineScratch, MessageSize, RunResult, SetCoverInstance, SimError, Trace,
+    run_engine, run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineScratch,
+    MessageSize, RunResult, SetCoverInstance, SimError, Trace,
 };
 use std::sync::Arc;
 
@@ -603,7 +603,7 @@ pub fn run_fractional_packing_with<V: PackingValue>(
     threads: usize,
 ) -> Result<ScRun<V>, SimError> {
     let cfg = ScConfig::new(f, k, max_weight);
-    let res: RunResult<ScOutput<V>> = run_bcast_threads::<ScNode<V>>(
+    let res: RunResult<ScOutput<V>> = run_engine::<ScNode<V>, Broadcast>(
         &inst.graph,
         &cfg,
         &sc_inputs(inst),
@@ -696,7 +696,7 @@ pub fn run_fractional_packing_scratch<V: PackingValue>(
         &cfg,
         &sc_inputs(inst.inst),
         cfg.total_rounds(),
-        EngineOptions::default(),
+        1,
         scratch,
     )?;
     Ok(assemble_sc_run(inst.inst, res))

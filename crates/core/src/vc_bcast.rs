@@ -71,8 +71,8 @@ use crate::sc_bcast::{ScConfig, ScMsg, ScNode, ScOutput};
 use crate::vc_pn::VcInstance;
 use anonet_bigmath::PackingValue;
 use anonet_sim::{
-    run_bcast_threads, run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineOptions,
-    EngineScratch, Graph, MessageSize, RunResult, SimError, Trace, WordHasher,
+    run_engine, run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineScratch, Graph,
+    MessageSize, RunResult, SimError, Trace, WordHasher,
 };
 use std::any::Any;
 use std::cmp::Ordering;
@@ -439,7 +439,7 @@ pub fn run_vc_broadcast_with<V: PackingValue>(
 ) -> Result<VcBcastRun<V>, SimError> {
     let cfg = VcBcastConfig::new(delta, max_weight);
     let res: RunResult<VcBcastOutput<V>> =
-        run_bcast_threads::<VcBcastNode<V>>(g, &cfg, weights, cfg.total_rounds(), threads)?;
+        run_engine::<VcBcastNode<V>, Broadcast>(g, &cfg, weights, cfg.total_rounds(), threads)?;
     Ok(assemble_vc_bcast_run(res))
 }
 
@@ -482,7 +482,7 @@ pub fn run_vc_broadcast_scratch<V: PackingValue>(
         &cfg,
         inst.weights,
         cfg.total_rounds(),
-        EngineOptions::default(),
+        1,
         scratch,
     )?;
     Ok(assemble_vc_bcast_run(res))

@@ -25,8 +25,8 @@ use crate::encode::{Colour, CvSchedule, SeqEncoder};
 use crate::packing::EdgePacking;
 use anonet_bigmath::PackingValue;
 use anonet_sim::{
-    run_engine_scratch, run_pn_threads, BatchRunner, EngineOptions, EngineScratch, Graph,
-    MessageSize, PnAlgorithm, PortNumbering, RunResult, SimError, Trace,
+    run_engine, run_engine_scratch, BatchRunner, EngineScratch, Graph, MessageSize, PnAlgorithm,
+    PortNumbering, RunResult, SimError, Trace,
 };
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -585,8 +585,8 @@ pub fn run_edge_packing_with<V: PackingValue>(
     threads: usize,
 ) -> Result<VcRun<V>, SimError> {
     let cfg = VcConfig::new(delta, max_weight);
-    let res: RunResult<VcOutput<V>> =
-        run_pn_threads::<EdgePackingNode<V>>(g, &cfg, weights, cfg.total_rounds(), threads)?;
+    let rounds = cfg.total_rounds();
+    let res = run_engine::<EdgePackingNode<V>, PortNumbering>(g, &cfg, weights, rounds, threads)?;
     Ok(assemble_vc_run(g, res))
 }
 
@@ -681,7 +681,7 @@ pub fn run_edge_packing_scratch<V: PackingValue>(
         &cfg,
         inst.weights,
         cfg.total_rounds(),
-        EngineOptions::default(),
+        1,
         scratch,
     )?;
     Ok(assemble_vc_run(inst.graph, res))

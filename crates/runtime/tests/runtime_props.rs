@@ -18,9 +18,7 @@ use anonet_runtime::{
     run_async_bcast, run_async_engine, run_async_pn, ChurnPlan, DelayModel, NetworkConfig,
 };
 use anonet_selfstab::FaultPlan;
-use anonet_sim::{
-    run_engine, BcastAlgorithm, Broadcast, EngineOptions, Graph, PnAlgorithm, PortNumbering,
-};
+use anonet_sim::{run_engine, BcastAlgorithm, Broadcast, Graph, PnAlgorithm, PortNumbering};
 use proptest::prelude::*;
 
 /// PN hash workload with staggered halting (mirrors the engine props):
@@ -109,7 +107,7 @@ proptest! {
 
     /// Acceptance: zero-delay lossless FIFO runtime outputs are bit-identical
     /// to the synchronous engine in the port-numbering model, across engine
-    /// thread counts and frontier modes.
+    /// thread counts.
     #[test]
     fn ideal_pn_bit_identical_to_engine(
         n in 2usize..32,
@@ -126,12 +124,9 @@ proptest! {
         // partition granularity and caps its pooled worker width, and the
         // oracle must stay bit-identical either way.
         for threads in [1usize, 2, 4, 8] {
-            for frontier_skipping in [false, true] {
-                let opts = EngineOptions { threads, frontier_skipping };
-                let sync = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, opts)
-                    .unwrap();
-                prop_assert_eq!(&res.outputs, &sync.outputs, "t={} skip={}", threads, frontier_skipping);
-            }
+            let sync = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, threads)
+                .unwrap();
+            prop_assert_eq!(&res.outputs, &sync.outputs, "t={}", threads);
         }
     }
 
@@ -149,8 +144,7 @@ proptest! {
         let res = run_async_bcast::<StaggerCensus>(&g, &spread, &inputs, limit, &NetworkConfig::ideal())
             .unwrap();
         for threads in [1usize, 4, 8] {
-            let opts = EngineOptions { threads, frontier_skipping: true };
-            let sync = run_engine::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, opts)
+            let sync = run_engine::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, threads)
                 .unwrap();
             prop_assert_eq!(&res.outputs, &sync.outputs, "t={}", threads);
         }
@@ -171,7 +165,7 @@ proptest! {
         let spread = 5u64;
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let sync = run_engine::<StaggerHash, PortNumbering>(
-            &g, &spread, &inputs, spread + 2, EngineOptions::default()).unwrap();
+            &g, &spread, &inputs, spread + 2, 1).unwrap();
         let net = NetworkConfig::ideal()
             .with_delays(DelayModel::Uniform { lo: 0, hi: 7 })
             .with_loss(drop, 4)
@@ -201,7 +195,7 @@ proptest! {
         let spread = 4u64;
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let sync = run_engine::<StaggerCensus, Broadcast>(
-            &g, &spread, &inputs, spread + 2, EngineOptions::default()).unwrap();
+            &g, &spread, &inputs, spread + 2, 1).unwrap();
         let net = NetworkConfig::ideal()
             .with_delays(DelayModel::Uniform { lo: 0, hi: 6 })
             .with_loss(drop, 4)
@@ -277,14 +271,8 @@ proptest! {
 fn assert_vc_pn_equivalent(g: &Graph, weights: &[u64], net: &NetworkConfig) {
     let cfg = VcConfig::new(g.max_degree(), weights.iter().copied().max().unwrap_or(1).max(1));
     let limit = cfg.total_rounds();
-    let sync = run_engine::<EdgePackingNode<BigRat>, PortNumbering>(
-        g,
-        &cfg,
-        weights,
-        limit,
-        EngineOptions::default(),
-    )
-    .unwrap();
+    let sync =
+        run_engine::<EdgePackingNode<BigRat>, PortNumbering>(g, &cfg, weights, limit, 1).unwrap();
     let res =
         run_async_engine::<EdgePackingNode<BigRat>, PortNumbering>(g, &cfg, weights, limit, net)
             .unwrap();
@@ -316,14 +304,7 @@ fn vc_bcast_ideal_equivalence_acceptance() {
         let w = seeded_weights(g.n(), 5, seed);
         let cfg = VcBcastConfig::new(g.max_degree(), w.iter().copied().max().unwrap_or(1).max(1));
         let limit = cfg.total_rounds();
-        let sync = run_engine::<VcBcastNode<BigRat>, Broadcast>(
-            &g,
-            &cfg,
-            &w,
-            limit,
-            EngineOptions::default(),
-        )
-        .unwrap();
+        let sync = run_engine::<VcBcastNode<BigRat>, Broadcast>(&g, &cfg, &w, limit, 1).unwrap();
         let res = run_async_engine::<VcBcastNode<BigRat>, Broadcast>(
             &g,
             &cfg,
@@ -381,14 +362,7 @@ fn isolated_and_tiny_graphs() {
     let g = Graph::from_edges(4, &[(1, 2)]).unwrap();
     let spread = 3u64;
     let inputs = vec![7u64, 8, 9, 10];
-    let sync = run_engine::<StaggerHash, PortNumbering>(
-        &g,
-        &spread,
-        &inputs,
-        10,
-        EngineOptions::default(),
-    )
-    .unwrap();
+    let sync = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, 10, 1).unwrap();
     for net in [
         NetworkConfig::ideal(),
         NetworkConfig::ideal().with_delays(DelayModel::Constant(3)).with_seed(2),

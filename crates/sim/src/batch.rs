@@ -10,17 +10,13 @@
 //! the engine machinery via [`pool::with_local_pool`], so repeated batches
 //! reuse the spawned threads instead of nesting fresh scoped spawns) pull
 //! jobs through [`pool::map_with`] and run each instance on a
-//! single-threaded engine with frontier skipping: all parallelism is across
-//! instances, where it is embarrassingly effective, and each worker recycles
-//! one [`EngineScratch`] across its jobs (the `map_with` per-worker state).
-//!
-//! Use [`BatchRunner`] for control over pool size and engine options, or the
-//! [`run_pn_many`] / [`run_bcast_many`] convenience wrappers.
+//! single-threaded engine: all parallelism is across instances, where it is
+//! embarrassingly effective, and each worker recycles one [`EngineScratch`]
+//! across its jobs (the `map_with` per-worker state).
 
 use crate::delivery::{Broadcast, Delivery, PortNumbering};
-use crate::engine::{run_engine_scratch, EngineOptions, EngineScratch, RunResult, SimError};
+use crate::engine::{run_engine_scratch, EngineScratch, RunResult, SimError};
 use crate::graph::Graph;
-use crate::model::{BcastAlgorithm, PnAlgorithm};
 use crate::pool;
 use std::marker::PhantomData;
 
@@ -61,7 +57,6 @@ pub type BcastJob<'a, A> = Job<'a, A, Broadcast>;
 #[derive(Clone, Copy, Debug)]
 pub struct BatchRunner {
     threads: usize,
-    frontier_skipping: bool,
 }
 
 impl BatchRunner {
@@ -69,14 +64,7 @@ impl BatchRunner {
     /// `0` = auto: the machine's available parallelism; requests beyond the
     /// hardware are capped, logged once per process).
     pub fn new(threads: usize) -> Self {
-        BatchRunner { threads, frontier_skipping: true }
-    }
-
-    /// Toggles halted-frontier skipping for the per-instance engines
-    /// (default on; results are bit-identical either way).
-    pub fn frontier_skipping(mut self, on: bool) -> Self {
-        self.frontier_skipping = on;
-        self
+        BatchRunner { threads }
     }
 
     /// Runs every job to completion; `results[i]` corresponds to `jobs[i]`.
@@ -87,16 +75,8 @@ impl BatchRunner {
         &self,
         jobs: &[Job<'_, A, D>],
     ) -> Vec<Result<RunResult<D::Output>, SimError>> {
-        let opts = EngineOptions { threads: 1, frontier_skipping: self.frontier_skipping };
         self.map(jobs, |job, scratch: &mut EngineScratch<A, D>| {
-            run_engine_scratch::<A, D>(
-                job.graph,
-                job.cfg,
-                job.inputs,
-                job.max_rounds,
-                opts,
-                scratch,
-            )
+            run_engine_scratch::<A, D>(job.graph, job.cfg, job.inputs, job.max_rounds, 1, scratch)
         })
     }
 
@@ -130,26 +110,11 @@ impl BatchRunner {
     }
 }
 
-/// Runs many independent port-numbering instances across `threads` workers.
-pub fn run_pn_many<A: PnAlgorithm>(
-    jobs: &[PnJob<'_, A>],
-    threads: usize,
-) -> Vec<Result<RunResult<A::Output>, SimError>> {
-    BatchRunner::new(threads).run(jobs)
-}
-
-/// Runs many independent broadcast instances across `threads` workers.
-pub fn run_bcast_many<A: BcastAlgorithm>(
-    jobs: &[BcastJob<'_, A>],
-    threads: usize,
-) -> Vec<Result<RunResult<A::Output>, SimError>> {
-    BatchRunner::new(threads).run(jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run_pn;
+    use crate::model::PnAlgorithm;
 
     /// Gossip the running maximum of inputs; halt at the config round.
     struct MaxGossip {
@@ -196,7 +161,7 @@ mod tests {
         let jobs: Vec<PnJob<'_, MaxGossip>> =
             graphs.iter().zip(&input_sets).map(|(g, inp)| Job::new(g, &cfg, inp, 10)).collect();
         for threads in [1usize, 2, 4, 8] {
-            let batch = run_pn_many(&jobs, threads);
+            let batch = BatchRunner::new(threads).run(&jobs);
             assert_eq!(batch.len(), jobs.len());
             for ((g, inp), res) in graphs.iter().zip(&input_sets).zip(batch) {
                 let solo = run_pn::<MaxGossip>(g, &cfg, inp, 10).unwrap();
@@ -218,7 +183,7 @@ mod tests {
             Job::new(&g_ok, &fast, &inputs_ok, 10),
             Job::new(&g_slow, &slow, &inputs_slow, 10), // hits the round limit
         ];
-        let res = run_pn_many(&jobs, 2);
+        let res = BatchRunner::new(2).run(&jobs);
         assert!(res[0].is_ok());
         assert_eq!(
             res[1].as_ref().unwrap_err(),
@@ -229,7 +194,7 @@ mod tests {
     #[test]
     fn empty_batch() {
         let jobs: Vec<PnJob<'_, MaxGossip>> = Vec::new();
-        assert!(run_pn_many(&jobs, 4).is_empty());
+        assert!(BatchRunner::new(4).run(&jobs).is_empty());
     }
 
     #[test]

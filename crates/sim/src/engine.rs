@@ -10,7 +10,7 @@
 //! slices — Rayon-style data parallelism with no locks).
 //!
 //! **Pool lifecycle**: the pool is spawned once, in
-//! [`Engine::with_options`] / [`Engine::with_scratch`] (never inside
+//! [`Engine::new`] / [`Engine::with_scratch`] (never inside
 //! [`Engine::step`] — per-round thread spawns were the multithreaded
 //! slowdown), parked between rounds, reused across rounds, and handed back
 //! through [`Engine::finish_scratch`] so it also survives across engine
@@ -46,11 +46,10 @@
 //!   `arc_start[v]..arc_start[v+1]`. Contiguous node ranges therefore own
 //!   contiguous, disjoint slot ranges — the property every `&mut` split
 //!   below relies on.
-//! * `done` — halted flags as a flat byte array, the branch source for both
-//!   sweep phases (no `Option<Output>` discriminant probing on the hot
-//!   path; `outputs` is only written once per node, at its halt).
-//! * `sweep` — the sorted active-node list; each part of the partition is a
-//!   contiguous range of it.
+//! * `sweep` — the sorted list of not-yet-halted nodes; each part of the
+//!   partition is a contiguous range of it. No swept node has halted, so
+//!   neither sweep phase tests a halted flag (`outputs` is only written
+//!   once per node, at its halt).
 //! * Per-part arenas (`PartArena`) — the receive phase's newly-halted lists and
 //!   [`GatherScratch`] rank/count tables, recycled across rounds.
 //!
@@ -65,18 +64,18 @@
 //! the receive sweep; [`Engine::canon_rounds`] counts those builds as the
 //! smoke signal that the counting path is actually exercised.
 //!
-//! **Halted-frontier skipping** (on by default, see [`EngineOptions`]): the
-//! engine maintains the sorted list of not-yet-halted nodes and sweeps only
-//! those, so per-round cost is O(active slots) instead of O(n + arcs). When
-//! a node halts, its `Msg::default()` slots are written once and its
+//! **Halted frontier**: the engine sweeps only the sorted list of
+//! not-yet-halted nodes, so per-round cost is O(active slots) instead of
+//! O(n + arcs). At the end of every round in which nodes halt, they leave
+//! the list, their `Msg::default()` slots are written once and their
 //! per-round [`Trace`] contribution is cached, keeping the message/bit
 //! accounting **bit-identical** to the model's all-nodes-send semantics
-//! (halted nodes conceptually keep sending empty default messages every
-//! round; property tests assert equality with skipping off).
+//! (halted nodes keep sending empty default messages every round; property
+//! tests assert equality with a naive reference that sweeps every node).
 //!
-//! Determinism: for any thread count and either frontier mode the engine
-//! produces bit-identical outputs and traces (tested), because phases are
-//! barriers and no node reads another node's *current*-round state.
+//! Determinism: for any thread count the engine produces bit-identical
+//! outputs and traces (tested), because phases are barriers and no node
+//! reads another node's *current*-round state.
 
 use crate::delivery::{Broadcast, CanonTable, Delivery, GatherScratch, PortNumbering};
 use crate::graph::Graph;
@@ -89,9 +88,9 @@ use std::ops::Range;
 /// Instrumentation collected by an engine run.
 ///
 /// `messages`/bit counts follow the model: every node sends on every incident
-/// edge in every round (halted nodes send the empty default message). This
-/// holds regardless of frontier skipping — skipped nodes' contributions are
-/// accounted from a cache instead of being recomputed.
+/// edge in every round (halted nodes send the empty default message). The
+/// engine never sweeps a halted node; its contribution is accounted from a
+/// cache instead.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Number of completed communication rounds.
@@ -114,20 +113,19 @@ pub struct Trace {
 pub struct RoundStats {
     /// The 1-based round that just completed.
     pub round: u64,
-    /// Nodes swept this round (the active frontier with skipping on; `n`
-    /// otherwise).
+    /// Nodes swept this round: the not-yet-halted frontier.
     pub active_nodes: u64,
     /// Nodes that halted during this round.
     pub newly_halted: u64,
     /// Message slots written by the send sweep this round (active nodes'
-    /// slots only; frontier-skipped halted nodes' slots were written once at
-    /// halt and are not rewritten).
+    /// slots only; halted nodes' slots were written once at halt and are
+    /// not rewritten).
     pub slots_written: u64,
     /// Whether the round-global canonicalisation table was (re)built between
     /// the phases this round (`RANKED` deliveries only).
     pub canon_pass: bool,
     /// Payload bits accounted to [`Trace::total_bits`] this round (including
-    /// the cached contribution of frontier-skipped halted nodes).
+    /// the cached contribution of halted nodes).
     pub bits: u64,
 }
 
@@ -196,36 +194,6 @@ pub struct RunResult<O> {
     pub trace: Trace,
 }
 
-/// Execution options for [`Engine::with_options`].
-#[derive(Clone, Copy, Debug)]
-pub struct EngineOptions {
-    /// Worker threads for the parallel phase path (1 = sequential, `0` =
-    /// **auto**: the machine's available parallelism). A count beyond the
-    /// hardware keeps its value as the *partition* granularity — work
-    /// splitting stays deterministic on any box — but the spawned worker
-    /// width is capped at available parallelism (logged once per process),
-    /// so oversubscription can no longer slow the engine down.
-    pub threads: usize,
-    /// Skip halted nodes entirely (default `true`). Turning this off
-    /// restores the historical sweep-everything behaviour; results and
-    /// traces are bit-identical either way (property-tested), only the
-    /// per-round cost differs.
-    pub frontier_skipping: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions { threads: 1, frontier_skipping: true }
-    }
-}
-
-impl EngineOptions {
-    /// Options with the given thread count (frontier skipping on).
-    pub fn threads(threads: usize) -> Self {
-        EngineOptions { threads, ..Self::default() }
-    }
-}
-
 /// Reusable allocations for repeated engine constructions.
 ///
 /// A short run (a few rounds on a small graph) spends a measurable share of
@@ -242,7 +210,6 @@ pub struct EngineScratch<A, D: Delivery<A>> {
     outputs: Vec<Option<D::Output>>,
     buf: Vec<D::Msg>,
     sweep: Vec<u32>,
-    done: Vec<u8>,
     newly: Vec<u32>,
     canon: CanonTable,
     arenas: Vec<PartArena>,
@@ -262,7 +229,6 @@ impl<A, D: Delivery<A>> Default for EngineScratch<A, D> {
             outputs: Vec::new(),
             buf: Vec::new(),
             sweep: Vec::new(),
-            done: Vec::new(),
             newly: Vec::new(),
             canon: CanonTable::default(),
             arenas: Vec::new(),
@@ -349,9 +315,9 @@ fn split_spans<'a, T>(mut data: &'a mut [T], spans: &[Range<usize>]) -> Vec<&'a 
     out
 }
 
-/// Receives one node: gathers its incoming slots from the delivery buffer,
-/// delivers them, and records a halt. Shared by the dense and sparse sweep
-/// paths of phase 2.
+/// Receives one not-yet-halted node: gathers its incoming slots from the
+/// delivery buffer, delivers them, and records a halt. Shared by the dense
+/// and sparse sweep paths of phase 2.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn receive_node<'b, A, D: Delivery<A>>(
@@ -364,20 +330,15 @@ fn receive_node<'b, A, D: Delivery<A>>(
     v: usize,
     states: &mut [A],
     outputs: &mut [Option<D::Output>],
-    done: &mut [u8],
     gs: &mut GatherScratch,
     scratch: &mut Vec<&'b D::Msg>,
     newly: &mut Vec<u32>,
 ) {
     let i = v - span_start;
-    if done[i] != 0 {
-        return; // halted: output is fixed (frontier skipping off)
-    }
     scratch.clear();
     D::gather(g, v, buf, canon, gs, scratch);
     if let Some(out) = D::receive(&mut states[i], cfg, round, scratch) {
         outputs[i] = Some(out);
-        done[i] = 1;
         newly.push(v as u32);
     }
 }
@@ -395,14 +356,9 @@ pub struct Engine<'a, A, D: Delivery<A>> {
     states: Vec<A>,
     outputs: Vec<Option<D::Output>>,
     buf: Vec<D::Msg>,
-    /// Node ids swept by the round loop, sorted ascending. With frontier
-    /// skipping this is exactly the active (not-yet-halted) frontier; with
-    /// it off the list stays `0..n` and halted nodes are skipped per node.
+    /// Node ids swept by the round loop, sorted ascending: exactly the
+    /// not-yet-halted frontier.
     sweep: Vec<u32>,
-    /// Halted flags as a flat byte array (`1` = halted), the SoA twin of
-    /// `outputs`: both sweep phases branch on this cache-linear array
-    /// instead of probing `Option<Output>` discriminants.
-    done: Vec<u8>,
     /// Merged newly-halted list of the current round (recycled storage).
     newly: Vec<u32>,
     /// Round-global canonicalisation table (`RANKED` deliveries only).
@@ -414,10 +370,12 @@ pub struct Engine<'a, A, D: Delivery<A>> {
     arenas: Vec<PartArena>,
     halted: usize,
     trace: Trace,
-    opts: EngineOptions,
-    /// Cached per-round `Trace` bits of all frontier-skipped halted nodes.
+    /// Partition granularity of the sweep list (1 when the worker width is
+    /// 1, see [`Engine::with_scratch`]).
+    threads: usize,
+    /// Cached per-round `Trace` bits of all halted nodes.
     skipped_bits: u64,
-    /// Cached max-single-message contribution of skipped halted nodes.
+    /// Cached max-single-message contribution of halted nodes.
     skipped_max_bits: u64,
     /// `approx_bits` of `D::Msg::default()`, computed once.
     default_bits: u64,
@@ -441,25 +399,19 @@ pub struct Engine<'a, A, D: Delivery<A>> {
 }
 
 impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
-    /// Initialises every node. `inputs` is indexed by node id; `threads > 1`
-    /// enables the parallel path (`0` = auto). Frontier skipping is on.
+    /// Initialises every node. `inputs` is indexed by node id; `threads` is
+    /// the worker thread count for the parallel phase path (1 = sequential,
+    /// `0` = **auto**: the machine's available parallelism). A count beyond
+    /// the hardware keeps its value as the *partition* granularity — work
+    /// splitting stays deterministic on any box — but the spawned worker
+    /// width is capped at available parallelism (logged once per process).
     pub fn new(
         graph: &'a Graph,
         cfg: &'a D::Config,
         inputs: &[D::Input],
         threads: usize,
     ) -> Result<Self, SimError> {
-        Self::with_options(graph, cfg, inputs, EngineOptions::threads(threads))
-    }
-
-    /// Initialises every node with explicit [`EngineOptions`].
-    pub fn with_options(
-        graph: &'a Graph,
-        cfg: &'a D::Config,
-        inputs: &[D::Input],
-        opts: EngineOptions,
-    ) -> Result<Self, SimError> {
-        Self::with_scratch(graph, cfg, inputs, opts, &mut EngineScratch::new())
+        Self::with_scratch(graph, cfg, inputs, threads, &mut EngineScratch::new())
     }
 
     /// Initialises every node, recycling the allocations held by `scratch`
@@ -469,7 +421,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         graph: &'a Graph,
         cfg: &'a D::Config,
         inputs: &[D::Input],
-        opts: EngineOptions,
+        threads: usize,
         scratch: &mut EngineScratch<A, D>,
     ) -> Result<Self, SimError> {
         if inputs.len() != graph.n() {
@@ -491,9 +443,6 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         let mut sweep = std::mem::take(&mut scratch.sweep);
         sweep.clear();
         sweep.extend(0..graph.n() as u32);
-        let mut done = std::mem::take(&mut scratch.done);
-        done.clear();
-        done.resize(graph.n(), 0);
         let mut newly = std::mem::take(&mut scratch.newly);
         newly.clear();
         let mut arenas = std::mem::take(&mut scratch.arenas);
@@ -515,7 +464,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         // part and runs exactly like `threads: 1`. The pool parked in the
         // scratch is reused when its width still matches; otherwise the
         // workers are (re)spawned here, once — never per round.
-        let resolved = pool::resolve_threads(opts.threads);
+        let resolved = pool::resolve_threads(threads);
         let width = pool::clamp_width(resolved);
         let threads = if width > 1 { resolved } else { 1 };
         let worker_pool = if width > 1 {
@@ -533,14 +482,13 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
             outputs,
             buf,
             sweep,
-            done,
             newly,
             canon,
             canon_rounds: 0,
             arenas,
             halted: 0,
             trace: Trace::default(),
-            opts: EngineOptions { threads, ..opts },
+            threads,
             skipped_bits: 0,
             skipped_max_bits: 0,
             default_bits: D::Msg::default().approx_bits(),
@@ -556,8 +504,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
     }
 
     /// Attaches a per-round observer; it is notified after every
-    /// [`Engine::step`] from here on. [`EngineOptions`] stays `Copy`, so the
-    /// hook lives on the engine, not the options.
+    /// [`Engine::step`] from here on.
     pub fn set_observer(&mut self, observer: &'a mut dyn RoundObserver) {
         self.observer = Some(observer);
     }
@@ -567,8 +514,8 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         self.halted
     }
 
-    /// Number of nodes the round loop still sweeps (the active frontier
-    /// when frontier skipping is on; `n` otherwise).
+    /// Number of nodes the round loop still sweeps: the not-yet-halted
+    /// frontier.
     pub fn frontier_len(&self) -> usize {
         self.sweep.len()
     }
@@ -618,7 +565,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         // changes, so steady rounds allocate nothing here.
         if self.spans_dirty {
             let sweep = &self.sweep;
-            self.parts = partition_weighted(sweep.len(), self.opts.threads, |i| {
+            self.parts = partition_weighted(sweep.len(), self.threads, |i| {
                 g.degree(sweep[i] as usize) as u64 + 1
             });
             self.node_spans = self
@@ -652,7 +599,6 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         // Phase 1: send, fused with message accounting over the same sweep.
         let (bits, maxb) = {
             let states = &self.states;
-            let done = &self.done;
             let sweep = &self.sweep;
             let chunks = split_spans(&mut self.buf, buf_spans);
             let send_part = |list: Range<usize>,
@@ -674,11 +620,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                         for slot in own.iter_mut() {
                             *slot = D::Msg::default();
                         }
-                        // A halted node (frontier skipping off) keeps
-                        // sending the defaults just written.
-                        if done[v] == 0 {
-                            D::send(&states[v], cfg, round, own);
-                        }
+                        D::send(&states[v], cfg, round, own);
                     }
                     // hot-path: end
                     return D::chunk_bits(g, nodes, chunk);
@@ -693,9 +635,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                     for slot in own.iter_mut() {
                         *slot = D::Msg::default();
                     }
-                    if done[v] == 0 {
-                        D::send(&states[v], cfg, round, own);
-                    }
+                    D::send(&states[v], cfg, round, own);
                     let (t, m) = D::slot_bits(g, v, own);
                     total += t;
                     max = max.max(m);
@@ -766,12 +706,10 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
             let max_deg = g.max_degree();
             let state_chunks = split_spans(&mut self.states, node_spans);
             let out_chunks = split_spans(&mut self.outputs, node_spans);
-            let done_chunks = split_spans(&mut self.done, node_spans);
             let recv_part = |list: Range<usize>,
                              span: Range<usize>,
                              states: &mut [A],
                              outputs: &mut [Option<D::Output>],
-                             done: &mut [u8],
                              arena: &mut PartArena| {
                 // One allocation per part per round (the refs cannot outlive
                 // the round); sized to the worst-case degree up front so the
@@ -792,7 +730,6 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                             v,
                             states,
                             outputs,
-                            done,
                             &mut arena.gs,
                             &mut scratch,
                             &mut arena.newly,
@@ -812,7 +749,6 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                             v as usize,
                             states,
                             outputs,
-                            done,
                             &mut arena.gs,
                             &mut scratch,
                             &mut arena.newly,
@@ -823,13 +759,10 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
             };
             let arenas = &mut self.arenas;
             if parts_len <= 1 {
-                if let Some(((sc, oc), dc)) = state_chunks
-                    .into_iter()
-                    .next()
-                    .zip(out_chunks.into_iter().next())
-                    .zip(done_chunks.into_iter().next())
+                if let Some((sc, oc)) =
+                    state_chunks.into_iter().next().zip(out_chunks.into_iter().next())
                 {
-                    recv_part(parts[0].clone(), node_spans[0].clone(), sc, oc, dc, &mut arenas[0]);
+                    recv_part(parts[0].clone(), node_spans[0].clone(), sc, oc, &mut arenas[0]);
                 }
             } else {
                 let tasks: Vec<_> = parts
@@ -838,17 +771,14 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                     .zip(node_spans.iter().cloned())
                     .zip(state_chunks)
                     .zip(out_chunks)
-                    .zip(done_chunks)
                     .zip(arenas.iter_mut())
-                    .map(|(((((list, span), sc), oc), dc), arena)| (list, span, sc, oc, dc, arena))
+                    .map(|((((list, span), sc), oc), arena)| (list, span, sc, oc, arena))
                     .collect();
                 pool::map_with(
                     worker_pool.as_mut(),
                     tasks,
                     || (),
-                    |_, _, (list, span, sc, oc, dc, arena)| {
-                        recv_part(list, span, sc, oc, dc, arena)
-                    },
+                    |_, _, (list, span, sc, oc, arena)| recv_part(list, span, sc, oc, arena),
                 );
             }
         }
@@ -860,7 +790,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         }
         self.halted += self.newly.len();
 
-        if self.opts.frontier_skipping && !self.newly.is_empty() {
+        if !self.newly.is_empty() {
             // Write the halted nodes' default slots once — they are never
             // touched again — and cache their per-round Trace contribution.
             let newly = &self.newly;
@@ -874,8 +804,10 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                 self.skipped_bits += t;
                 self.skipped_max_bits = self.skipped_max_bits.max(m);
             }
-            let done = &self.done;
-            self.sweep.retain(|&v| done[v as usize] == 0);
+            // Drop them from the sweep list: both lists are sorted, so one
+            // merge pass does it in place.
+            let mut next = newly.iter().peekable();
+            self.sweep.retain(|v| next.next_if_eq(&v).is_none());
             self.spans_dirty = true;
         }
 
@@ -939,7 +871,6 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         scratch.outputs = self.outputs;
         scratch.buf = self.buf;
         scratch.sweep = self.sweep;
-        scratch.done = self.done;
         scratch.newly = self.newly;
         scratch.canon = self.canon;
         scratch.arenas = self.arenas;
@@ -959,16 +890,17 @@ pub type PnEngine<'a, A> = Engine<'a, A, PortNumbering>;
 /// as a canonically sorted multiset.
 pub type BcastEngine<'a, A> = Engine<'a, A, Broadcast>;
 
-/// Runs an algorithm to completion under delivery model `D` with explicit
-/// [`EngineOptions`] — the generic core behind [`run_pn`] / [`run_bcast`].
+/// Runs an algorithm to completion under delivery model `D` on `threads`
+/// threads (see [`Engine::new`]) — the generic core behind [`run_pn`] /
+/// [`run_bcast`].
 pub fn run_engine<A: Send + Sync, D: Delivery<A>>(
     graph: &Graph,
     cfg: &D::Config,
     inputs: &[D::Input],
     max_rounds: u64,
-    opts: EngineOptions,
+    threads: usize,
 ) -> Result<RunResult<D::Output>, SimError> {
-    run_engine_scratch::<A, D>(graph, cfg, inputs, max_rounds, opts, &mut EngineScratch::new())
+    run_engine_scratch::<A, D>(graph, cfg, inputs, max_rounds, threads, &mut EngineScratch::new())
 }
 
 /// [`run_engine`] with allocation reuse: the engine's internal vectors are
@@ -980,18 +912,10 @@ pub fn run_engine_scratch<A: Send + Sync, D: Delivery<A>>(
     cfg: &D::Config,
     inputs: &[D::Input],
     max_rounds: u64,
-    opts: EngineOptions,
+    threads: usize,
     scratch: &mut EngineScratch<A, D>,
 ) -> Result<RunResult<D::Output>, SimError> {
-    let mut engine = Engine::<A, D>::with_scratch(graph, cfg, inputs, opts, scratch)?;
-    for _ in 0..max_rounds {
-        if engine.step() {
-            return Ok(engine.finish_scratch(scratch).expect("all halted"));
-        }
-    }
-    let halted = engine.halted();
-    engine.finish_scratch(scratch);
-    Err(SimError::RoundLimit { limit: max_rounds, halted, n: graph.n() })
+    run_to_completion::<A, D>(graph, cfg, inputs, max_rounds, threads, scratch, None)
 }
 
 /// [`run_engine_scratch`] with a [`RoundObserver`] attached for the whole
@@ -1002,12 +926,25 @@ pub fn run_engine_observed<A: Send + Sync, D: Delivery<A>>(
     cfg: &D::Config,
     inputs: &[D::Input],
     max_rounds: u64,
-    opts: EngineOptions,
+    threads: usize,
     scratch: &mut EngineScratch<A, D>,
     observer: &mut dyn RoundObserver,
 ) -> Result<RunResult<D::Output>, SimError> {
-    let mut engine = Engine::<A, D>::with_scratch(graph, cfg, inputs, opts, scratch)?;
-    engine.set_observer(observer);
+    run_to_completion::<A, D>(graph, cfg, inputs, max_rounds, threads, scratch, Some(observer))
+}
+
+/// The one stepping loop behind the `run_engine*` entry points.
+fn run_to_completion<'a, A: Send + Sync, D: Delivery<A>>(
+    graph: &'a Graph,
+    cfg: &'a D::Config,
+    inputs: &[D::Input],
+    max_rounds: u64,
+    threads: usize,
+    scratch: &mut EngineScratch<A, D>,
+    observer: Option<&'a mut dyn RoundObserver>,
+) -> Result<RunResult<D::Output>, SimError> {
+    let mut engine = Engine::<A, D>::with_scratch(graph, cfg, inputs, threads, scratch)?;
+    engine.observer = observer;
     for _ in 0..max_rounds {
         if engine.step() {
             return Ok(engine.finish_scratch(scratch).expect("all halted"));
@@ -1018,48 +955,24 @@ pub fn run_engine_observed<A: Send + Sync, D: Delivery<A>>(
     Err(SimError::RoundLimit { limit: max_rounds, halted, n: graph.n() })
 }
 
-/// Runs a port-numbering algorithm to completion.
+/// Runs a port-numbering algorithm to completion on one thread.
 pub fn run_pn<A: PnAlgorithm>(
     graph: &Graph,
     cfg: &A::Config,
     inputs: &[A::Input],
     max_rounds: u64,
 ) -> Result<RunResult<A::Output>, SimError> {
-    run_engine::<A, PortNumbering>(graph, cfg, inputs, max_rounds, EngineOptions::default())
+    run_engine::<A, PortNumbering>(graph, cfg, inputs, max_rounds, 1)
 }
 
-/// Runs a port-numbering algorithm to completion on `threads` threads
-/// (`0` = auto: the machine's available parallelism).
-pub fn run_pn_threads<A: PnAlgorithm>(
-    graph: &Graph,
-    cfg: &A::Config,
-    inputs: &[A::Input],
-    max_rounds: u64,
-    threads: usize,
-) -> Result<RunResult<A::Output>, SimError> {
-    run_engine::<A, PortNumbering>(graph, cfg, inputs, max_rounds, EngineOptions::threads(threads))
-}
-
-/// Runs a broadcast algorithm to completion.
+/// Runs a broadcast algorithm to completion on one thread.
 pub fn run_bcast<A: BcastAlgorithm>(
     graph: &Graph,
     cfg: &A::Config,
     inputs: &[A::Input],
     max_rounds: u64,
 ) -> Result<RunResult<A::Output>, SimError> {
-    run_engine::<A, Broadcast>(graph, cfg, inputs, max_rounds, EngineOptions::default())
-}
-
-/// Runs a broadcast algorithm to completion on `threads` threads
-/// (`0` = auto: the machine's available parallelism).
-pub fn run_bcast_threads<A: BcastAlgorithm>(
-    graph: &Graph,
-    cfg: &A::Config,
-    inputs: &[A::Input],
-    max_rounds: u64,
-    threads: usize,
-) -> Result<RunResult<A::Output>, SimError> {
-    run_engine::<A, Broadcast>(graph, cfg, inputs, max_rounds, EngineOptions::threads(threads))
+    run_engine::<A, Broadcast>(graph, cfg, inputs, max_rounds, 1)
 }
 
 #[cfg(test)]
@@ -1134,7 +1047,7 @@ mod tests {
         let inputs = vec![(); n];
         let seq = run_pn::<MaxDegreeProbe>(&g, &7, &inputs, 100).unwrap();
         for t in [2, 3, 8] {
-            let par = run_pn_threads::<MaxDegreeProbe>(&g, &7, &inputs, 100, t).unwrap();
+            let par = run_engine::<MaxDegreeProbe, PortNumbering>(&g, &7, &inputs, 100, t).unwrap();
             assert_eq!(par.outputs, seq.outputs, "threads={t}");
             assert_eq!(par.trace, seq.trace, "threads={t}");
         }
@@ -1167,33 +1080,6 @@ mod tests {
                 self.acc = self.acc.rotate_left(5).wrapping_add(m);
             }
             (round >= self.halt_at).then_some(self.acc)
-        }
-    }
-
-    #[test]
-    fn frontier_skipping_matches_full_sweep() {
-        let n = 64;
-        let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
-        let g = Graph::from_edges(n, &edges).unwrap();
-        // Halting rounds spread over 1..=8.
-        let inputs: Vec<u64> = (0..n as u64).map(|v| v % 8 + 1).collect();
-        let mut reference: Option<RunResult<u64>> = None;
-        for frontier_skipping in [false, true] {
-            for threads in [1usize, 2, 4, 8] {
-                let opts = EngineOptions { threads, frontier_skipping };
-                let res =
-                    run_engine::<Staggered, PortNumbering>(&g, &(), &inputs, 20, opts).unwrap();
-                match &reference {
-                    None => reference = Some(res),
-                    Some(base) => {
-                        assert_eq!(
-                            res.outputs, base.outputs,
-                            "skip={frontier_skipping} t={threads}"
-                        );
-                        assert_eq!(res.trace, base.trace, "skip={frontier_skipping} t={threads}");
-                    }
-                }
-            }
         }
     }
 
@@ -1233,54 +1119,39 @@ mod tests {
         let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
         let g = Graph::from_edges(n, &edges).unwrap();
         let inputs: Vec<u64> = (0..n as u64).map(|v| v % 8 + 1).collect();
-        let base =
-            run_engine::<Staggered, PortNumbering>(&g, &(), &inputs, 20, EngineOptions::default())
-                .unwrap();
-        for frontier_skipping in [false, true] {
-            let mut tally = Tally::default();
-            let opts = EngineOptions { threads: 1, frontier_skipping };
-            let res = run_engine_observed::<Staggered, PortNumbering>(
-                &g,
-                &(),
-                &inputs,
-                20,
-                opts,
-                &mut EngineScratch::new(),
-                &mut tally,
-            )
-            .unwrap();
-            // The observer never perturbs the run.
-            assert_eq!(res.outputs, base.outputs, "skip={frontier_skipping}");
-            assert_eq!(res.trace, base.trace, "skip={frontier_skipping}");
-            // Per-round bits sum to exactly the trace's total.
-            assert_eq!(tally.stats.len() as u64, res.trace.rounds);
-            let bits: u64 = tally.stats.iter().map(|s| s.bits).sum();
-            assert_eq!(bits, res.trace.total_bits, "skip={frontier_skipping}");
-            assert!(tally.stats.iter().all(|s| !s.canon_pass), "PN never builds canon tables");
-            // Rounds are 1-based and consecutive; the frontier never grows.
-            for (i, s) in tally.stats.iter().enumerate() {
-                assert_eq!(s.round, i as u64 + 1);
-            }
-            if frontier_skipping {
-                // Active-node counts track the halting schedule exactly.
-                let mut active = n as u64;
-                for s in &tally.stats {
-                    assert_eq!(s.active_nodes, active);
-                    // Cycle graph: every active node owns 2 slots.
-                    assert_eq!(s.slots_written, 2 * active);
-                    active -= s.newly_halted;
-                }
-                assert_eq!(active, 0);
-            } else {
-                // Full sweep: every round writes every slot.
-                assert!(tally.stats.iter().all(|s| s.active_nodes == n as u64));
-                assert!(tally.stats.iter().all(|s| s.slots_written == g.arcs() as u64));
-                // With skipping off the per-round slot count ties directly
-                // to the model's message accounting.
-                let slots: u64 = tally.stats.iter().map(|s| s.slots_written).sum();
-                assert_eq!(slots, res.trace.messages);
-            }
+        let base = run_engine::<Staggered, PortNumbering>(&g, &(), &inputs, 20, 1).unwrap();
+        let mut tally = Tally::default();
+        let res = run_engine_observed::<Staggered, PortNumbering>(
+            &g,
+            &(),
+            &inputs,
+            20,
+            1,
+            &mut EngineScratch::new(),
+            &mut tally,
+        )
+        .unwrap();
+        // The observer never perturbs the run.
+        assert_eq!(res.outputs, base.outputs);
+        assert_eq!(res.trace, base.trace);
+        // Per-round bits sum to exactly the trace's total.
+        assert_eq!(tally.stats.len() as u64, res.trace.rounds);
+        let bits: u64 = tally.stats.iter().map(|s| s.bits).sum();
+        assert_eq!(bits, res.trace.total_bits);
+        assert!(tally.stats.iter().all(|s| !s.canon_pass), "PN never builds canon tables");
+        // Rounds are 1-based and consecutive; the frontier never grows.
+        for (i, s) in tally.stats.iter().enumerate() {
+            assert_eq!(s.round, i as u64 + 1);
         }
+        // Active-node counts track the halting schedule exactly.
+        let mut active = n as u64;
+        for s in &tally.stats {
+            assert_eq!(s.active_nodes, active);
+            // Cycle graph: every active node owns 2 slots.
+            assert_eq!(s.slots_written, 2 * active);
+            active -= s.newly_halted;
+        }
+        assert_eq!(active, 0);
     }
 
     /// Broadcast test algorithm: nodes exchange degree multisets; output is
@@ -1350,7 +1221,7 @@ mod tests {
         let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
         let g = Graph::from_edges(n, &edges).unwrap();
         let seq = run_bcast::<DegreeCensus>(&g, &(), &vec![(); n], 5).unwrap();
-        let par = run_bcast_threads::<DegreeCensus>(&g, &(), &vec![(); n], 5, 4).unwrap();
+        let par = run_engine::<DegreeCensus, Broadcast>(&g, &(), &vec![(); n], 5, 4).unwrap();
         assert_eq!(seq.outputs, par.outputs);
         assert_eq!(seq.trace, par.trace);
     }
@@ -1458,20 +1329,13 @@ mod tests {
             let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
             let g = Graph::from_edges(n, &edges).unwrap();
             let inputs: Vec<u64> = (0..n as u64).map(|v| v % 7 + 1).collect();
-            let fresh = run_engine::<Staggered, PortNumbering>(
-                &g,
-                &(),
-                &inputs,
-                20,
-                EngineOptions::default(),
-            )
-            .unwrap();
+            let fresh = run_engine::<Staggered, PortNumbering>(&g, &(), &inputs, 20, 1).unwrap();
             let reused = run_engine_scratch::<Staggered, PortNumbering>(
                 &g,
                 &(),
                 &inputs,
                 20,
-                EngineOptions::default(),
+                1,
                 &mut scratch,
             )
             .unwrap();
@@ -1483,7 +1347,7 @@ mod tests {
                 &(),
                 &inputs,
                 3,
-                EngineOptions::default(),
+                1,
                 &mut scratch,
             )
             .unwrap_err();
@@ -1500,23 +1364,29 @@ mod tests {
 
     #[test]
     fn stepping_a_fully_halted_network_keeps_accounting() {
-        // After everyone halts, extra steps still count default messages —
-        // with and without frontier skipping, identically.
+        // After everyone halts (round 1), extra steps still count default
+        // messages: one per arc per round, 64 bits each.
         let g = star(3);
         let inputs = vec![1u64; 4];
         let mut a = PnEngine::<Staggered>::new(&g, &(), &inputs, 1).unwrap();
-        let mut b = PnEngine::<Staggered>::with_options(
-            &g,
-            &(),
-            &inputs,
-            EngineOptions { threads: 1, frontier_skipping: false },
-        )
-        .unwrap();
         for _ in 0..4 {
             a.step();
-            b.step();
         }
-        assert_eq!(a.trace(), b.trace());
+        assert_eq!(a.trace().messages, 4 * g.arcs() as u64);
+        assert_eq!(a.trace().total_bits, 4 * g.arcs() as u64 * 64);
+    }
+
+    #[test]
+    fn stepping_a_fully_halted_broadcast_network_keeps_accounting() {
+        // The broadcast twin: every node halts in round 1, and each later
+        // round still delivers every node's default broadcast along each
+        // incident arc.
+        let g = star(3);
+        let mut a = BcastEngine::<DegreeCensus>::new(&g, &(), &[(); 4], 1).unwrap();
+        assert!(a.step());
+        for _ in 0..3 {
+            a.step();
+        }
         assert_eq!(a.trace().messages, 4 * g.arcs() as u64);
         assert_eq!(a.trace().total_bits, 4 * g.arcs() as u64 * 64);
     }

@@ -24,14 +24,14 @@
 //!
 //! ## Frontier invariant
 //!
-//! The engine skips halted nodes (`EngineOptions::frontier_skipping`, on by
-//! default): per-round cost is O(active slots), not O(n + arcs), because a
-//! halted node's `Msg::default()` slots are written once at halt time and
-//! its per-round [`Trace`] contribution is cached. The **`Trace` semantics
-//! are unchanged**: message and bit counts still follow the model's
-//! all-nodes-send accounting (halted nodes conceptually keep sending empty
-//! default messages), and property tests assert bit-identical outputs and
-//! traces across thread counts and both frontier modes.
+//! The engine sweeps only the nodes that have not halted: per-round cost is
+//! O(active slots), not O(n + arcs), because a halted node leaves the sweep
+//! list at the end of its halting round, its `Msg::default()` slots are
+//! written once then, and its per-round [`Trace`] contribution is cached.
+//! The **`Trace` semantics are the model's**: message and bit counts follow
+//! the all-nodes-send accounting (halted nodes keep sending empty default
+//! messages), and property tests assert bit-identical outputs and traces,
+//! across thread counts, against a naive reference that sweeps every node.
 //!
 //! The parallel path fans contiguous node ranges — balanced by arc weight,
 //! so skewed-degree graphs don't serialise behind one part — over a
@@ -59,13 +59,12 @@ pub mod graph;
 pub mod model;
 pub mod pool;
 
-pub use batch::{run_bcast_many, run_pn_many, BatchRunner, BcastJob, Job, PnJob};
+pub use batch::{BatchRunner, BcastJob, Job, PnJob};
 pub use bipartite::{SetCoverError, SetCoverInstance};
 pub use delivery::{Broadcast, CanonTable, Delivery, GatherScratch, PortNumbering, WordHasher};
 pub use engine::{
-    run_bcast, run_bcast_threads, run_engine, run_engine_observed, run_engine_scratch, run_pn,
-    run_pn_threads, BcastEngine, Engine, EngineOptions, EngineScratch, NoopObserver, PnEngine,
-    RoundObserver, RoundStats, RunResult, SimError, Trace,
+    run_bcast, run_engine, run_engine_observed, run_engine_scratch, run_pn, BcastEngine, Engine,
+    EngineScratch, NoopObserver, PnEngine, RoundObserver, RoundStats, RunResult, SimError, Trace,
 };
 pub use graph::{Graph, GraphError};
 pub use model::{BcastAlgorithm, MessageSize, PnAlgorithm};

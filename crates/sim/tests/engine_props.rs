@@ -1,13 +1,14 @@
-//! Property tests for the simulator: the unified engine is bit-identical —
-//! outputs *and* traces — to a naive seed-semantics reference across thread
-//! counts and frontier-skipping modes for both delivery models; broadcast is
+//! Property tests for the simulator: the unified engine, which sweeps only
+//! the not-yet-halted frontier, is bit-identical — outputs *and* traces — to
+//! a naive seed-semantics reference that sweeps every node every round,
+//! across thread counts for both delivery models; broadcast is
 //! sender-oblivious under arbitrary port permutations; lifts project; and
 //! instrumentation accounting matches the all-nodes-send model.
 
 use anonet_sim::cover::{check_lift_outputs, lift};
 use anonet_sim::{
-    run_bcast, run_engine, run_engine_scratch, run_pn, run_pn_threads, BcastAlgorithm, Broadcast,
-    EngineOptions, EngineScratch, Graph, MessageSize, PnAlgorithm, PortNumbering, RunResult, Trace,
+    run_bcast, run_engine, run_engine_scratch, run_pn, BcastAlgorithm, Broadcast, EngineScratch,
+    Graph, MessageSize, PnAlgorithm, PortNumbering, RunResult, Trace,
 };
 use proptest::prelude::*;
 
@@ -83,7 +84,7 @@ impl BcastAlgorithm for Census {
 
 /// PN hash with *staggered halting*: node v halts at round
 /// `(input % cfg) + 1`, so the active frontier shrinks round by round —
-/// exactly the shape frontier skipping must get right.
+/// exactly the shape the engine's halted-frontier sweep must get right.
 struct StaggerHash {
     h: u64,
     halt_at: u64,
@@ -229,7 +230,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Tentpole acceptance: the unified engine — any thread count (`0` =
-    /// auto), frontier skipping on or off, fresh or **reused scratch** (the
+    /// auto), fresh or **reused scratch** (the
     /// reused path also parks and revives the persistent round pool) — is
     /// bit-identical (outputs and Trace) to the seed-semantics reference,
     /// in the port-numbering model.
@@ -247,17 +248,14 @@ proptest! {
         let base = reference_pn::<StaggerHash>(&g, &spread, &inputs, limit);
         let mut scratch = EngineScratch::new();
         for threads in [0usize, 1, 2, 4, 8] {
-            for frontier_skipping in [false, true] {
-                let opts = EngineOptions { threads, frontier_skipping };
-                let res = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, opts)
-                    .unwrap();
-                prop_assert_eq!(&res.outputs, &base.outputs, "t={} skip={}", threads, frontier_skipping);
-                prop_assert_eq!(&res.trace, &base.trace, "t={} skip={}", threads, frontier_skipping);
-                let reused = run_engine_scratch::<StaggerHash, PortNumbering>(
-                    &g, &spread, &inputs, limit, opts, &mut scratch).unwrap();
-                prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={} skip={}", threads, frontier_skipping);
-                prop_assert_eq!(&reused.trace, &base.trace, "scratch t={} skip={}", threads, frontier_skipping);
-            }
+            let res = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, threads)
+                .unwrap();
+            prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
+            prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
+            let reused = run_engine_scratch::<StaggerHash, PortNumbering>(
+                &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
+            prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
+            prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
         }
     }
 
@@ -276,17 +274,14 @@ proptest! {
         let base = reference_bcast::<StaggerCensus>(&g, &spread, &inputs, limit);
         let mut scratch = EngineScratch::new();
         for threads in [0usize, 1, 2, 4, 8] {
-            for frontier_skipping in [false, true] {
-                let opts = EngineOptions { threads, frontier_skipping };
-                let res = run_engine::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, opts)
-                    .unwrap();
-                prop_assert_eq!(&res.outputs, &base.outputs, "t={} skip={}", threads, frontier_skipping);
-                prop_assert_eq!(&res.trace, &base.trace, "t={} skip={}", threads, frontier_skipping);
-                let reused = run_engine_scratch::<StaggerCensus, Broadcast>(
-                    &g, &spread, &inputs, limit, opts, &mut scratch).unwrap();
-                prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={} skip={}", threads, frontier_skipping);
-                prop_assert_eq!(&reused.trace, &base.trace, "scratch t={} skip={}", threads, frontier_skipping);
-            }
+            let res = run_engine::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, threads)
+                .unwrap();
+            prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
+            prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
+            let reused = run_engine_scratch::<StaggerCensus, Broadcast>(
+                &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
+            prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
+            prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
         }
     }
 
@@ -294,8 +289,7 @@ proptest! {
     /// backbone, i.e. a power-law-flavoured degree profile — are exactly the
     /// shape whose arcs the old node-count partition crammed into one part.
     /// The arc-weight partition must keep outputs and Trace bit-identical to
-    /// the reference for every thread count, frontier mode, and scratch
-    /// reuse (this case would have caught an imbalance-fix bug; the balance
+    /// the reference for every thread count and scratch reuse (this case would have caught an imbalance-fix bug; the balance
     /// itself is asserted by the `partition_weighted` unit tests).
     #[test]
     fn pn_engine_bit_identical_on_skewed_degrees(
@@ -312,13 +306,10 @@ proptest! {
         let base = reference_pn::<StaggerHash>(&g, &spread, &inputs, limit);
         let mut scratch = EngineScratch::new();
         for threads in [1usize, 2, 4, 8] {
-            for frontier_skipping in [false, true] {
-                let opts = EngineOptions { threads, frontier_skipping };
-                let res = run_engine_scratch::<StaggerHash, PortNumbering>(
-                    &g, &spread, &inputs, limit, opts, &mut scratch).unwrap();
-                prop_assert_eq!(&res.outputs, &base.outputs, "t={} skip={}", threads, frontier_skipping);
-                prop_assert_eq!(&res.trace, &base.trace, "t={} skip={}", threads, frontier_skipping);
-            }
+            let res = run_engine_scratch::<StaggerHash, PortNumbering>(
+                &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
+            prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
+            prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
         }
     }
 
@@ -339,13 +330,10 @@ proptest! {
         let base = reference_bcast::<StaggerCensus>(&g, &spread, &inputs, limit);
         let mut scratch = EngineScratch::new();
         for threads in [1usize, 2, 4, 8] {
-            for frontier_skipping in [false, true] {
-                let opts = EngineOptions { threads, frontier_skipping };
-                let res = run_engine_scratch::<StaggerCensus, Broadcast>(
-                    &g, &spread, &inputs, limit, opts, &mut scratch).unwrap();
-                prop_assert_eq!(&res.outputs, &base.outputs, "t={} skip={}", threads, frontier_skipping);
-                prop_assert_eq!(&res.trace, &base.trace, "t={} skip={}", threads, frontier_skipping);
-            }
+            let res = run_engine_scratch::<StaggerCensus, Broadcast>(
+                &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
+            prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
+            prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
         }
     }
 
@@ -361,7 +349,8 @@ proptest! {
         let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let a = run_pn::<ViewHash>(&g, &rounds, &inputs, rounds + 1).unwrap();
-        let b = run_pn_threads::<ViewHash>(&g, &rounds, &inputs, rounds + 1, threads).unwrap();
+        let b = run_engine::<ViewHash, PortNumbering>(&g, &rounds, &inputs, rounds + 1, threads)
+            .unwrap();
         prop_assert_eq!(&a.outputs, &b.outputs);
         prop_assert_eq!(&a.trace, &b.trace);
     }
