@@ -11,9 +11,10 @@
 //! multithreaded steady-state workloads are at least 0.9× as fast as their
 //! single-threaded twins, median against median — the CI guard that the
 //! persistent round pool never regresses back to "more threads = slower"
-//! (the generous margin absorbs box noise). On a machine with one hardware thread the ratios say
-//! nothing about the pool: the file marks those rows `"informative":
-//! false`, and `--assert-parallel` skips them with a note on stderr.
+//! (the generous margin absorbs box noise). On a machine with one hardware
+//! thread the ratios say nothing about the pool: the file marks those rows
+//! `"informative": false`, and `--assert-parallel` skips them with a note
+//! on stderr.
 //!
 //! The file's header records what the numbers depend on: the machine's
 //! `hardware_threads`, the `rustc` version that built the binary, and the
