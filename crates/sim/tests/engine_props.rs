@@ -230,10 +230,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Tentpole acceptance: the unified engine — any thread count (`0` =
-    /// auto), fresh or **reused scratch** (the
-    /// reused path also parks and revives the persistent round pool) — is
-    /// bit-identical (outputs and Trace) to the seed-semantics reference,
-    /// in the port-numbering model.
+    /// auto), fresh or **reused scratch** (the reused path also parks and
+    /// revives the persistent round pool) — is bit-identical (outputs and
+    /// Trace) to the seed-semantics reference, in the port-numbering model.
     #[test]
     fn pn_engine_bit_identical_to_reference(
         n in 2usize..40,
