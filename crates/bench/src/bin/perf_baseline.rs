@@ -1,8 +1,7 @@
 //! **Machine-readable engine perf baseline**: runs fixed-seed engine
 //! workloads and writes `BENCH_engine.json` (ns/round as median and
 //! quartiles over repeated timed calls, and rounds/sec at the median), so
-//! successive PRs have a numeric trajectory to compare against instead of
-//! eyeballing criterion logs.
+//! successive changes have a numeric trajectory to compare against.
 //!
 //! Regenerate with:
 //! `cargo run --release -p anonet-bench --bin perf_baseline [-- out.json]`
@@ -23,13 +22,24 @@
 //! The `solver_workloads` rows time whole runs of the paper's solvers on
 //! fixed instances (µs per run, median and quartiles over back-to-back
 //! reps): §4 on a k = 3 set-cover instance with 32 elements, §5 on a Δ = 2
-//! path and on the Petersen graph, and §3 on a random 3-regular graph with
-//! 256 nodes.
+//! path and on the Petersen graph, §3 on a random 3-regular graph with
+//! 256 nodes, and the unique-ID forest baseline of Table 1. The
+//! `runtime_workloads` rows time the asynchronous executor per event, and
+//! `sync_overhead_x` is the ratio of its median run to the synchronous
+//! engine's median run of the same workload.
 //!
-//! Numbers are machine-dependent; the committed file records the
-//! shape (which workloads exist and their relative cost), CI uploads a
-//! fresh one per run as an artifact.
+//! ## Measurement protocol
+//!
+//! Numbers are machine-dependent; the committed file records the shape
+//! (which workloads exist and their relative cost), and CI uploads a fresh
+//! one per run as an artifact. On a shared dev box, back-to-back reps of
+//! the same binary spread about ±13% around their mean, and the box's
+//! absolute speed drifts up to 2× within minutes. So compare two builds by
+//! interleaving pairs of runs (parent, change, parent, change, …) and
+//! reading each row's median against the other build's [q1, q3], never
+//! one run against a number recorded earlier.
 
+use anonet_baselines::run_id_edge_packing;
 use anonet_bench::{halting_inputs, HaltingBcastGossip, HaltingGossip};
 use anonet_bigmath::AutoRat;
 use anonet_core::sc_bcast::run_fractional_packing;
@@ -38,7 +48,7 @@ use anonet_core::vc_pn::run_edge_packing_with;
 use anonet_gen::{family, setcover, WeightSpec};
 use anonet_runtime::{run_async_pn, DelayModel, NetworkConfig};
 use anonet_service::loadgen::{drive, synthesize, DriveConfig, FamilyKind, LoopMode, WorkloadSpec};
-use anonet_service::{Client, ConnModel, Server, ServiceConfig, SolverId};
+use anonet_service::{ConnModel, Server, ServiceConfig, SolverId};
 use anonet_sim::{
     run_engine_observed, run_pn, BatchRunner, BcastEngine, EngineScratch, Graph, Job, NoopObserver,
     PnEngine, PortNumbering, RoundObserver, RoundStats,
@@ -79,6 +89,9 @@ struct Sample {
 /// Reps per engine row. The steady rows step one engine 20 rounds per rep,
 /// so warmup + `ENGINE_REPS` × 20 must stay below the halt round 255.
 const ENGINE_REPS: usize = 11;
+
+/// Reps per asynchronous-runtime row and for its synchronous reference.
+const RT_REPS: usize = 11;
 
 /// Times an engine workload; `f` returns the rounds it executed.
 fn time_engine(name: &'static str, f: impl FnMut() -> u64) -> Sample {
@@ -246,14 +259,18 @@ fn main() {
     }
 
     // The paper's solvers, whole runs on the service's value type: §4, §5
-    // on a path and on the Petersen graph (weights 1, 2, 3 repeating), and
-    // §3 on cold_mix's vc_pn shape (random 3-regular, n = 256, W = 2¹⁶).
+    // on a path and on the Petersen graph (weights 1, 2, 3 repeating), §3
+    // on cold_mix's vc_pn shape (random 3-regular, n = 256, W = 2¹⁶), and
+    // the unique-ID forest baseline of Table 1, which no served solver runs.
     let sc_inst = setcover::random_bounded(32, 16, 2, 3, WeightSpec::LogUniform(16), 11);
     let path = family::path(3);
     let petersen = family::petersen();
     let petersen_w: Vec<u64> = (0..10).map(|i| i % 3 + 1).collect();
     let g256 = family::random_regular(256, 3, 1);
     let w256 = WeightSpec::LogUniform(1 << 16).draw_many(256, 2);
+    let g64 = family::random_regular(64, 4, 5);
+    let w64 = WeightSpec::Uniform(1 << 12).draw_many(64, 9);
+    let ids64: Vec<u64> = (1..=64).collect();
     let run_samples = [
         time_solver("sc_bcast_k3_n32", 21, || {
             run_fractional_packing::<AutoRat>(&sc_inst).expect("§4 run");
@@ -267,6 +284,9 @@ fn main() {
         time_solver("vc_pn_n256_d3", 21, || {
             run_edge_packing_with::<AutoRat>(&g256, &w256, 3, 1 << 16, 1).expect("§3 run");
         }),
+        time_solver("vc_id_forest_n64_d4", 21, || {
+            run_id_edge_packing::<AutoRat>(&g64, &w64, &ids64, 64).expect("id-forest run");
+        }),
     ];
 
     // Asynchronous-runtime workloads: event-loop throughput (events/sec)
@@ -275,7 +295,7 @@ fn main() {
     struct RtSample {
         name: &'static str,
         events: u64,
-        ns_per_event: f64,
+        ns: Quartiles,
         sync_overhead: f64,
     }
     let g1k = family::random_regular(1_000, 8, 7);
@@ -318,16 +338,10 @@ fn main() {
             "observed slots-written must match Trace message accounting"
         );
     }
-    let sync_wall = {
-        let mut best = f64::MAX;
+    let (_, sync_ns) = time_runs(RT_REPS, || {
         run_pn::<HaltingGossip>(&g1k, &(), &rt_inputs, 12).expect("sync run");
-        for _ in 0..5 {
-            let t = Instant::now();
-            run_pn::<HaltingGossip>(&g1k, &(), &rt_inputs, 12).expect("sync run");
-            best = best.min(t.elapsed().as_nanos() as f64);
-        }
-        best
-    };
+        1
+    });
     let mut rt_samples: Vec<RtSample> = Vec::new();
     for (name, net) in [
         ("rt_ideal_n1k_d8", NetworkConfig::ideal()),
@@ -339,119 +353,15 @@ fn main() {
                 .non_fifo(),
         ),
     ] {
-        let mut events = 0;
-        let mut best = f64::MAX;
-        run_async_pn::<HaltingGossip>(&g1k, &(), &rt_inputs, 12, &net).expect("async run");
-        for _ in 0..5 {
-            let t = Instant::now();
-            let res =
-                run_async_pn::<HaltingGossip>(&g1k, &(), &rt_inputs, 12, &net).expect("async run");
-            best = best.min(t.elapsed().as_nanos() as f64);
-            events = res.trace.events;
-        }
-        rt_samples.push(RtSample {
-            name,
-            events,
-            ns_per_event: best / events.max(1) as f64,
-            sync_overhead: best / sync_wall,
+        let (events, ns) = time_runs(RT_REPS, || {
+            run_async_pn::<HaltingGossip>(&g1k, &(), &rt_inputs, 12, &net)
+                .expect("async run")
+                .trace
+                .events
         });
-    }
-
-    // Service-throughput workloads: a loopback server with a closed-loop
-    // client pool driving §3 requests over the real wire protocol. The cold
-    // row bypasses the cache (pure compute path); the hot row requests the
-    // same 32-instance pool 4× with caching on, so ~3/4 of instances hit.
-    struct SvcSample {
-        name: &'static str,
-        requests: u64,
-        req_per_sec: f64,
-        cache_hit_rate: f64,
-    }
-    /// One service phase histogram row, ingested from the server's own
-    /// metrics frame after the drives.
-    struct PhaseSample {
-        name: String,
-        count: u64,
-        p50_us: u64,
-        p99_us: u64,
-        max_us: u64,
-    }
-    let mut svc_samples: Vec<SvcSample> = Vec::new();
-    let mut phase_samples: Vec<PhaseSample> = Vec::new();
-    {
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServiceConfig { workers: 2, threads_per_job: 1, ..ServiceConfig::default() },
-        )
-        .expect("bind loopback");
-        let spec = WorkloadSpec {
-            solver: SolverId::VC_PN,
-            family: FamilyKind::Regular,
-            n: 48,
-            degree: 4,
-            instances: 32,
-            weights: WeightSpec::Uniform(1 << 10),
-            seed: 5,
-        };
-        let blobs = synthesize(&spec);
-        let mk = |requests: usize, no_cache: bool| DriveConfig {
-            addr: server.local_addr().to_string(),
-            concurrency: 4,
-            requests,
-            batch: 1,
-            mode: LoopMode::Closed,
-            no_cache,
-            scenario: None,
-            connect_timeout: Duration::from_secs(5),
-            conns: 0,
-        };
-        for (name, requests, no_cache) in
-            [("svc_vc_pn_x32_cold", 32usize, true), ("svc_vc_pn_x32_r4_hot", 128, false)]
-        {
-            let report = drive(SolverId::VC_PN, &blobs, &mk(requests, no_cache)).expect("drive");
-            assert_eq!(report.ok, requests as u64, "every request must succeed");
-            assert_eq!(report.certified_instances, report.solved_instances);
-            svc_samples.push(SvcSample {
-                name,
-                requests: report.ok,
-                req_per_sec: report.goodput(),
-                cache_hit_rate: report.cache_hit_rate(),
-            });
-        }
-        // Ingest the server's own phase metrics over the wire: every solve
-        // request above must have moved the per-phase histograms, and the
-        // per-problem-kind counter must account each request exactly once
-        // (cache hits included — the probe happens inside the solve phase).
-        let total_requests = 32 + 128u64;
-        let snap = {
-            let mut c = Client::connect(server.local_addr()).expect("metrics client");
-            c.metrics().expect("metrics frame")
-        };
-        assert_eq!(
-            snap.scalar("solve.kind.vc_pn"),
-            Some(total_requests),
-            "per-kind solve counter must count every driven request"
-        );
-        for (name, value) in &snap.entries {
-            let anonet_obs::MetricValue::Histo(h) = value else { continue };
-            if !(name.starts_with("phase.") || name.starts_with("request.total")) {
-                continue;
-            }
-            assert!(
-                h.count >= total_requests,
-                "{name}: phase histogram count {} < {total_requests} driven requests",
-                h.count
-            );
-            phase_samples.push(PhaseSample {
-                name: name.clone(),
-                count: h.count,
-                p50_us: h.p50(),
-                p99_us: h.p99(),
-                max_us: h.max,
-            });
-        }
-        assert!(!phase_samples.is_empty(), "metrics frame carried no phase histograms");
-        server.shutdown();
+        // The seeded run is deterministic, so every rep handled `events`.
+        let sync_overhead = ns.median * events as f64 / sync_ns.median;
+        rt_samples.push(RtSample { name, events, ns, sync_overhead });
     }
 
     // C10K service rows: a reactor-model server driven by the loadgen's
@@ -580,7 +490,7 @@ fn main() {
 
     // Hand-rolled JSON (no serde in the offline workspace).
     let mut json = format!(
-        "{{\n  \"schema\": \"anonet-bench-engine/10\",\n  \"hardware_threads\": {hardware_threads},\n  \
+        "{{\n  \"schema\": \"anonet-bench-engine/11\",\n  \"hardware_threads\": {hardware_threads},\n  \
          \"rustc\": \"{}\",\n  \"git_rev\": \"{git_rev}\",\n  \"workloads\": [\n",
         env!("ANONET_BENCH_RUSTC_VERSION")
     );
@@ -610,26 +520,17 @@ fn main() {
     }
     json.push_str("  ],\n  \"runtime_workloads\": [\n");
     for (i, s) in rt_samples.iter().enumerate() {
-        let per_sec = if s.ns_per_event > 0.0 { 1e9 / s.ns_per_event } else { 0.0 };
+        let per_sec = if s.ns.median > 0.0 { 1e9 / s.ns.median } else { 0.0 };
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"events\": {}, \"ns_per_event\": {:.1}, \"events_per_sec\": {:.1}, \"sync_overhead_x\": {:.2}}}{}\n",
+            "    {{\"name\": \"{}\", \"reps\": {RT_REPS}, \"events\": {}, \"ns_per_event\": {:.1}, \"ns_q1\": {:.1}, \"ns_q3\": {:.1}, \"events_per_sec\": {:.1}, \"sync_overhead_x\": {:.2}}}{}\n",
             s.name,
             s.events,
-            s.ns_per_event,
+            s.ns.median,
+            s.ns.q1,
+            s.ns.q3,
             per_sec,
             s.sync_overhead,
             if i + 1 < rt_samples.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"service_workloads\": [\n");
-    for (i, s) in svc_samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"requests\": {}, \"req_per_sec\": {:.1}, \"cache_hit_rate\": {:.3}}}{}\n",
-            s.name,
-            s.requests,
-            s.req_per_sec,
-            s.cache_hit_rate,
-            if i + 1 < svc_samples.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n  \"service_conn_workloads\": [\n");
@@ -642,18 +543,6 @@ fn main() {
             s.req_per_sec,
             s.p99_us,
             if i + 1 < conn_samples.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"service_phases\": [\n");
-    for (i, s) in phase_samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}{}\n",
-            s.name,
-            s.count,
-            s.p50_us,
-            s.p99_us,
-            s.max_us,
-            if i + 1 < phase_samples.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n  \"speedups\": [\n");

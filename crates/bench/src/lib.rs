@@ -15,8 +15,7 @@ use std::fmt::Display;
 /// Shared engine-benchmark workload: gossip the running maximum of inputs,
 /// halting at the per-node round packed into the input's low byte (the
 /// `(value << 8) | halt_round` scheme of [`halting_inputs`]). The engine
-/// rows of the `perf_baseline` bin (`BENCH_engine.json`) and the criterion
-/// `runtime` bench run it.
+/// and runtime rows of the `perf_baseline` bin (`BENCH_engine.json`) run it.
 pub struct HaltingGossip {
     best: u64,
     halt_at: u64,

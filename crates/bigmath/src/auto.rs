@@ -52,6 +52,20 @@ fn big_of(r: Rat128) -> BigRat {
     BigRat::new(IBig::from_i128(r.numer()), UBig::from_u128(r.denom() as u128))
 }
 
+/// A non-negative fixed-width value's numerator and denominator as `UBig`s.
+fn wide_parts(r: &Rat128) -> (UBig, UBig) {
+    (UBig::from_u128(r.numer() as u128), UBig::from_u128(r.denom() as u128))
+}
+
+/// `numer · scale` divided by the denominator, as quotient and remainder,
+/// when the value is non-negative and the product fits a `u128`.
+fn scale_words(r: &Rat128, scale: &UBig) -> Option<(u128, u128)> {
+    let num = u128::try_from(r.numer()).ok()?;
+    let p = num.checked_mul(scale.to_u128()?)?;
+    let d = r.denom() as u128;
+    Some((p / d, p % d))
+}
+
 /// Re-establishes the canonical-arm invariant after a big-arm operation.
 fn demote(b: BigRat) -> AutoRat {
     if let (Some(n), Some(d)) = (b.numer().to_i128(), b.denom().to_u128()) {
@@ -174,13 +188,31 @@ impl PackingValue for AutoRat {
     }
     fn scale_to_uint(&self, scale: &UBig) -> UBig {
         match &self.0 {
-            Repr::Fix(r) => PackingValue::scale_to_uint(r, scale),
+            Repr::Fix(r) => {
+                assert!(r.numer() >= 0, "scale_to_uint on negative value");
+                if let Some((q, rem)) = scale_words(r, scale) {
+                    assert!(rem == 0, "div_exact: non-zero remainder");
+                    return UBig::from_u128(q);
+                }
+                let (num, den) = wide_parts(r);
+                num.mul_ref(scale).div_exact(&den)
+            }
             Repr::Big(b) => PackingValue::scale_to_uint(&**b, scale),
         }
     }
     fn checked_scale_to_uint(&self, scale: &UBig) -> Option<UBig> {
         match &self.0 {
-            Repr::Fix(r) => PackingValue::checked_scale_to_uint(r, scale),
+            Repr::Fix(r) => {
+                if r.numer() < 0 {
+                    return None;
+                }
+                if let Some((q, rem)) = scale_words(r, scale) {
+                    return (rem == 0).then(|| UBig::from_u128(q));
+                }
+                let (num, den) = wide_parts(r);
+                let (q, rem) = num.mul_ref(scale).div_rem(&den);
+                rem.is_zero().then_some(q)
+            }
             Repr::Big(b) => PackingValue::checked_scale_to_uint(&**b, scale),
         }
     }
@@ -192,7 +224,10 @@ impl PackingValue for AutoRat {
     }
     fn wire_bits(&self) -> u64 {
         match &self.0 {
-            Repr::Fix(r) => PackingValue::wire_bits(r),
+            Repr::Fix(r) => {
+                let bits = |v: i128| 128 - v.unsigned_abs().leading_zeros() as u64;
+                1 + bits(r.numer()) + bits(r.denom())
+            }
             Repr::Big(b) => PackingValue::wire_bits(&**b),
         }
     }

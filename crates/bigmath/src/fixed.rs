@@ -1,18 +1,21 @@
-//! Fixed-width exact rationals over `i128`.
+//! Fixed-width exact rationals over `i128`: the inline arm of
+//! [`AutoRat`](crate::auto::AutoRat).
 //!
-//! [`Rat128`] implements the same [`PackingValue`](crate::value::PackingValue)
-//! interface as [`BigRat`](crate::rat::BigRat) but with `i128`
-//! numerator/denominator. It is exact while it fits and **panics on
-//! overflow** (documented contract): it is the fast path for small parameter
-//! regimes, and the test suite cross-checks it against `BigRat`.
+//! [`Rat128`] is not a [`PackingValue`](crate::value::PackingValue) on its
+//! own. `AutoRat` holds every value that fits in a `Rat128` and runs the
+//! non-panicking `checked_*` routines below; when one answers `None`, the
+//! value promotes to [`BigRat`](crate::rat::BigRat). The operator impls
+//! (`+`, `-`, `*`, `/`) **panic on overflow**, and the test suite
+//! cross-checks them against `BigRat`.
 //!
 //! Sizing the regime: Phase I values stay on the Lemma 2 grid, denominator
 //! `L = (Δ!)^Δ`, but the §3 star-phase grant `r_u·r_v/Σr` can reach
 //! denominator `~L³·W`, and *global* reporting sums such as the packing's
-//! `dual_value` take lcms across stars that grow with the instance. In practice `Rat128` is safe for the full pipeline up to about
-//! `Δ ≤ 4` with small weights, and for Phase-I-bounded quantities up to
-//! `Δ ≤ 5`, `W ≤ 2^16`; use `BigRat` beyond that (see the
-//! `sensor_network` example for a case that needs it).
+//! `dual_value` take lcms across stars that grow with the instance. In
+//! practice values stay in the `Rat128` arm for the full pipeline up to
+//! about `Δ ≤ 4` with small weights, and for Phase-I-bounded quantities up
+//! to `Δ ≤ 5`, `W ≤ 2^16`; beyond that `AutoRat` promotes (the Δ = 6
+//! instances of the `sensor_network` example are such a case).
 //!
 //! ## Invariants
 //!

@@ -13,8 +13,11 @@
 //! * [`UBig`] — unsigned big integers (schoolbook mul, Knuth-D div, binary gcd),
 //! * [`IBig`] — signed big integers,
 //! * [`BigRat`] — exact rationals in lowest terms,
-//! * [`Rat128`] — fixed-width `i128` rationals (fast path, panics on overflow),
-//! * [`PackingValue`] — the numeric trait the algorithms are generic over.
+//! * [`Rat128`] — fixed-width `i128` rationals, the inline arm of [`AutoRat`],
+//! * [`AutoRat`] — exact rationals at `i128` speed that promote to [`BigRat`]
+//!   on overflow (the value type every served solve runs on),
+//! * [`PackingValue`] — the numeric trait the algorithms are generic over,
+//!   implemented by [`BigRat`] and [`AutoRat`].
 //!
 //! No external bignum dependency is used; everything is implemented here and
 //! property-tested against `u128`/`i128` reference semantics.

@@ -2,11 +2,11 @@
 //!
 //! All algorithms in `anonet-core` are generic over [`PackingValue`], so the
 //! same code runs with exact arbitrary precision ([`BigRat`]) or with the
-//! fixed-width fast path ([`Rat128`], panics on overflow). Exactness is part
-//! of the contract: `Ord`/`Eq` must be *numerical* equality, because the
-//! algorithms derive graph colourings from value equality (paper §3.2, §4.4).
+//! self-promoting fast path ([`AutoRat`](crate::auto::AutoRat), `i128`
+//! speed until a value outgrows it). Exactness is part of the contract:
+//! `Ord`/`Eq` must be *numerical* equality, because the algorithms derive
+//! graph colourings from value equality (paper §3.2, §4.4).
 
-use crate::fixed::Rat128;
 use crate::rat::BigRat;
 use crate::ubig::UBig;
 use std::fmt::{Debug, Display};
@@ -95,71 +95,6 @@ impl PackingValue for BigRat {
     }
 }
 
-impl PackingValue for Rat128 {
-    fn zero() -> Self {
-        Rat128::ZERO
-    }
-    fn from_u64(v: u64) -> Self {
-        Rat128::from_int(v as i128)
-    }
-    fn add(&self, rhs: &Self) -> Self {
-        *self + *rhs
-    }
-    fn sub(&self, rhs: &Self) -> Self {
-        *self - *rhs
-    }
-    fn mul(&self, rhs: &Self) -> Self {
-        *self * *rhs
-    }
-    fn div(&self, rhs: &Self) -> Self {
-        *self / *rhs
-    }
-    fn is_zero(&self) -> bool {
-        Rat128::is_zero(self)
-    }
-    fn is_positive(&self) -> bool {
-        Rat128::is_positive(self)
-    }
-    fn scale_to_uint(&self, scale: &UBig) -> UBig {
-        assert!(self.numer() >= 0, "scale_to_uint on negative value");
-        if let Some((q, r)) = scale_words(self, scale) {
-            assert!(r == 0, "div_exact: non-zero remainder");
-            return UBig::from_u128(q);
-        }
-        let num = UBig::from_u128(self.numer() as u128);
-        let den = UBig::from_u128(self.denom() as u128);
-        num.mul_ref(scale).div_exact(&den)
-    }
-    fn checked_scale_to_uint(&self, scale: &UBig) -> Option<UBig> {
-        if self.numer() < 0 {
-            return None;
-        }
-        if let Some((q, r)) = scale_words(self, scale) {
-            return (r == 0).then(|| UBig::from_u128(q));
-        }
-        let num = UBig::from_u128(self.numer() as u128);
-        let den = UBig::from_u128(self.denom() as u128);
-        let (q, r) = num.mul_ref(scale).div_rem(&den);
-        r.is_zero().then_some(q)
-    }
-    fn to_f64(&self) -> f64 {
-        Rat128::to_f64(self)
-    }
-    fn wire_bits(&self) -> u64 {
-        let bits = |v: i128| 128 - v.unsigned_abs().leading_zeros() as u64;
-        1 + bits(self.numer()) + bits(self.denom())
-    }
-}
-
-/// `numer · scale` divided by the denominator, as quotient and remainder,
-/// when the value is non-negative and the product fits a `u128`.
-fn scale_words(r: &Rat128, scale: &UBig) -> Option<(u128, u128)> {
-    let num = u128::try_from(r.numer()).ok()?;
-    let p = num.checked_mul(scale.to_u128()?)?;
-    let d = r.denom() as u128;
-    Some((p / d, p % d))
-}
-
 /// Convenience: sums an iterator of values.
 pub fn sum<'a, V: PackingValue>(vals: impl IntoIterator<Item = &'a V>) -> V {
     let mut acc = V::zero();
@@ -172,6 +107,8 @@ pub fn sum<'a, V: PackingValue>(vals: impl IntoIterator<Item = &'a V>) -> V {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auto::AutoRat;
+    use crate::fixed::Rat128;
 
     fn exercise<V: PackingValue>() {
         let two = V::from_u64(2);
@@ -196,13 +133,8 @@ mod tests {
     }
 
     #[test]
-    fn rat128_implements_contract() {
-        exercise::<Rat128>();
-    }
-
-    #[test]
     fn autorat_implements_contract() {
-        exercise::<crate::auto::AutoRat>();
+        exercise::<AutoRat>();
     }
 
     #[test]
@@ -212,8 +144,9 @@ mod tests {
         assert_eq!(sum::<BigRat>(&[]), BigRat::zero());
     }
 
-    /// `Rat128` scaling agrees with `BigRat` whether or not the product
-    /// fits a `u128`, for exact and inexact scales and negative values.
+    /// `AutoRat`'s `Rat128` arm scales like `BigRat` whether or not the
+    /// product fits a `u128`, for exact and inexact scales and negative
+    /// values.
     #[test]
     fn rat128_scaling_matches_bigrat_across_the_word_boundary() {
         let scales = [
@@ -225,7 +158,8 @@ mod tests {
         ];
         let values = [(0i128, 1i128), (5, 6), (-5, 6), (i128::MAX, 3), (1, 7), (12, 1)];
         for (n, d) in values {
-            let fix = Rat128::new(n, d);
+            let fix = AutoRat::from_rat128(Rat128::new(n, d));
+            assert!(!fix.is_promoted(), "{n}/{d} must sit in the Rat128 arm");
             let big = BigRat::new(crate::IBig::from_i128(n), UBig::from_u128(d as u128));
             for scale in &scales {
                 let want = PackingValue::checked_scale_to_uint(&big, scale);
@@ -245,9 +179,9 @@ mod tests {
         let mut fix = Rat128::ZERO;
         for (n, d) in ops {
             big = big.add(&BigRat::from_frac(n, d));
-            fix = fix.add(&Rat128::new(n as i128, d as i128));
+            fix = fix + Rat128::new(n as i128, d as i128);
             big = big.mul(&BigRat::from_frac(2, 3));
-            fix = fix.mul(&Rat128::new(2, 3));
+            fix = fix * Rat128::new(2, 3);
         }
         assert_eq!(big.numer().to_i128(), Some(fix.numer()));
         assert_eq!(big.denom().to_u128(), Some(fix.denom() as u128));

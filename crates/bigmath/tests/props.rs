@@ -1,7 +1,7 @@
 //! Property tests: big-integer and rational arithmetic against
 //! `u128`/`i128` reference semantics plus algebraic laws on large values.
 
-use anonet_bigmath::{BigRat, IBig, PackingValue, Rat128, UBig};
+use anonet_bigmath::{AutoRat, BigRat, IBig, PackingValue, Rat128, UBig};
 use proptest::prelude::*;
 
 fn ubig_big() -> impl Strategy<Value = UBig> {
@@ -192,7 +192,7 @@ proptest! {
             v.add(&v).to_f64()
         }
         let a = run::<BigRat>(n, d);
-        let b = run::<Rat128>(n, d);
+        let b = run::<AutoRat>(n, d);
         prop_assert!((a - b).abs() < 1e-9);
     }
 }

@@ -3,7 +3,7 @@
 //! f-approximation certificate, exact round schedules, the Fig. 3 symmetry
 //! lower bound, and §4-on-incidence ≡ §5-on-G equivalence.
 
-use anonet_bigmath::{AutoRat, BigRat, PackingValue, Rat128};
+use anonet_bigmath::{AutoRat, BigRat, PackingValue};
 use anonet_core::certify::certify_set_cover;
 use anonet_core::sc_bcast::{
     run_fractional_packing, run_fractional_packing_many, run_fractional_packing_with, ScConfig,
@@ -73,7 +73,7 @@ fn chain_instance() {
     let inst =
         SetCoverInstance::new(4, &[vec![0, 1], vec![1, 2], vec![2, 3]], vec![4, 9, 2]).unwrap();
     check_sc::<BigRat>(&inst);
-    check_sc::<Rat128>(&inst);
+    check_sc::<AutoRat>(&inst);
 }
 
 #[test]
@@ -158,11 +158,11 @@ fn rat128_matches_bigrat_sc() {
     for seed in 0..3u64 {
         let inst = setcover::random_bounded(8, 6, 2, 3, WeightSpec::Uniform(12), seed);
         let a = run_fractional_packing::<BigRat>(&inst).unwrap();
-        let b = run_fractional_packing::<Rat128>(&inst).unwrap();
+        let b = run_fractional_packing::<AutoRat>(&inst).unwrap();
         assert_eq!(a.cover, b.cover, "seed {seed}");
         for (u, (ya, yb)) in a.packing.y.iter().zip(&b.packing.y).enumerate() {
-            assert_eq!(ya.numer().to_i128(), Some(yb.numer()), "element {u}");
-            assert_eq!(ya.denom().to_u128(), Some(yb.denom() as u128));
+            assert!(!yb.is_promoted(), "element {u} left the Rat128 arm");
+            assert_eq!(yb.to_bigrat(), *ya, "element {u}");
         }
     }
 }

@@ -5,7 +5,7 @@
 //! ## Why raw FFI
 //!
 //! The workspace is offline and dependency-free by policy (the vendored
-//! `proptest`/`criterion` stubs exist for the same reason), so the `libc`
+//! `proptest` stub exists for the same reason), so the `libc`
 //! crate is not available. `std` exposes no readiness API. What `std`
 //! *does* guarantee is that every Linux target links the C runtime, whose
 //! `syscall(2)` entry point is a stable, documented, variadic trampoline

@@ -29,7 +29,7 @@
 //! the algorithms are deterministic the outputs are **bit-identical to the
 //! synchronous [`Engine`](anonet_sim::Engine) under every network
 //! configuration**, not just the ideal one (property-tested; the
-//! zero-delay lossless FIFO case is the acceptance criterion, the general
+//! zero-delay lossless FIFO case is the acceptance test, the general
 //! case is the synchronizer's guarantee). Loss and churn change only *when*
 //! messages arrive, never *what* arrives: retransmission is idempotent
 //! because the receiver deduplicates by (port, round).

@@ -282,7 +282,7 @@ fn assert_vc_pn_equivalent(g: &Graph, weights: &[u64], net: &NetworkConfig) {
 #[test]
 fn vc_pn_ideal_equivalence_acceptance() {
     // The §3 edge-packing PN algorithm under zero delay, no loss, FIFO:
-    // bit-identical outputs to the synchronous engine (acceptance criterion),
+    // bit-identical outputs to the synchronous engine (the acceptance test),
     // across several graph families.
     for (g, seed) in [
         (family::cycle(9), 1u64),

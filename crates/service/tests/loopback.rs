@@ -111,6 +111,16 @@ fn vc_pn_bit_identical_certified_and_cached() {
     assert_eq!(after2.cache_hits, after.cache_hits);
     assert_eq!(after2.cache_misses, after.cache_misses);
 
+    // The per-kind counter accounts every solve request, the cache hit
+    // included (the probe runs inside the solve phase), and every phase
+    // histogram recorded all six requests: three solves, three stats.
+    let snap = c.metrics().unwrap();
+    assert_eq!(snap.scalar("solve.kind.vc_pn"), Some(3), "miss, hit and no-cache solves");
+    for phase in PHASES {
+        let h = snap.histo(phase).unwrap_or_else(|| panic!("{phase} missing from the frame"));
+        assert_eq!(h.count, 6, "{phase} histogram must have recorded every request");
+    }
+
     server.shutdown();
 }
 

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --example batch_service`
 
-use anonet::bigmath::Rat128;
+use anonet::bigmath::AutoRat;
 use anonet::core::certify::certify_vertex_cover;
 use anonet::core::vc_pn::{run_edge_packing_many, VcInstance};
 use anonet::gen::{family, WeightSpec};
@@ -37,7 +37,7 @@ fn main() {
 
     // One pool, all requests; each instance runs the §3 algorithm on a
     // single-threaded engine with halted-frontier skipping.
-    let runs = run_edge_packing_many::<Rat128>(&instances, 4);
+    let runs = run_edge_packing_many::<AutoRat>(&instances, 4);
 
     let mut total_rounds = 0u64;
     for (i, ((g, w), run)) in requests.iter().zip(&runs).enumerate() {

@@ -24,8 +24,8 @@ fn main() {
         let batteries = WeightSpec::Uniform(w_max).draw_many(n, 7 + n as u64);
 
         // Exact BigRat arithmetic: at Δ = 6 the star-phase grants and the
-        // certificate's global dual sum outgrow i128 (the Rat128 fast path
-        // is for small regimes like the quickstart; see bigmath docs).
+        // certificate's global dual sum outgrow i128, so AutoRat's inline
+        // Rat128 arm could not hold them (see bigmath docs).
         let run = run_edge_packing_with::<BigRat>(&field, &batteries, delta, w_max, 4)
             .expect("run completes");
         let cert =

@@ -3,7 +3,7 @@
 //! through the umbrella crate's public API.
 
 use anonet::baselines::{run_id_edge_packing, run_kvy, run_ps3, run_rand_matching};
-use anonet::bigmath::{BigRat, PackingValue, Rat128};
+use anonet::bigmath::{AutoRat, BigRat, PackingValue};
 use anonet::core::certify::{certify_set_cover, certify_vertex_cover};
 use anonet::core::sc_bcast::run_fractional_packing;
 use anonet::core::trivial::run_trivial;
@@ -41,7 +41,7 @@ fn gen_sim_exact_smoke() {
         let g = family::gnp_capped(12, 0.35, 4, seed);
         let w = WeightSpec::LogUniform(50).draw_many(12, seed + 99);
         check::<BigRat>(&g, &w);
-        check::<Rat128>(&g, &w);
+        check::<AutoRat>(&g, &w);
     }
     check::<BigRat>(&family::petersen(), &[1; 10]);
 }
@@ -140,7 +140,7 @@ fn value_types_agree_end_to_end() {
     let g = family::torus(3, 4);
     let w = WeightSpec::Uniform(20).draw_many(12, 5);
     let big = run_edge_packing::<BigRat>(&g, &w).unwrap();
-    let fixed = run_edge_packing::<Rat128>(&g, &w).unwrap();
+    let fixed = run_edge_packing::<AutoRat>(&g, &w).unwrap();
     assert_eq!(big.cover, fixed.cover);
     assert_eq!(big.trace.rounds, fixed.trace.rounds);
 }
