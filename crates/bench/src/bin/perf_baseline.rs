@@ -17,7 +17,9 @@
 //!
 //! The file's header records what the numbers depend on: the machine's
 //! `hardware_threads`, the `rustc` version that built the binary, and the
-//! git revision of the working tree (`git describe --always --dirty`).
+//! git revision of the source it was built from (`git describe --always
+//! --dirty`, taken by `build.rs` at build time, so the stamp is the same
+//! wherever the binary runs).
 //!
 //! The `solver_workloads` rows time whole runs of the paper's solvers on
 //! fixed instances (µs per run, median and quartiles over back-to-back
@@ -480,19 +482,12 @@ fn main() {
     // Speedups mean nothing on one hardware thread: t1 and t4 share it.
     let hardware_threads = std::thread::available_parallelism().map_or(1, usize::from);
     let informative = hardware_threads > 1;
-    let git_rev = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=12"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
-
     // Hand-rolled JSON (no serde in the offline workspace).
     let mut json = format!(
         "{{\n  \"schema\": \"anonet-bench-engine/11\",\n  \"hardware_threads\": {hardware_threads},\n  \
-         \"rustc\": \"{}\",\n  \"git_rev\": \"{git_rev}\",\n  \"workloads\": [\n",
-        env!("ANONET_BENCH_RUSTC_VERSION")
+         \"rustc\": \"{}\",\n  \"git_rev\": \"{}\",\n  \"workloads\": [\n",
+        env!("ANONET_BENCH_RUSTC_VERSION"),
+        env!("ANONET_BENCH_GIT_REV")
     );
     for (i, s) in samples.iter().enumerate() {
         json.push_str(&format!(

@@ -131,6 +131,13 @@ impl LruCache {
         }
     }
 
+    /// True when `key` is cached. Counts nothing and leaves the recency
+    /// order alone, so a caller can decide whether a whole request is
+    /// served from cache before [`Self::get`] counts and touches each hit.
+    pub fn contains(&self, key: &[u8]) -> bool {
+        self.map.contains_key(key)
+    }
+
     /// Bytes an entry pins: the key is held twice (the slot's copy plus the
     /// `HashMap`'s own key), the value once.
     fn entry_bytes(key: &[u8], value: &[u8]) -> usize {
@@ -210,6 +217,20 @@ mod tests {
         assert_eq!(c.get(&k(1)), Some(&[10][..]));
         assert_eq!(c.counters(), (1, 1, 0));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn contains_counts_nothing_and_keeps_the_order() {
+        let mut c = LruCache::new(2);
+        c.insert(k(1), vec![1]);
+        c.insert(k(2), vec![2]);
+        assert!(c.contains(&k(1)));
+        assert!(!c.contains(&k(3)));
+        assert_eq!(c.counters(), (0, 0, 0));
+        // `contains` did not refresh 1, so it is still the LRU entry.
+        c.insert(k(3), vec![3]);
+        assert!(!c.contains(&k(1)));
+        assert!(c.contains(&k(2)));
     }
 
     #[test]

@@ -5,11 +5,16 @@
 //! `anonet-net` reactor thread owns every client socket. Its handler — the
 //! [`ServiceHandler`] here — runs *on the reactor thread*, so it must never
 //! block: it hands each frame to the shared [`dispatch`], which answers info
-//! requests (stats, metrics, debug dump) and error replies inline, while
-//! solve requests are enqueued on the same bounded job queue the threads
-//! model uses and answered [`Action::Pending`]. A worker later finishes the
-//! job and pushes the payload through the reactor's completion queue
+//! requests (stats, metrics, debug dump), error replies and solve requests
+//! whose every instance is cached inline — a hit holds the cache lock for a
+//! probe and a copy, never for an engine run. Other solve requests are
+//! enqueued on the same bounded job queue the threads model uses and
+//! answered [`Action::Pending`]. A worker later finishes the job and pushes
+//! the payload through the reactor's completion queue
 //! ([`ReactorReply::finish`]), which wakes the event loop via its eventfd.
+//! An inline reply that overtakes a pending one on the same connection is
+//! parked by the event loop until its turn, so pipelined replies still
+//! leave in request order.
 //!
 //! ## Byte identity with the threads model
 //!

@@ -6,18 +6,24 @@
 //!
 //! Both connection models hand every request frame to [`dispatch`], the one
 //! place frames are parsed, counted and labelled: info requests (stats,
-//! metrics, debug dump) and protocol errors are answered inline, and a
-//! well-formed solve request comes back for the caller to **try** to
-//! enqueue. If the queue is at capacity the client immediately receives a
-//! `Busy` response with a retry-after hint — the server never blocks a
-//! client on a full queue. Otherwise the job waits for a worker, which
-//! probes the result cache per instance (key = solver + mode + canonical
-//! blob), runs the misses through the requested solver's registry entry
-//! ([`crate::portfolio`]: one pipeline of canonical decode, pool fan-out,
-//! engine run, certification and body encode for every solver), caches the
-//! encoded bodies, and replies. Responses are therefore **bit-identical to
-//! direct batch-runner runs** of the same instances — the loopback
-//! integration test asserts it.
+//! metrics, debug dump) and protocol errors are answered inline, and so is
+//! a solve request whose every instance is already in the result cache
+//! (key = solver + mode + canonical blob). Every served solver is a
+//! deterministic function of that key, so a hit needs no engine: the cached
+//! bodies are copied straight into the reply on the thread that decoded the
+//! frame, with the same counters and flight record a worker would have
+//! left (`queue_us` 0). Any other solve request comes back for the caller
+//! to **try** to enqueue. If the queue is at capacity the client
+//! immediately receives a `Busy` response with a retry-after hint — the
+//! server never blocks a client on a full queue, and `Busy` only ever
+//! answers a request that needs a worker: a fully cached one is answered
+//! `Ok` even when the queue is full. Otherwise the job waits for a worker,
+//! which probes the cache per instance, runs the misses through the
+//! requested solver's registry entry ([`crate::portfolio`]: one pipeline of
+//! canonical decode, pool fan-out, engine run, certification and body
+//! encode for every solver), caches the encoded bodies, and replies.
+//! Responses are therefore **bit-identical to direct batch-runner runs** of
+//! the same instances — the loopback integration test asserts it.
 //!
 //! ## Metrics
 //!
@@ -37,7 +43,7 @@ use crate::cache::LruCache;
 use crate::portfolio::{self, InstanceOutcome};
 use crate::telemetry::{outcome, RequestRecord, Telemetry};
 use crate::wire::{
-    self, SolveRequest, SolveResponse, StatsSnapshot, WireError, FLAG_NO_CACHE,
+    self, SolveRequest, SolveResponse, StatsSnapshot, WireError, FLAG_NO_CACHE, FLAG_TEST_PANIC,
     MSG_DEBUG_DUMP_REQUEST, MSG_METRICS_REQUEST, MSG_SOLVE_REQUEST, MSG_STATS_REQUEST,
 };
 use anonet_core::canon::ByteReader;
@@ -229,6 +235,47 @@ impl Shared {
         Ok(())
     }
 
+    /// Answers `req` on the calling thread when every one of its instances
+    /// is cached: the reply needs no engine, so it takes no worker and no
+    /// queue slot. Counts exactly what the worker path counts for the same
+    /// request (the solver's kind counter, `served_ok`, one cache hit per
+    /// instance) and fills `rec` as a worker would, minus the queue wait.
+    ///
+    /// Returns `None`, having counted nothing, when the request must go
+    /// through [`Shared::submit`] instead: it bypasses the cache, carries
+    /// the debug panic flag (whose instrumentation lives on the worker),
+    /// asks for a mode its solver rejects, or misses on any instance — the
+    /// worker then probes again and counts the hits and misses itself.
+    fn answer_cached(&self, req: &SolveRequest, rec: &mut RequestRecord) -> Option<Vec<u8>> {
+        if req.flags & (FLAG_NO_CACHE | FLAG_TEST_PANIC) != 0
+            || self.cfg.cache_cap == 0
+            || portfolio::mode_supported(req).is_err()
+        {
+            return None;
+        }
+        let mut sw = Stopwatch::start();
+        let keys: Vec<Vec<u8>> = (0..req.instances.len()).map(|i| req.cache_key(i)).collect();
+        let mut cache = self.lock_cache();
+        if !keys.iter().all(|key| cache.contains(key)) {
+            return None;
+        }
+        rec.solve_us = sw.lap_us();
+        let mut reply = wire::OkResponse::new(keys.len());
+        for key in &keys {
+            // Present: `contains` saw every key under this same lock.
+            reply.push_solved(true, cache.get(key)?);
+        }
+        drop(cache);
+        let tel = &self.telemetry;
+        tel.kind_counter(req.solver).inc();
+        tel.served_ok.inc();
+        rec.outcome = outcome::OK;
+        rec.cache_hits = keys.len() as u32;
+        let payload = reply.finish();
+        rec.encode_us = sw.lap_us();
+        Some(payload)
+    }
+
     /// The one metrics snapshot both info frames are built from: the cache,
     /// queue and worker values are read into their gauges first, and the
     /// reactor's own shed count (`net.shed_conns`) is folded into
@@ -284,15 +331,17 @@ impl Shared {
 
 /// What [`dispatch`] decided for one request frame.
 pub(crate) enum Dispatch {
-    /// Answer inline with this payload.
+    /// Answer inline with this payload (an info reply, an error, or a
+    /// solve request served wholly from the cache).
     Reply(Vec<u8>),
     /// A decoded solve request for the caller to [`Shared::submit`].
     Submit(SolveRequest),
 }
 
 /// The one request dispatch both connection models share: parses the frame,
-/// answers info requests and protocol errors inline, and labels the request
-/// in `rec` (arrival, size, message type, decode time, solver, outcome).
+/// answers info requests, protocol errors and fully cached solve requests
+/// inline, and labels the request in `rec` (arrival, size, message type,
+/// decode time, solver, outcome).
 /// Identical request streams therefore get identical replies and counter
 /// movements under either model. The caller owns only the transport phases.
 pub(crate) fn dispatch(shared: &Shared, payload: &[u8], rec: &mut RequestRecord) -> Dispatch {
@@ -313,7 +362,10 @@ pub(crate) fn dispatch(shared: &Shared, payload: &[u8], rec: &mut RequestRecord)
                 Ok(req) => {
                     rec.problem = req.solver.name();
                     rec.instances = req.instances.len() as u32;
-                    return Dispatch::Submit(req);
+                    return match shared.answer_cached(&req, rec) {
+                        Some(reply) => Dispatch::Reply(reply),
+                        None => Dispatch::Submit(req),
+                    };
                 }
                 // A well-formed frame naming a solver this build does not
                 // register is a capability gap, not a protocol violation:
@@ -348,7 +400,7 @@ pub(crate) fn dispatch(shared: &Shared, payload: &[u8], rec: &mut RequestRecord)
 /// Executes one request end to end, returning the response payload and
 /// filling in the worker-side phases and outcome of its flight record.
 fn execute(shared: &Shared, req: &SolveRequest, rec: &mut RequestRecord) -> Vec<u8> {
-    if cfg!(debug_assertions) && req.flags & wire::FLAG_TEST_PANIC != 0 {
+    if cfg!(debug_assertions) && req.flags & FLAG_TEST_PANIC != 0 {
         // lint: allow(panic-path) — deliberate test instrumentation, debug builds only, and the worker_loop catch_unwind is exactly what it exercises
         panic!("FLAG_TEST_PANIC set: deliberate worker panic (test instrumentation)");
     }
@@ -651,6 +703,67 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::portfolio::SolverId;
+
+    #[test]
+    fn fully_cached_requests_are_answered_at_dispatch_past_a_full_queue() {
+        // workers = 0: nothing drains, so the queue stays full.
+        let cfg = ServiceConfig { workers: 0, queue_cap: 2, ..ServiceConfig::default() };
+        let shared = Shared::new(cfg);
+        let (tx, _rx) = mpsc::channel();
+        for i in 0..cfg.queue_cap {
+            let req = SolveRequest::new(SolverId::VC_PN, vec![vec![i as u8]]);
+            let mut rec = RequestRecord::default();
+            assert!(shared.submit(req, &mut rec, Reply::Thread(tx.clone())).is_ok());
+        }
+        let req = SolveRequest::new(SolverId::VC_PN, vec![vec![0xAB; 16]]);
+        let body = vec![1, 2, 3, 4, 5];
+        shared.lock_cache().insert(req.cache_key(0), body.clone());
+        let before = shared.stats();
+
+        let mut rec = RequestRecord::default();
+        let reply = match dispatch(&shared, &wire::encode_solve_request(&req), &mut rec) {
+            Dispatch::Reply(reply) => reply,
+            Dispatch::Submit(_) => panic!("a fully cached request must not need a worker"),
+        };
+        assert_eq!(reply, wire::encode_solve_response_raw(&[Ok((true, body))]));
+        let after = shared.stats();
+        assert_eq!(after.cache_hits, before.cache_hits + 1);
+        assert_eq!(after.served_ok, before.served_ok + 1);
+        assert_eq!(after.cache_misses, before.cache_misses);
+        assert_eq!(after.rejected_busy, before.rejected_busy);
+        assert_eq!(after.queue_len, before.queue_len);
+        assert_eq!(after.queue_len, cfg.queue_cap as u64);
+        assert_eq!(rec.queue_us, 0);
+        assert_eq!(rec.outcome, outcome::OK);
+        assert_eq!((rec.cache_hits, rec.cache_misses), (1, 0));
+    }
+
+    #[test]
+    fn requests_that_miss_or_bypass_the_cache_go_to_the_queue_uncounted() {
+        let shared = Shared::new(ServiceConfig { workers: 0, ..ServiceConfig::default() });
+        let blobs = vec![vec![1u8; 8], vec![2u8; 8]];
+        let partial = SolveRequest::new(SolverId::VC_PN, blobs);
+        shared.lock_cache().insert(partial.cache_key(0), vec![9]);
+        let mut panicking = SolveRequest::new(SolverId::VC_PN, vec![vec![1u8; 8]]);
+        panicking.flags |= FLAG_TEST_PANIC;
+        let async_bcast = SolveRequest::new(SolverId::VC_BCAST, vec![vec![1u8; 8]])
+            .with_scenario(wire::Scenario::Ideal, 1);
+        shared.lock_cache().insert(async_bcast.cache_key(0), vec![9]);
+        for req in [
+            partial,
+            SolveRequest::new(SolverId::VC_PN, vec![vec![1u8; 8]]).no_cache(),
+            panicking,
+            async_bcast,
+        ] {
+            let mut rec = RequestRecord::default();
+            let payload = wire::encode_solve_request(&req);
+            assert!(matches!(dispatch(&shared, &payload, &mut rec), Dispatch::Submit(_)));
+        }
+        let stats = shared.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses, stats.served_ok), (0, 0, 0));
+        assert_eq!(shared.metrics_snapshot().scalar("solve.kind.vc_pn"), Some(0));
+    }
 
     #[test]
     fn cache_lock_recovers_from_poisoning() {

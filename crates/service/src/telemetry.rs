@@ -6,7 +6,9 @@
 //! ```text
 //!   client ──frame──▶ conn thread ──job──▶ queue ──▶ worker ──reply──▶ conn thread
 //!            read_us   decode_us          queue_us    solve_us           write_us
-//!                                                     encode_us
+//!                          │                          encode_us              ▲
+//!                          └──── every instance cached: answered inline ─────┘
+//!                                 solve_us (probe), encode_us (copy-out)
 //! ```
 //!
 //! * `phase.read_us` — waiting for and reading the request frame (for a
@@ -14,8 +16,11 @@
 //!   "ready to read" to "frame complete");
 //! * `phase.decode_us` — header + body parsing on the connection thread;
 //! * `phase.queue_us` — enqueue to worker pickup (the backpressure signal);
-//! * `phase.solve_us` — cache probe plus batch execution;
-//! * `phase.encode_us` — response encoding on the worker;
+//!   0 for a request answered inline from the cache, which never queues;
+//! * `phase.solve_us` — cache probe plus batch execution (for an inline
+//!   hit: building the keys and probing them);
+//! * `phase.encode_us` — response encoding on the worker (for an inline
+//!   hit: copying the cached bodies into the reply);
 //! * `phase.write_us` — writing the response frame back;
 //! * `request.total_us` — read start to write end.
 //!
@@ -76,7 +81,8 @@ pub struct RequestRecord {
     pub read_us: u64,
     /// Decode phase.
     pub decode_us: u64,
-    /// Queue wait.
+    /// Queue wait (0 when the request was answered from the cache at
+    /// dispatch).
     pub queue_us: u64,
     /// Cache probe + execution.
     pub solve_us: u64,

@@ -86,7 +86,7 @@ use anonet_bigmath::BigRat;
 use anonet_core::canon::{ByteReader, ByteWriter, CanonError};
 use anonet_core::certify::Certificate;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Magic bytes opening every payload.
 pub const MAGIC: [u8; 4] = *b"ANSV";
@@ -379,20 +379,45 @@ impl From<WireError> for io::Error {
     }
 }
 
-/// Writes one frame (length prefix + payload). An oversized payload is an
-/// error, not a panic — a connection handler must survive building a
-/// response it cannot frame.
+/// Writes one frame (length prefix + payload) with one vectored write, so
+/// on a socket the frame leaves in one system call and, under
+/// `TCP_NODELAY`, one segment instead of a bare 4-byte prefix followed by
+/// the payload. A short write is finished with plain writes from where it
+/// stopped. An oversized payload is an error, not a panic — a connection
+/// handler must survive building a response it cannot frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame exceeds MAX_FRAME"));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let prefix = (payload.len() as u32).to_le_bytes();
+    let sent = loop {
+        match w.write_vectored(&[IoSlice::new(&prefix), IoSlice::new(payload)]) {
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    if sent < prefix.len() {
+        w.write_all(prefix.get(sent..).unwrap_or_default())?;
+        w.write_all(payload)?;
+    } else {
+        w.write_all(payload.get(sent - prefix.len()..).unwrap_or_default())?;
+    }
     w.flush()
 }
 
+/// How far [`read_frame`] commits its buffer ahead of the payload bytes
+/// that have arrived.
+const READ_AHEAD: usize = 64 << 10;
+
 /// Reads one frame. `Ok(None)` means the peer closed the connection cleanly
 /// at a frame boundary.
+///
+/// The payload buffer is sized from the length prefix, at most
+/// [`READ_AHEAD`] (64 KiB) at a time, so a frame that has fully arrived is
+/// read with one `read` call after the prefix's. The bound is what keeps a
+/// hostile prefix cheap: a peer that announces [`MAX_FRAME`] and then
+/// stalls (or trickles) pins at most 64 KiB more than it has really sent.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     // Read the prefix byte-accurately rather than with `read_exact`, whose
     // `UnexpectedEof` cannot distinguish a clean close (zero prefix bytes)
@@ -421,13 +446,21 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    // Grow the buffer as bytes actually arrive instead of committing the
-    // declared length up front: a peer that announces MAX_FRAME and then
-    // stalls (or trickles) pins only what it has really sent.
     let mut payload = Vec::new();
-    let got = Read::take(&mut *r, len as u64).read_to_end(&mut payload)?;
-    if got < len {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame payload truncated"));
+    let mut got = 0;
+    while got < len {
+        if got == payload.len() {
+            payload.resize(len.min(got + READ_AHEAD), 0);
+        }
+        // lint: allow(panic-path) — `got < len` and the resize above keep `got < payload.len()`
+        match r.read(&mut payload[got..]) {
+            Ok(0) => {
+                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame payload truncated"))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
     }
     Ok(Some(payload))
 }
@@ -614,28 +647,53 @@ pub fn encode_solve_response(resp: &SolveResponse) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// An `Ok` solve response built result by result straight into the payload
+/// buffer, each pre-encoded body (from [`encode_solved_body`]) taken by
+/// reference — so a body held by the result cache is copied exactly once,
+/// into the reply.
+pub(crate) struct OkResponse(ByteWriter);
+
+impl OkResponse {
+    /// Opens a response that will carry `count` results.
+    pub(crate) fn new(count: usize) -> OkResponse {
+        let mut w = header(MSG_SOLVE_RESPONSE);
+        w.put_u8(0);
+        w.put_u32(count as u32);
+        OkResponse(w)
+    }
+
+    /// Appends a solved instance.
+    pub(crate) fn push_solved(&mut self, from_cache: bool, body: &[u8]) {
+        self.0.put_u8(1);
+        self.0.put_u8(u8::from(from_cache));
+        self.0.put_bytes(body);
+    }
+
+    /// Appends a per-instance error.
+    pub(crate) fn push_error(&mut self, msg: &str) {
+        self.0.put_u8(0);
+        self.0.put_blob(msg.as_bytes());
+    }
+
+    /// The finished payload.
+    pub(crate) fn finish(self) -> Vec<u8> {
+        self.0.into_bytes()
+    }
+}
+
 /// Builds an `Ok` response payload directly from pre-encoded per-instance
 /// results (`(from_cache, body_bytes)` with `body` from
 /// [`encode_solved_body`], or an error message) — the server-side fast path
 /// that avoids re-encoding cached bodies.
 pub fn encode_solve_response_raw(results: &[Result<(bool, Vec<u8>), String>]) -> Vec<u8> {
-    let mut w = header(MSG_SOLVE_RESPONSE);
-    w.put_u8(0);
-    w.put_u32(results.len() as u32);
+    let mut w = OkResponse::new(results.len());
     for res in results {
         match res {
-            Err(msg) => {
-                w.put_u8(0);
-                w.put_blob(msg.as_bytes());
-            }
-            Ok((from_cache, body)) => {
-                w.put_u8(1);
-                w.put_u8(u8::from(*from_cache));
-                w.put_bytes(body);
-            }
+            Err(msg) => w.push_error(msg),
+            Ok((from_cache, body)) => w.push_solved(*from_cache, body),
         }
     }
-    w.into_bytes()
+    w.finish()
 }
 
 /// Decodes a solve response body (header already consumed).
@@ -858,6 +916,108 @@ mod tests {
         // A partial length prefix is a torn connection, not a clean close.
         let buf = [7u8, 0];
         assert_eq!(read_frame(&mut &buf[..]).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A writer that records every call made on it and accepts everything.
+    #[derive(Default)]
+    struct CountingWriter {
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut n = 0;
+            for b in bufs {
+                self.bytes.extend_from_slice(b);
+                n += b.len();
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_is_written_with_one_call() {
+        for payload in [&b""[..], b"hello", &[7u8; 70_000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.calls, 1, "{}-byte payload", payload.len());
+            let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(payload);
+            assert_eq!(w.bytes, want);
+        }
+    }
+
+    /// A writer that takes at most `limit` bytes per call, across buffers:
+    /// `write_frame` must finish a short write from where it stopped.
+    struct TrickleWriter {
+        limit: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for TrickleWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let start = self.bytes.len();
+            for b in bufs {
+                let room = self.limit - (self.bytes.len() - start);
+                self.bytes.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.bytes.len() - start)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frame_write_resumes_after_short_writes() {
+        // 3 stops inside the prefix, 6 inside the payload.
+        for limit in [3, 6] {
+            let mut w = TrickleWriter { limit, bytes: Vec::new() };
+            write_frame(&mut w, b"hello, world").unwrap();
+            assert_eq!(read_frame(&mut &w.bytes[..]).unwrap().unwrap(), b"hello, world");
+        }
+    }
+
+    /// A reader that hands out everything it holds on each call and counts
+    /// the calls, like a socket whose whole frame has already arrived.
+    struct CountingReader<'a> {
+        calls: usize,
+        data: &'a [u8],
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn frame_is_read_with_presized_calls() {
+        for (len, max_calls) in [(1_195, 2), (70_000, 4)] {
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &vec![5u8; len]).unwrap();
+            let mut r = CountingReader { calls: 0, data: &framed };
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), vec![5u8; len]);
+            assert!(r.calls <= max_calls, "{len}-byte payload took {} reads", r.calls);
+        }
     }
 
     #[test]

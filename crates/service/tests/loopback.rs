@@ -249,6 +249,30 @@ fn async_batches_fan_out_across_the_job_pool() {
 }
 
 #[test]
+fn partial_hits_serve_the_cached_instance_and_compute_the_rest() {
+    let server = start(ServiceConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let cached = family::petersen();
+    let fresh = family::grid(3, 3);
+    let cached_blob = canon::encode_vc(&cached, &[3u64; 10], 3, 3);
+    let fresh_blob = canon::encode_vc(&fresh, &[2u64; 9], 4, 2);
+    c.solve(&SolveRequest::new(SolverId::VC_PN, vec![cached_blob.clone()])).unwrap();
+
+    let before = c.stats().unwrap();
+    let req = SolveRequest::new(SolverId::VC_PN, vec![cached_blob, fresh_blob]);
+    let resp = c.solve(&req).unwrap();
+    let got = solved(&resp);
+    assert_eq!(got.iter().map(|s| s.from_cache).collect::<Vec<_>>(), [true, false]);
+    let direct = run_edge_packing_many::<BigRat>(&[VcInstance::new(&fresh, &[2u64; 9])], 1);
+    assert_eq!(got[1].cover, direct[0].as_ref().unwrap().cover);
+    let after = c.stats().unwrap();
+    assert_eq!(after.cache_hits, before.cache_hits + 1);
+    assert_eq!(after.cache_misses, before.cache_misses + 1);
+    assert_eq!(after.served_ok, before.served_ok + 1);
+    server.shutdown();
+}
+
+#[test]
 fn full_queue_returns_backpressure_error() {
     // workers = 0: nothing drains, so the queue fills deterministically.
     let server =

@@ -61,6 +61,13 @@ fn differential_stream() -> Vec<Vec<u8>> {
     let ps3_weighted = SolveRequest::new(SolverId::VC_PS3, vec![canon::encode_vc(&g1, &w1, 3, 9)]);
     // A well-formed frame naming an out-of-registry solver id: the
     // structured Unsupported arm, not Malformed.
+    let g3 = family::cycle(7);
+    let partial = SolveRequest::new(
+        SolverId::VC_PN,
+        vec![vc.instances[1].clone(), canon::encode_vc(&g3, &[4u64; 7], 2, 4)],
+    );
+    let lossy_again = SolveRequest::new(SolverId::VC_PN, vc.instances[..2].to_vec())
+        .with_scenario(Scenario::LossyRadio, 42);
     let mut unknown_solver = wire::encode_solve_request(&ps3);
     unknown_solver[7] = 0xEE;
     vec![
@@ -83,6 +90,13 @@ fn differential_stream() -> Vec<Vec<u8>> {
         wire::encode_solve_request(&bcast.clone().with_scenario(Scenario::Ideal, 1)),
         // Garbage after the magic: the Malformed arm.
         b"ANSVxxxxxx".to_vec(),
+        // A repeated solve (every instance cached: answered at dispatch), a
+        // partial hit (one cached instance, one new), and the async run
+        // again on its two solvable instances (cached under their scenario
+        // and seed: answered at dispatch).
+        wire::encode_solve_request(&sc),
+        wire::encode_solve_request(&partial),
+        wire::encode_solve_request(&lossy_again),
         // Last: the 11×u64 stats counters after everything above, so both
         // models must also have counted the whole stream identically.
         wire::encode_stats_request(),
@@ -150,6 +164,48 @@ fn busy_rejections_are_byte_identical_across_models() {
         }
         other => panic!("expected Busy, got {other:?}"),
     }
+}
+
+#[test]
+fn pipelined_hits_and_misses_answer_in_order_under_both_models() {
+    // Hits are answered at dispatch while the misses ahead of them are
+    // still on a worker; the reactor must still reply in request order,
+    // byte for byte as the threads model does.
+    let blob = |n: usize| canon::encode_vc(&family::cycle(n), &vec![1u64; n], 2, 1);
+    let req =
+        |n: usize| wire::encode_solve_request(&SolveRequest::new(SolverId::VC_PN, vec![blob(n)]));
+    let (hit_b, hit_d) = (req(5), req(9));
+    let stream = [req(12), hit_b.clone(), req(13), hit_d.clone()];
+    let mut replies: Vec<Vec<Vec<u8>>> = Vec::new();
+    for model in [ConnModel::Threads, ConnModel::Reactor] {
+        let server = start(model, ServiceConfig::default());
+        roundtrip_raw(server.local_addr(), &[hit_b.clone(), hit_d.clone()]);
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        s.set_nodelay(true).unwrap();
+        for frame in &stream {
+            wire::write_frame(&mut s, frame).unwrap();
+        }
+        let got: Vec<Vec<u8>> =
+            stream.iter().map(|_| wire::read_frame(&mut s).unwrap().expect("reply")).collect();
+        let from_cache: Vec<bool> = got
+            .iter()
+            .map(|reply| {
+                let mut r = canon::ByteReader::new(reply);
+                wire::read_header(&mut r).unwrap();
+                match wire::decode_solve_response(&mut r).unwrap() {
+                    SolveResponse::Ok(results) => match &results[0] {
+                        InstanceResult::Solved(sv) => sv.from_cache,
+                        InstanceResult::Error(e) => panic!("{model:?}: {e}"),
+                    },
+                    other => panic!("{model:?}: {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(from_cache, [false, true, false, true], "{model:?}: replies out of order");
+        replies.push(got);
+        server.shutdown();
+    }
+    assert_eq!(replies[0], replies[1], "pipelined replies diverge across models");
 }
 
 #[test]
