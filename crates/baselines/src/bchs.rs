@@ -76,11 +76,22 @@ pub struct BchsNode<V> {
     /// freeze flag has been delivered to every neighbour).
     frozen_at: Option<u64>,
     nb_frozen: Vec<bool>,
+    /// This round's bid level (`None` once frozen or with no active edge),
+    /// computed once when the round's state is final — by `init` and at the
+    /// end of every `receive` — and read by both `send` and `receive`.
+    level: Option<u32>,
 }
 
 impl<V: PackingValue> BchsNode<V> {
-    fn active_ports(&self) -> Vec<usize> {
-        (0..self.y.len()).filter(|&p| !self.frozen && !self.nb_frozen[p]).collect()
+    /// Whether port `p`'s edge is active: neither endpoint has frozen.
+    fn port_active(&self, p: usize) -> bool {
+        !self.frozen && !self.nb_frozen[p]
+    }
+
+    /// The bid level the current state announces on each active edge.
+    fn next_level(&self) -> Option<u32> {
+        let deg_act = if self.frozen { 0 } else { self.nb_frozen.iter().filter(|&&f| !f).count() };
+        (deg_act > 0).then(|| self.bid_level(deg_act as u64))
     }
 
     /// The raise unit of level `b`: `W/2^b`, one exact division in `V`.
@@ -150,7 +161,7 @@ impl<V: PackingValue> PnAlgorithm for BchsNode<V> {
         let w = V::from_u64(*input);
         let eps = V::from_u64(cfg.eps_num).div(&V::from_u64(cfg.eps_den));
         let threshold = w.mul(&V::one().sub(&eps));
-        BchsNode {
+        let mut node = BchsNode {
             w,
             y_total: V::zero(),
             y: vec![V::zero(); degree],
@@ -159,20 +170,26 @@ impl<V: PackingValue> PnAlgorithm for BchsNode<V> {
             frozen: false,
             frozen_at: None,
             nb_frozen: vec![false; degree],
-        }
+            level: None,
+        };
+        node.level = node.next_level();
+        node
     }
 
     fn send(&self, _cfg: &BchsConfig, _round: u64, out: &mut [BchsMsg]) {
-        let active = self.active_ports();
-        let level = if self.frozen || active.is_empty() {
-            None
-        } else {
-            Some(self.bid_level(active.len() as u64))
-        };
         for (p, m) in out.iter_mut().enumerate() {
-            let l = if active.contains(&p) { level } else { None };
+            let l = if self.port_active(p) { self.level } else { None };
             *m = BchsMsg::Level(l, self.frozen);
         }
+    }
+
+    /// Every port carries the same message unless some, but not all, of
+    /// the node's edges are still active.
+    fn send_uniform(&self, _cfg: &BchsConfig, _round: u64) -> Option<BchsMsg> {
+        if self.frozen || self.nb_frozen.iter().all(|&f| f) {
+            return Some(BchsMsg::Level(None, self.frozen));
+        }
+        (!self.nb_frozen.contains(&true)).then_some(BchsMsg::Level(self.level, false))
     }
 
     fn receive(
@@ -181,12 +198,7 @@ impl<V: PackingValue> PnAlgorithm for BchsNode<V> {
         round: u64,
         incoming: &[&BchsMsg],
     ) -> Option<BchsOutput<V>> {
-        let active = self.active_ports();
-        let my_level = if self.frozen || active.is_empty() {
-            None
-        } else {
-            Some(self.bid_level(active.len() as u64))
-        };
+        let my_level = self.level;
         for (p, m) in incoming.iter().enumerate() {
             // Nil comes only from halted neighbours; a neighbour halts only
             // when frozen or when all *its* neighbours (including us) froze —
@@ -196,7 +208,7 @@ impl<V: PackingValue> PnAlgorithm for BchsNode<V> {
                 BchsMsg::Nil => (None, true),
             };
             if let (Some(mine), Some(theirs), false) = (my_level, their_level, self.nb_frozen[p]) {
-                if active.contains(&p) {
+                if self.port_active(p) {
                     // Both endpoints compute W/2^max(b_u,b_v) from the
                     // exchanged levels — symmetric, and affordable by each
                     // because the unit is no coarser than its own bid.
@@ -218,7 +230,11 @@ impl<V: PackingValue> PnAlgorithm for BchsNode<V> {
             Some(r) => round > r,
             None => (0..self.y.len()).all(|p| self.nb_frozen[p]),
         };
-        done.then(|| BchsOutput { in_cover: self.frozen, y: self.y.clone() })
+        if done {
+            return Some(BchsOutput { in_cover: self.frozen, y: self.y.clone() });
+        }
+        self.level = self.next_level();
+        None
     }
 }
 
@@ -399,6 +415,7 @@ mod tests {
             frozen: false,
             frozen_at: None,
             nb_frozen: Vec::new(),
+            level: None,
         };
         let tiny = |k: u32| V::one().div(&pow2(k)); // 2^-k
         let mut residuals: Vec<V> = vec![V::zero(), V::zero().sub(&V::one()), tiny(3)];

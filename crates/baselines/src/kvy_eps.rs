@@ -56,11 +56,23 @@ pub struct KvyNode<V> {
     /// freeze flag has been delivered to every neighbour).
     frozen_at: Option<u64>,
     nb_frozen: Vec<bool>,
+    /// This round's offer `r(v)/deg_act(v)` (`None` once frozen or with no
+    /// active edge), computed once when the round's state is final — by
+    /// `init` and at the end of every `receive` — and read by both `send`
+    /// and `receive`.
+    offer: Option<V>,
 }
 
 impl<V: PackingValue> KvyNode<V> {
-    fn active_ports(&self) -> Vec<usize> {
-        (0..self.y.len()).filter(|&p| !self.frozen && !self.nb_frozen[p]).collect()
+    /// Whether port `p`'s edge is active: neither endpoint has frozen.
+    fn port_active(&self, p: usize) -> bool {
+        !self.frozen && !self.nb_frozen[p]
+    }
+
+    /// The offer the current state makes on each active edge.
+    fn next_offer(&self) -> Option<V> {
+        let deg_act = if self.frozen { 0 } else { self.nb_frozen.iter().filter(|&&f| !f).count() };
+        (deg_act > 0).then(|| self.w.sub(&self.y_total).div(&V::from_u64(deg_act as u64)))
     }
 }
 
@@ -74,7 +86,7 @@ impl<V: PackingValue> PnAlgorithm for KvyNode<V> {
         let w = V::from_u64(*input);
         let eps = V::from_u64(cfg.eps_num).div(&V::from_u64(cfg.eps_den));
         let threshold = w.mul(&V::one().sub(&eps));
-        KvyNode {
+        let mut node = KvyNode {
             w,
             y_total: V::zero(),
             y: vec![V::zero(); degree],
@@ -82,20 +94,26 @@ impl<V: PackingValue> PnAlgorithm for KvyNode<V> {
             frozen: false,
             frozen_at: None,
             nb_frozen: vec![false; degree],
-        }
+            offer: None,
+        };
+        node.offer = node.next_offer();
+        node
     }
 
     fn send(&self, _cfg: &KvyConfig, _round: u64, out: &mut [KvyMsg<V>]) {
-        let active = self.active_ports();
-        let offer = if self.frozen || active.is_empty() {
-            None
-        } else {
-            Some(self.w.sub(&self.y_total).div(&V::from_u64(active.len() as u64)))
-        };
         for (p, m) in out.iter_mut().enumerate() {
-            let o = if active.contains(&p) { offer.clone() } else { None };
+            let o = if self.port_active(p) { self.offer.clone() } else { None };
             *m = KvyMsg::Offer(o, self.frozen);
         }
+    }
+
+    /// Every port carries the same message unless some, but not all, of
+    /// the node's edges are still active.
+    fn send_uniform(&self, _cfg: &KvyConfig, _round: u64) -> Option<KvyMsg<V>> {
+        if self.frozen || self.nb_frozen.iter().all(|&f| f) {
+            return Some(KvyMsg::Offer(None, self.frozen));
+        }
+        (!self.nb_frozen.contains(&true)).then(|| KvyMsg::Offer(self.offer.clone(), false))
     }
 
     fn receive(
@@ -104,12 +122,7 @@ impl<V: PackingValue> PnAlgorithm for KvyNode<V> {
         round: u64,
         incoming: &[&KvyMsg<V>],
     ) -> Option<KvyOutput<V>> {
-        let active = self.active_ports();
-        let my_offer = if self.frozen || active.is_empty() {
-            None
-        } else {
-            Some(self.w.sub(&self.y_total).div(&V::from_u64(active.len() as u64)))
-        };
+        let my_offer = self.offer.take();
         for (p, m) in incoming.iter().enumerate() {
             // Nil comes only from halted neighbours; a neighbour halts only
             // when frozen or when all *its* neighbours (including us) froze —
@@ -121,7 +134,7 @@ impl<V: PackingValue> PnAlgorithm for KvyNode<V> {
             if let (Some(mine), Some(theirs), false) =
                 (my_offer.as_ref(), their_offer, self.nb_frozen[p])
             {
-                if active.contains(&p) {
+                if self.port_active(p) {
                     let inc = mine.min(theirs).clone();
                     self.y[p] = self.y[p].add(&inc);
                     self.y_total = self.y_total.add(&inc);
@@ -140,7 +153,11 @@ impl<V: PackingValue> PnAlgorithm for KvyNode<V> {
             Some(r) => round > r,
             None => (0..self.y.len()).all(|p| self.nb_frozen[p]),
         };
-        done.then(|| KvyOutput { in_cover: self.frozen, y: self.y.clone() })
+        if done {
+            return Some(KvyOutput { in_cover: self.frozen, y: self.y.clone() });
+        }
+        self.offer = self.next_offer();
+        None
     }
 }
 

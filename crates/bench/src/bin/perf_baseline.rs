@@ -24,8 +24,8 @@
 //! The `solver_workloads` rows time whole runs of the paper's solvers on
 //! fixed instances (µs per run, median and quartiles over back-to-back
 //! reps): §4 on a k = 3 set-cover instance with 32 elements, §5 on a Δ = 2
-//! path and on the Petersen graph, §3 on a random 3-regular graph with
-//! 256 nodes, and the unique-ID forest baseline of Table 1. The
+//! path and on the Petersen graph, §3 on random 3- and 4-regular graphs
+//! with 256 nodes, and the unique-ID forest baseline of Table 1. The
 //! `runtime_workloads` rows time the asynchronous executor per event, and
 //! `sync_overhead_x` is the ratio of its median run to the synchronous
 //! engine's median run of the same workload.
@@ -262,7 +262,8 @@ fn main() {
 
     // The paper's solvers, whole runs on the service's value type: §4, §5
     // on a path and on the Petersen graph (weights 1, 2, 3 repeating), §3
-    // on cold_mix's vc_pn shape (random 3-regular, n = 256, W = 2¹⁶), and
+    // on cold_mix's vc_pn shape (random 3-regular, n = 256, W = 2¹⁶) and on
+    // closed_mixed's miss shape (random 4-regular, n = 256, W = 1024), and
     // the unique-ID forest baseline of Table 1, which no served solver runs.
     let sc_inst = setcover::random_bounded(32, 16, 2, 3, WeightSpec::LogUniform(16), 11);
     let path = family::path(3);
@@ -270,6 +271,8 @@ fn main() {
     let petersen_w: Vec<u64> = (0..10).map(|i| i % 3 + 1).collect();
     let g256 = family::random_regular(256, 3, 1);
     let w256 = WeightSpec::LogUniform(1 << 16).draw_many(256, 2);
+    let g256_d4 = family::random_regular(256, 4, 1);
+    let w256_d4 = WeightSpec::LogUniform(1024).draw_many(256, 2);
     let g64 = family::random_regular(64, 4, 5);
     let w64 = WeightSpec::Uniform(1 << 12).draw_many(64, 9);
     let ids64: Vec<u64> = (1..=64).collect();
@@ -285,6 +288,9 @@ fn main() {
         }),
         time_solver("vc_pn_n256_d3", 21, || {
             run_edge_packing_with::<AutoRat>(&g256, &w256, 3, 1 << 16, 1).expect("§3 run");
+        }),
+        time_solver("vc_pn_n256_d4", 21, || {
+            run_edge_packing_with::<AutoRat>(&g256_d4, &w256_d4, 4, 1024, 1).expect("§3 run");
         }),
         time_solver("vc_id_forest_n64_d4", 21, || {
             run_id_edge_packing::<AutoRat>(&g64, &w64, &ids64, 64).expect("id-forest run");

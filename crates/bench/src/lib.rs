@@ -31,9 +31,10 @@ impl PnAlgorithm for HaltingGossip {
         HaltingGossip { best: *input >> 8, halt_at: (*input & 0xFF).max(1) }
     }
     fn send(&self, _: &(), _round: u64, out: &mut [u64]) {
-        for m in out {
-            *m = self.best;
-        }
+        out.fill(self.best);
+    }
+    fn send_uniform(&self, _: &(), _round: u64) -> Option<u64> {
+        Some(self.best)
     }
     fn receive(&mut self, _: &(), round: u64, incoming: &[&u64]) -> Option<u64> {
         for &&m in incoming {

@@ -177,41 +177,54 @@ impl<V: PackingValue> MessageSize for VcMsg<V> {
     }
 }
 
+/// What a node keeps per port.
+#[derive(Clone, Debug)]
+struct Port<V> {
+    /// `y(e)`: the node's copy of the incident edge's value.
+    y: V,
+    /// Lexicographic comparison own-sequence vs neighbour-sequence, fixed
+    /// at the first differing position.
+    ord: Ordering,
+    /// Neighbour active status from the latest status round.
+    nb_active: bool,
+    /// The edge is currently in `E_yc`.
+    in_eyc: bool,
+    /// The edge is in the unsaturated set A (Phase II).
+    in_a: bool,
+    /// Forest index if this is one of my outgoing edges.
+    forest: Option<u16>,
+    /// Grant to emit in the next star round (root role).
+    pending_grant: Option<V>,
+}
+
+/// What a node keeps per forest F₁…F_Δ.
+#[derive(Clone, Debug, Default)]
+struct ForestSlot {
+    /// My outgoing (parent) port.
+    parent_port: Option<usize>,
+    /// Ports with incoming forest edges (my children).
+    children: Vec<usize>,
+}
+
 /// Per-node state of the §3 algorithm.
 #[derive(Clone, Debug)]
 pub struct EdgePackingNode<V> {
-    deg: usize,
     /// Residual weight `r_y(v)`.
     r: V,
-    /// `y(e)` per port (the node's copy of each incident edge's value).
-    y: Vec<V>,
+    /// Per-port state, indexed by port.
+    ports: Vec<Port<V>>,
     /// Own colour sequence (grows to length Δ during Phase I).
     seq: Vec<V>,
-    /// Per-port lexicographic comparison own-sequence vs neighbour-sequence,
-    /// fixed at the first differing position.
-    ord: Vec<Ordering>,
-    /// Per-port neighbour active status from the latest status round.
-    nb_active: Vec<bool>,
     /// Own offer `x(v)` for the current Phase I iteration (None ⇔ v ∉ V_yc).
     my_x: Option<V>,
-    /// Per-port: edge currently in `E_yc`.
-    in_eyc: Vec<bool>,
-    /// Per-port: edge in the unsaturated set A (Phase II).
-    in_a: Vec<bool>,
-    /// Per-port: forest index if this is one of my outgoing edges.
-    forest_of_port: Vec<Option<u16>>,
-    /// Per-forest: my outgoing (parent) port.
-    parent_port: Vec<Option<usize>>,
-    /// Per-forest: ports with incoming forest edges (my children).
-    children: Vec<Vec<usize>>,
+    /// Per-forest parent and children, indexed by forest.
+    forests: Vec<ForestSlot>,
     /// Per-forest: my current Cole–Vishkin colour (None ⇔ not in the
     /// forest). My `Colours` messages share this vector; only
     /// `set_colour` changes it.
     colours: Arc<[Option<Colour>]>,
     /// The colour vector before the last change, reused by `set_colour`.
     spare: Option<Arc<[Option<Colour>]>>,
-    /// Per-port: grant to emit in the next star round (root role).
-    pending_grants: Vec<Option<V>>,
     /// Port on which I await a grant (leaf role).
     await_grant: Option<usize>,
 }
@@ -219,6 +232,27 @@ pub struct EdgePackingNode<V> {
 impl<V: PackingValue> EdgePackingNode<V> {
     fn active(&self) -> bool {
         self.r.is_positive()
+    }
+
+    /// Whether I am an active colour-`star.colour` child in forest
+    /// `star.forest`: such a leaf sends its residual to its parent port in
+    /// the star's residual round.
+    fn star_leaf(&self, star: StarId) -> Option<usize> {
+        self.forests[star.forest].parent_port.filter(|_| {
+            self.colours[star.forest].as_ref().and_then(Colour::to_u64) == Some(star.colour)
+                && self.active()
+        })
+    }
+
+    /// My message in a status, offer or colour round, where every port
+    /// carries the same one.
+    fn same_on_every_port(&self, phase: Phase) -> VcMsg<V> {
+        match phase {
+            Phase::P1Status { .. } | Phase::Status2 => VcMsg::Status(self.active()),
+            Phase::P1Offer { .. } => VcMsg::Offer(self.my_x.clone()),
+            // Cv, ShiftDown and Eliminate.
+            _ => VcMsg::Colours(Arc::clone(&self.colours)),
+        }
     }
 
     fn my_colour_small(&self, i: usize) -> u64 {
@@ -272,67 +306,65 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
             "weight {input} outside 1..=W = {}",
             cfg.max_weight
         );
+        let port = Port {
+            y: V::zero(),
+            ord: Ordering::Equal,
+            nb_active: true,
+            in_eyc: false,
+            in_a: false,
+            forest: None,
+            pending_grant: None,
+        };
         EdgePackingNode {
-            deg: degree,
             r: V::from_u64(*input),
-            y: vec![V::zero(); degree],
+            ports: vec![port; degree],
             seq: Vec::with_capacity(cfg.delta),
-            ord: vec![Ordering::Equal; degree],
-            nb_active: vec![true; degree],
             my_x: None,
-            in_eyc: vec![false; degree],
-            in_a: vec![false; degree],
-            forest_of_port: vec![None; degree],
-            parent_port: vec![None; cfg.delta],
-            children: vec![Vec::new(); cfg.delta],
+            forests: vec![ForestSlot::default(); cfg.delta],
             colours: vec![None; cfg.delta].into(),
             spare: None,
-            pending_grants: vec![None; degree],
             await_grant: None,
         }
     }
 
     fn send(&self, cfg: &VcConfig, round: u64, out: &mut [VcMsg<V>]) {
         match cfg.phase(round) {
-            Phase::P1Status { .. } | Phase::Status2 => {
-                for m in out.iter_mut() {
-                    *m = VcMsg::Status(self.active());
-                }
-            }
-            Phase::P1Offer { .. } => {
-                for m in out.iter_mut() {
-                    *m = VcMsg::Offer(self.my_x.clone());
-                }
-            }
             Phase::Forest => {
-                for (p, m) in out.iter_mut().enumerate() {
-                    *m = VcMsg::Forest(self.forest_of_port[p]);
-                }
-            }
-            Phase::Cv | Phase::ShiftDown | Phase::Eliminate { .. } => {
-                for m in out.iter_mut() {
-                    *m = VcMsg::Colours(Arc::clone(&self.colours));
+                for (port, m) in self.ports.iter().zip(out.iter_mut()) {
+                    *m = VcMsg::Forest(port.forest);
                 }
             }
             Phase::StarResid(star) => {
                 // Leaf role: if I am a colour-j child in forest i and still
                 // unsaturated, send my residual to my parent.
-                if let Some(p) = self.parent_port[star.forest] {
-                    if self.colours[star.forest].as_ref().and_then(Colour::to_u64)
-                        == Some(star.colour)
-                        && self.active()
-                    {
-                        out[p] = VcMsg::Resid(self.r.clone());
-                    }
+                if let Some(p) = self.star_leaf(star) {
+                    out[p] = VcMsg::Resid(self.r.clone());
                 }
             }
             Phase::StarGrant(_) => {
-                for (p, m) in out.iter_mut().enumerate() {
-                    if let Some(g) = &self.pending_grants[p] {
+                for (port, m) in self.ports.iter().zip(out.iter_mut()) {
+                    if let Some(g) = &port.pending_grant {
                         *m = VcMsg::Grant(g.clone());
                     }
                 }
             }
+            phase => out.fill(self.same_on_every_port(phase)),
+        }
+    }
+
+    /// Status, offer and colour rounds send one value on every port; the
+    /// forest and star rounds do too for a node with nothing port-specific
+    /// to say (no outgoing forest edge, not a sending leaf, no grants).
+    fn send_uniform(&self, cfg: &VcConfig, round: u64) -> Option<VcMsg<V>> {
+        match cfg.phase(round) {
+            Phase::Forest => {
+                self.ports.iter().all(|p| p.forest.is_none()).then_some(VcMsg::Forest(None))
+            }
+            Phase::StarResid(star) => self.star_leaf(star).is_none().then_some(VcMsg::Nil),
+            Phase::StarGrant(_) => {
+                self.ports.iter().all(|p| p.pending_grant.is_none()).then_some(VcMsg::Nil)
+            }
+            phase => Some(self.same_on_every_port(phase)),
         }
     }
 
@@ -344,38 +376,34 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
     ) -> Option<VcOutput<V>> {
         match cfg.phase(round) {
             Phase::P1Status { .. } => {
-                for (p, m) in incoming.iter().enumerate() {
-                    // Total decoding (self-stabilization contract): anything
-                    // other than Status(true) counts as inactive.
-                    self.nb_active[p] = matches!(m, VcMsg::Status(true));
-                }
                 let me_active = self.active();
                 let mut degyc = 0usize;
-                for p in 0..self.deg {
-                    self.in_eyc[p] =
-                        me_active && self.nb_active[p] && self.ord[p] == Ordering::Equal;
-                    degyc += usize::from(self.in_eyc[p]);
+                for (port, m) in self.ports.iter_mut().zip(incoming) {
+                    // Total decoding (self-stabilization contract): anything
+                    // other than Status(true) counts as inactive.
+                    port.nb_active = matches!(m, VcMsg::Status(true));
+                    port.in_eyc = me_active && port.nb_active && port.ord == Ordering::Equal;
+                    degyc += usize::from(port.in_eyc);
                 }
                 self.my_x = (degyc > 0).then(|| self.r.div(&V::from_u64(degyc as u64)));
             }
             Phase::P1Offer { .. } => {
                 let one = V::one();
                 let own_append = self.my_x.clone().unwrap_or_else(|| one.clone());
-                for (p, m) in incoming.iter().enumerate() {
+                for (port, m) in self.ports.iter_mut().zip(incoming) {
                     let xu = match m {
-                        VcMsg::Offer(x) => x.clone(),
+                        VcMsg::Offer(x) => x.as_ref(),
                         _ => None, // corrupted neighbour: treat as not in V_yc
                     };
-                    if self.in_eyc[p] {
-                        if let (Some(mine), Some(theirs)) = (self.my_x.as_ref(), xu.as_ref()) {
+                    if port.in_eyc {
+                        if let (Some(mine), Some(theirs)) = (self.my_x.as_ref(), xu) {
                             let inc = mine.min(theirs).clone();
-                            self.y[p] = self.y[p].add(&inc);
+                            port.y = port.y.add(&inc);
                             self.r = self.r.sub(&inc);
                         }
                     }
-                    let their_append = xu.unwrap_or_else(|| one.clone());
-                    if self.ord[p] == Ordering::Equal {
-                        self.ord[p] = own_append.cmp(&their_append);
+                    if port.ord == Ordering::Equal {
+                        port.ord = own_append.cmp(xu.unwrap_or(&one));
                     }
                 }
                 self.seq.push(own_append);
@@ -384,20 +412,20 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
             Phase::Status2 => {
                 let me_active = self.active();
                 let mut rank = 0u16;
-                for (p, m) in incoming.iter().enumerate() {
+                for (p, (port, m)) in self.ports.iter_mut().zip(incoming).enumerate() {
                     let a = matches!(m, VcMsg::Status(true));
-                    self.nb_active[p] = a;
+                    port.nb_active = a;
                     // Phase I postcondition (Lemma 1): an unsaturated edge is
                     // multicoloured — so ord != Equal whenever both ends are
                     // active. Under fault injection the invariant can break
                     // transiently; requiring it here (rather than asserting)
                     // keeps the program total.
-                    self.in_a[p] = me_active && a && self.ord[p] != Ordering::Equal;
-                    if self.in_a[p] && self.ord[p] == Ordering::Less {
+                    port.in_a = me_active && a && port.ord != Ordering::Equal;
+                    if port.in_a && port.ord == Ordering::Less {
                         // My colour is lower: the edge is oriented away from
                         // me; it becomes my rank-th outgoing edge → forest.
-                        self.forest_of_port[p] = Some(rank);
-                        self.parent_port[rank as usize] = Some(p);
+                        port.forest = Some(rank);
+                        self.forests[rank as usize].parent_port = Some(p);
                         rank += 1;
                     }
                 }
@@ -406,7 +434,7 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                 for (p, m) in incoming.iter().enumerate() {
                     if let VcMsg::Forest(Some(i)) = m {
                         if (*i as usize) < cfg.delta {
-                            self.children[*i as usize].push(p);
+                            self.forests[*i as usize].children.push(p);
                         }
                     }
                 }
@@ -418,7 +446,8 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                     .try_encode(&self.seq)
                     .unwrap_or_else(|| cfg.encoder.fallback_code::<V>());
                 for i in 0..cfg.delta {
-                    if self.parent_port[i].is_some() || !self.children[i].is_empty() {
+                    let forest = &self.forests[i];
+                    if forest.parent_port.is_some() || !forest.children.is_empty() {
                         self.set_colour(i, code.clone());
                     }
                 }
@@ -426,7 +455,7 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
             Phase::Cv => {
                 for i in 0..cfg.delta {
                     let Some(own) = self.colours[i].as_ref() else { continue };
-                    let parent = self.parent_port[i].and_then(|p| match incoming[p] {
+                    let parent = self.forests[i].parent_port.and_then(|p| match incoming[p] {
                         VcMsg::Colours(cs) => cs.get(i).and_then(Option::as_ref),
                         _ => None,
                     });
@@ -444,7 +473,7 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                     if self.colours[i].is_none() {
                         continue;
                     }
-                    match self.parent_port[i] {
+                    match self.forests[i].parent_port {
                         Some(p) => {
                             let pc = match incoming[p] {
                                 VcMsg::Colours(cs) => cs.get(i).and_then(Option::as_ref),
@@ -480,10 +509,11 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                             }
                         }
                     };
-                    if let Some(p) = self.parent_port[i] {
+                    let forest = &self.forests[i];
+                    if let Some(p) = forest.parent_port {
                         forbid(incoming[p]);
                     }
-                    for &p in &self.children[i] {
+                    for &p in &forest.children {
                         forbid(incoming[p]);
                     }
                     // In a fault-free run, the shift-down guarantees parent +
@@ -495,10 +525,7 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
             }
             Phase::StarResid(star) => {
                 // Leaf: remember where I expect a grant.
-                self.await_grant = self.parent_port[star.forest].filter(|_| {
-                    self.colours[star.forest].as_ref().and_then(Colour::to_u64) == Some(star.colour)
-                        && self.active()
-                });
+                self.await_grant = self.star_leaf(star);
                 // Root: gather residuals and compute grants now (send() is
                 // immutable, so the decision is made here).
                 let mut leaves: Vec<(usize, V)> = Vec::new();
@@ -513,7 +540,7 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                 if !self.active() {
                     // I am saturated: all these edges are already saturated.
                     for (p, _) in leaves {
-                        self.pending_grants[p] = Some(V::zero());
+                        self.ports[p].pending_grant = Some(V::zero());
                     }
                     return None;
                 }
@@ -527,16 +554,18 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                 if total < self.r {
                     // α < 1: saturate every leaf.
                     for (p, ru) in leaves {
-                        self.y[p] = self.y[p].add(&ru);
-                        self.pending_grants[p] = Some(ru);
+                        let port = &mut self.ports[p];
+                        port.y = port.y.add(&ru);
+                        port.pending_grant = Some(ru);
                     }
                     self.r = self.r.sub(&total);
                 } else {
                     // α ≥ 1: scale grants by r_v / Σ r_u, saturating me.
                     for (p, ru) in leaves {
                         let g = ru.mul(&self.r).div(&total);
-                        self.y[p] = self.y[p].add(&g);
-                        self.pending_grants[p] = Some(g);
+                        let port = &mut self.ports[p];
+                        port.y = port.y.add(&g);
+                        port.pending_grant = Some(g);
                     }
                     self.r = V::zero();
                 }
@@ -545,18 +574,21 @@ impl<V: PackingValue> PnAlgorithm for EdgePackingNode<V> {
                 if let Some(p) = self.await_grant.take() {
                     // A corrupted root may fail to grant; skip (totality).
                     if let VcMsg::Grant(g) = incoming[p] {
-                        self.y[p] = self.y[p].add(g);
+                        let port = &mut self.ports[p];
+                        port.y = port.y.add(g);
                         self.r = self.r.sub(g);
                     }
                 }
-                for g in self.pending_grants.iter_mut() {
-                    *g = None;
+                for port in self.ports.iter_mut() {
+                    port.pending_grant = None;
                 }
             }
         }
 
-        (round == cfg.total_rounds())
-            .then(|| VcOutput { in_cover: self.r.is_zero(), y: self.y.clone() })
+        (round == cfg.total_rounds()).then(|| VcOutput {
+            in_cover: self.r.is_zero(),
+            y: self.ports.iter().map(|p| p.y.clone()).collect(),
+        })
     }
 }
 

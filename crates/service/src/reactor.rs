@@ -74,9 +74,9 @@ impl Handler for ServiceHandler {
         let mut rec = RequestRecord::default();
         let reply = match dispatch(&self.shared, &payload, &mut rec) {
             Dispatch::Reply(reply) => reply,
-            Dispatch::Submit(req) => {
+            Dispatch::Submit(sub) => {
                 let route = ReactorReply { token, seq, started, done: self.done.clone() };
-                match self.shared.submit(req, &mut rec, Reply::Reactor(route)) {
+                match self.shared.submit(sub, &mut rec, Reply::Reactor(route)) {
                     Ok(()) => return Action::Pending,
                     Err(busy) => busy,
                 }

@@ -143,10 +143,20 @@ pub(crate) enum Reply {
     Reactor(crate::reactor::ReactorReply),
 }
 
+/// A decoded solve request bound for a worker, with the cache keys of its
+/// instances. Each key copies an instance's canonical blob, so it is built
+/// once per request — at dispatch, which probes the cache with it — and the
+/// worker moves it into the cache. Empty when the request does not use the
+/// cache.
+pub(crate) struct Submission {
+    req: SolveRequest,
+    keys: Vec<Vec<u8>>,
+}
+
 /// A queued solve request with its flight record, which the worker fills in
 /// with the queue, solve and encode phases.
 struct Job {
-    req: SolveRequest,
+    sub: Submission,
     rec: RequestRecord,
     reply: Reply,
     queued: Stopwatch,
@@ -209,13 +219,29 @@ impl Shared {
         }
     }
 
+    /// Whether `req` reads and fills the result cache.
+    fn uses_cache(&self, req: &SolveRequest) -> bool {
+        req.flags & FLAG_NO_CACHE == 0 && self.cfg.cache_cap > 0
+    }
+
+    /// Wraps `req` for [`Shared::submit`], building its cache keys when it
+    /// uses the cache.
+    pub(crate) fn submission(&self, req: SolveRequest) -> Submission {
+        let keys = if self.uses_cache(&req) {
+            (0..req.instances.len()).map(|i| req.cache_key(i)).collect()
+        } else {
+            Vec::new()
+        };
+        Submission { req, keys }
+    }
+
     /// Enqueues a solve request, moving its flight record into the job, or
     /// — when the queue is full or the service is stopping — leaves the
     /// record with the caller (outcome `busy`) and returns the encoded
     /// `Busy` payload to answer inline.
     pub(crate) fn submit(
         &self,
-        req: SolveRequest,
+        sub: Submission,
         rec: &mut RequestRecord,
         reply: Reply,
     ) -> Result<(), Vec<u8>> {
@@ -229,7 +255,7 @@ impl Shared {
             }));
         }
         let rec = std::mem::take(rec);
-        q.push_back(Job { req, rec, reply, queued: Stopwatch::start() });
+        q.push_back(Job { sub, rec, reply, queued: Stopwatch::start() });
         drop(q);
         self.cv.notify_one();
         Ok(())
@@ -241,39 +267,49 @@ impl Shared {
     /// request (the solver's kind counter, `served_ok`, one cache hit per
     /// instance) and fills `rec` as a worker would, minus the queue wait.
     ///
-    /// Returns `None`, having counted nothing, when the request must go
-    /// through [`Shared::submit`] instead: it bypasses the cache, carries
-    /// the debug panic flag (whose instrumentation lives on the worker),
-    /// asks for a mode its solver rejects, or misses on any instance — the
-    /// worker then probes again and counts the hits and misses itself.
-    fn answer_cached(&self, req: &SolveRequest, rec: &mut RequestRecord) -> Option<Vec<u8>> {
-        if req.flags & (FLAG_NO_CACHE | FLAG_TEST_PANIC) != 0
-            || self.cfg.cache_cap == 0
-            || portfolio::mode_supported(req).is_err()
-        {
-            return None;
-        }
+    /// Returns the request as a [`Submission`] (with the cache keys it was
+    /// probed under), having counted nothing, when it must go through
+    /// [`Shared::submit`] instead: it bypasses the cache, carries the debug
+    /// panic flag (whose instrumentation lives on the worker), asks for a
+    /// mode its solver rejects, or misses on any instance — the worker then
+    /// probes again and counts the hits and misses itself.
+    fn answer_cached(
+        &self,
+        req: SolveRequest,
+        rec: &mut RequestRecord,
+    ) -> Result<Vec<u8>, Submission> {
         let mut sw = Stopwatch::start();
-        let keys: Vec<Vec<u8>> = (0..req.instances.len()).map(|i| req.cache_key(i)).collect();
-        let mut cache = self.lock_cache();
-        if !keys.iter().all(|key| cache.contains(key)) {
-            return None;
-        }
-        rec.solve_us = sw.lap_us();
-        let mut reply = wire::OkResponse::new(keys.len());
-        for key in &keys {
-            // Present: `contains` saw every key under this same lock.
-            reply.push_solved(true, cache.get(key)?);
-        }
-        drop(cache);
+        let sub = self.submission(req);
+        let reply = 'probe: {
+            let Submission { req, keys } = &sub;
+            if !self.uses_cache(req)
+                || req.flags & FLAG_TEST_PANIC != 0
+                || portfolio::mode_supported(req).is_err()
+            {
+                break 'probe None;
+            }
+            let mut cache = self.lock_cache();
+            if !keys.iter().all(|key| cache.contains(key)) {
+                break 'probe None;
+            }
+            rec.solve_us = sw.lap_us();
+            let mut reply = wire::OkResponse::new(keys.len());
+            for key in keys {
+                // Present: `contains` saw every key under this same lock.
+                let Some(body) = cache.get(key) else { break 'probe None };
+                reply.push_solved(true, body);
+            }
+            Some(reply)
+        };
+        let Some(reply) = reply else { return Err(sub) };
         let tel = &self.telemetry;
-        tel.kind_counter(req.solver).inc();
+        tel.kind_counter(sub.req.solver).inc();
         tel.served_ok.inc();
         rec.outcome = outcome::OK;
-        rec.cache_hits = keys.len() as u32;
+        rec.cache_hits = sub.keys.len() as u32;
         let payload = reply.finish();
         rec.encode_us = sw.lap_us();
-        Some(payload)
+        Ok(payload)
     }
 
     /// The one metrics snapshot both info frames are built from: the cache,
@@ -335,7 +371,7 @@ pub(crate) enum Dispatch {
     /// solve request served wholly from the cache).
     Reply(Vec<u8>),
     /// A decoded solve request for the caller to [`Shared::submit`].
-    Submit(SolveRequest),
+    Submit(Submission),
 }
 
 /// The one request dispatch both connection models share: parses the frame,
@@ -362,9 +398,9 @@ pub(crate) fn dispatch(shared: &Shared, payload: &[u8], rec: &mut RequestRecord)
                 Ok(req) => {
                     rec.problem = req.solver.name();
                     rec.instances = req.instances.len() as u32;
-                    return match shared.answer_cached(&req, rec) {
-                        Some(reply) => Dispatch::Reply(reply),
-                        None => Dispatch::Submit(req),
+                    return match shared.answer_cached(req, rec) {
+                        Ok(reply) => Dispatch::Reply(reply),
+                        Err(sub) => Dispatch::Submit(sub),
                     };
                 }
                 // A well-formed frame naming a solver this build does not
@@ -399,7 +435,14 @@ pub(crate) fn dispatch(shared: &Shared, payload: &[u8], rec: &mut RequestRecord)
 
 /// Executes one request end to end, returning the response payload and
 /// filling in the worker-side phases and outcome of its flight record.
-fn execute(shared: &Shared, req: &SolveRequest, rec: &mut RequestRecord) -> Vec<u8> {
+/// `keys` are the request's cache keys ([`Shared::submission`]); the
+/// computed results are inserted under them.
+fn execute(
+    shared: &Shared,
+    req: &SolveRequest,
+    mut keys: Vec<Vec<u8>>,
+    rec: &mut RequestRecord,
+) -> Vec<u8> {
     if cfg!(debug_assertions) && req.flags & FLAG_TEST_PANIC != 0 {
         // lint: allow(panic-path) — deliberate test instrumentation, debug builds only, and the worker_loop catch_unwind is exactly what it exercises
         panic!("FLAG_TEST_PANIC set: deliberate worker panic (test instrumentation)");
@@ -416,11 +459,7 @@ fn execute(shared: &Shared, req: &SolveRequest, rec: &mut RequestRecord) -> Vec<
     let mut sw = Stopwatch::start();
     let k = req.instances.len();
     let mut outcomes: Vec<Option<InstanceOutcome>> = (0..k).map(|_| None).collect();
-    let use_cache = req.flags & FLAG_NO_CACHE == 0 && shared.cfg.cache_cap > 0;
-    // Keys copy the canonical blobs, so build them only when the cache is in
-    // play — the no-cache path stays allocation-free here.
-    let keys: Vec<Vec<u8>> =
-        if use_cache { (0..k).map(|i| req.cache_key(i)).collect() } else { Vec::new() };
+    let use_cache = shared.uses_cache(req);
     if use_cache {
         let mut cache = shared.lock_cache();
         for i in 0..k {
@@ -437,7 +476,7 @@ fn execute(shared: &Shared, req: &SolveRequest, rec: &mut RequestRecord) -> Vec<
             let mut cache = shared.lock_cache();
             for (&i, outcome) in missing.iter().zip(computed.iter()) {
                 if let Ok((_, body)) = outcome {
-                    cache.insert(keys[i].clone(), body.clone());
+                    cache.insert(std::mem::take(&mut keys[i]), body.clone());
                 }
             }
         }
@@ -462,7 +501,7 @@ fn execute(shared: &Shared, req: &SolveRequest, rec: &mut RequestRecord) -> Vec<
 
 fn worker_loop(shared: Arc<Shared>) {
     loop {
-        let Job { req, mut rec, reply, queued } = {
+        let Job { sub, mut rec, reply, queued } = {
             let mut q = shared.lock_queue();
             loop {
                 if let Some(job) = q.pop_front() {
@@ -491,7 +530,10 @@ fn worker_loop(shared: Arc<Shared>) {
         // errors, and keep the thread. The unwind path also dumps the
         // flight recorder to stderr — the records preceding the panic are
         // exactly the evidence a post-mortem needs.
-        let payload = match catch_unwind(AssertUnwindSafe(|| execute(&shared, &req, &mut rec))) {
+        let Submission { req, keys } = sub;
+        let payload = match catch_unwind(AssertUnwindSafe(|| {
+            execute(&shared, &req, keys, &mut rec)
+        })) {
             Ok(payload) => payload,
             Err(_) => {
                 let tel = &shared.telemetry;
@@ -551,9 +593,9 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
         let mut rec = RequestRecord { read_us: sw.lap_us(), ..RequestRecord::default() };
         let reply = match dispatch(shared, &payload, &mut rec) {
             Dispatch::Reply(reply) => reply,
-            Dispatch::Submit(req) => {
+            Dispatch::Submit(sub) => {
                 let (tx, rx) = mpsc::channel();
-                match shared.submit(req, &mut rec, Reply::Thread(tx)) {
+                match shared.submit(sub, &mut rec, Reply::Thread(tx)) {
                     Ok(()) => match rx.recv() {
                         Ok((reply, done)) => {
                             rec = done;
@@ -714,7 +756,8 @@ mod tests {
         for i in 0..cfg.queue_cap {
             let req = SolveRequest::new(SolverId::VC_PN, vec![vec![i as u8]]);
             let mut rec = RequestRecord::default();
-            assert!(shared.submit(req, &mut rec, Reply::Thread(tx.clone())).is_ok());
+            let sub = shared.submission(req);
+            assert!(shared.submit(sub, &mut rec, Reply::Thread(tx.clone())).is_ok());
         }
         let req = SolveRequest::new(SolverId::VC_PN, vec![vec![0xAB; 16]]);
         let body = vec![1, 2, 3, 4, 5];

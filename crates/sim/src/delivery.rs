@@ -9,7 +9,16 @@
 //!
 //! * **Port numbering** ([`PortNumbering`]): a node of degree d owns d buffer
 //!   slots (one per out-arc, in port order) and receives the reverse-arc
-//!   slots of its neighbours — port-aligned delivery.
+//!   slots of its neighbours — port-aligned delivery. It also owns one
+//!   *node slot* and a one-byte *uniform* flag: in a round where
+//!   [`PnAlgorithm::send_uniform`] returns `Some(m)`, the node's send is
+//!   `m` written once into its node slot, with the flag set, and its arc
+//!   slots are left alone. Gather resolves port p of node v to the sender
+//!   u at the other end: u's node slot when u's flag is set, otherwise the
+//!   reverse arc's slot. The node slots are the [`Broadcast`] layout (one
+//!   slot per node) kept beside the arc slots, not a third model. Most
+//!   rounds are all-uniform or all-per-port ([`Senders`]), and their gather
+//!   reads one array without consulting the flags.
 //! * **Broadcast** ([`Broadcast`]): a node owns one slot, fanned out along
 //!   every incident edge, and receives its neighbours' slots as a canonically
 //!   **sorted multiset** (enforced here, so no algorithm can depend on sender
@@ -17,6 +26,8 @@
 //!
 //! [`Delivery`] captures exactly those differences (slot layout, send,
 //! gather, and the per-model [`Trace`](crate::engine::Trace) bit accounting);
+//! a uniform port-numbering send is still accounted as `degree` messages of
+//! its size, with the size measured once per node rather than once per slot.
 //! [`Engine`](crate::engine::Engine) implements everything else — phase
 //! scaffolding, arc-weight-balanced partitioning over the persistent
 //! [`RoundPool`](crate::pool::RoundPool), halted-frontier skipping,
@@ -170,6 +181,34 @@ pub struct GatherScratch {
     counts: Vec<u32>,
 }
 
+/// What the send phase of a round left for the receive phase to gather
+/// from.
+#[derive(Clone, Copy, Debug)]
+pub struct Outbox<'b, M> {
+    /// The slot buffer: one slot per arc (port numbering) or per node
+    /// (broadcast), laid out by [`Delivery::slot_span`].
+    pub slots: &'b [M],
+    /// One slot per node, holding the node's uniform message in rounds
+    /// where it sent one ([`Delivery::NODE_SLOTS`] deliveries only; empty
+    /// otherwise).
+    pub nodes: &'b [M],
+    /// Where each sender's messages sit this round.
+    pub senders: Senders<'b>,
+}
+
+/// Where a round's senders left their messages. A halted node's slots of
+/// both kinds hold `Msg::default()`, so it matches every variant.
+#[derive(Clone, Copy, Debug)]
+pub enum Senders<'b> {
+    /// Every node's messages are in its `slots`.
+    Slots,
+    /// Every node's message is in its node slot.
+    Nodes,
+    /// Per node: whether its message is in its node slot (`true`) or in
+    /// its `slots`.
+    Mixed(&'b [bool]),
+}
+
 /// Below this degree a tiny unstable sort of `u32` rank keys beats the
 /// counting pass (which walks every distinct rank of the round).
 const COUNTING_MIN_DEGREE: usize = 16;
@@ -196,6 +235,13 @@ pub trait Delivery<A> {
     /// numbering is port-aligned and needs no canonicalisation.
     const RANKED: bool = false;
 
+    /// True when the engine keeps one node slot and one uniform flag per
+    /// node beside the slot buffer and asks
+    /// [`send_uniform`](Delivery::send_uniform) before
+    /// [`send`](Delivery::send). Port numbering sets this; a broadcast slot
+    /// is already one per node.
+    const NODE_SLOTS: bool = false;
+
     /// Creates the initial state of a node with `degree` ports.
     fn init(cfg: &Self::Config, degree: usize, input: &Self::Input) -> A;
 
@@ -209,6 +255,14 @@ pub trait Delivery<A> {
     /// node's `slot_span`, pre-filled with `Msg::default()`.
     fn send(state: &A, cfg: &Self::Config, round: u64, out: &mut [Self::Msg]);
 
+    /// The node's message for every port this round, when it is the same
+    /// on all of them ([`NODE_SLOTS`](Delivery::NODE_SLOTS) deliveries
+    /// only). The default is `None`: send per slot.
+    fn send_uniform(state: &A, cfg: &Self::Config, round: u64) -> Option<Self::Msg> {
+        let _ = (state, cfg, round);
+        None
+    }
+
     /// Builds the round-global [`CanonTable`] from the post-send buffer.
     /// Called once per round by the engine when
     /// [`RANKED`](Delivery::RANKED) is set; the default is a no-op.
@@ -216,15 +270,16 @@ pub trait Delivery<A> {
         let _ = (g, buf, canon);
     }
 
-    /// Gathers node `v`'s incoming messages from the global buffer into
+    /// Gathers node `v`'s incoming messages from the round's outbox into
     /// `scratch` (which must be empty on entry), canonicalised as the model
     /// requires: broadcast emits the sorted multiset via the round's
-    /// [`CanonTable`] ranks, port numbering is port-aligned and ignores
-    /// `canon`/`gs` entirely.
+    /// [`CanonTable`] ranks, port numbering is port-aligned (each port reads
+    /// its sender's node slot or arc slot) and ignores `canon`/`gs`
+    /// entirely.
     fn gather<'b>(
         g: &Graph,
         v: usize,
-        buf: &'b [Self::Msg],
+        out: &Outbox<'b, Self::Msg>,
         canon: &CanonTable,
         gs: &mut GatherScratch,
         scratch: &mut Vec<&'b Self::Msg>,
@@ -260,17 +315,18 @@ pub trait Delivery<A> {
     /// counts it toward the max even when `deg(v) == 0`.
     fn slot_bits(g: &Graph, v: usize, slots: &[Self::Msg]) -> (u64, u64);
 
-    /// The same accounting for a halted node, whose slots all hold
-    /// `Msg::default()` of size `default_bits`. This is what lets the engine
-    /// skip halted nodes entirely while keeping [`Trace`](crate::engine::Trace)
-    /// counts identical to the all-nodes-send semantics.
-    fn halted_bits(g: &Graph, v: usize, default_bits: u64) -> (u64, u64);
+    /// The same accounting for a node whose every slot carries a message
+    /// of `bits` bits: a uniform send, or a halted node's `Msg::default()`.
+    /// This is what lets the engine measure a uniform message once and skip
+    /// halted nodes entirely while keeping [`Trace`](crate::engine::Trace)
+    /// counts identical to the all-nodes-send, one-slot-per-arc semantics.
+    fn uniform_bits(g: &Graph, v: usize, bits: u64) -> (u64, u64);
 
-    /// [`slot_bits`](Delivery::slot_bits) summed over a whole *dense* chunk:
-    /// `slots` is exactly `slot_span(g, nodes)`. One tight pass for the
-    /// engine's fast path when no halted node interrupts the span; must
-    /// equal the per-node sum exactly.
-    fn chunk_bits(g: &Graph, nodes: Range<usize>, slots: &[Self::Msg]) -> (u64, u64);
+    /// [`uniform_bits`](Delivery::uniform_bits) summed over the contiguous
+    /// node range `nodes`, in O(1): the engine's dense fast path for
+    /// fixed-width messages ([`MessageSize::FIXED_BITS`]), where every slot
+    /// measures `bits`. Must equal the per-node sum exactly.
+    fn chunk_bits(g: &Graph, nodes: Range<usize>, bits: u64) -> (u64, u64);
 }
 
 /// Zero-sized marker: port-numbering-model delivery (see [`PnAlgorithm`]).
@@ -282,6 +338,8 @@ impl<A: PnAlgorithm> Delivery<A> for PortNumbering {
     type Input = A::Input;
     type Output = A::Output;
     type Config = A::Config;
+
+    const NODE_SLOTS: bool = true;
 
     #[inline(always)]
     fn init(cfg: &Self::Config, degree: usize, input: &Self::Input) -> A {
@@ -299,20 +357,48 @@ impl<A: PnAlgorithm> Delivery<A> for PortNumbering {
     }
 
     #[inline(always)]
+    fn send_uniform(state: &A, cfg: &Self::Config, round: u64) -> Option<Self::Msg> {
+        state.send_uniform(cfg, round)
+    }
+
+    #[inline(always)]
     fn gather<'b>(
         g: &Graph,
         v: usize,
-        buf: &'b [Self::Msg],
+        out: &Outbox<'b, Self::Msg>,
         _canon: &CanonTable,
         _gs: &mut GatherScratch,
         scratch: &mut Vec<&'b Self::Msg>,
     ) {
         // Port-aligned: the message arriving on port p is what the neighbour
-        // wrote into the reverse arc of v's p-th out-arc. The bulk rev-arc
-        // slice trades one bounds check per arc for one per node, and its
-        // exact length lets `extend` reserve once instead of per push.
+        // u at its other end sent on the reverse arc — u's node slot when u
+        // sent uniformly this round, else the reverse arc's own slot. The
+        // bulk head and rev-arc slices trade one bounds check per arc for
+        // one per node, and their exact length lets `extend` reserve once
+        // instead of per push.
         // hot-path: begin — port-numbering gather
-        scratch.extend(g.rev_arcs(g.arc_range(v)).iter().map(|&r| &buf[r as usize]));
+        let arcs = g.arc_range(v);
+        let (slots, nodes) = (out.slots, out.nodes);
+        match out.senders {
+            Senders::Slots => {
+                scratch.extend(g.rev_arcs(arcs).iter().map(|&r| &slots[r as usize]));
+            }
+            Senders::Nodes => {
+                scratch.extend(g.heads(arcs).iter().map(|&u| &nodes[u as usize]));
+            }
+            Senders::Mixed(uniform) => {
+                let (heads, revs) = (g.heads(arcs.clone()), g.rev_arcs(arcs));
+                scratch.reserve(heads.len());
+                for (&u, &r) in heads.iter().zip(revs) {
+                    // Both candidates are addresses, not loads: taking
+                    // both and selecting keeps a mixed round's
+                    // unpredictable flags off the branch predictor.
+                    let u = u as usize;
+                    let (node, arc) = (&nodes[u], &slots[r as usize]);
+                    scratch.push(if uniform[u] { node } else { arc });
+                }
+            }
+        }
         // hot-path: end
     }
 
@@ -355,26 +441,19 @@ impl<A: PnAlgorithm> Delivery<A> for PortNumbering {
     }
 
     #[inline]
-    fn halted_bits(g: &Graph, v: usize, default_bits: u64) -> (u64, u64) {
+    fn uniform_bits(g: &Graph, v: usize, bits: u64) -> (u64, u64) {
+        // One message per arc, as if each slot had been written.
         let d = g.degree(v) as u64;
-        (d * default_bits, if d > 0 { default_bits } else { 0 })
+        (d * bits, if d > 0 { bits } else { 0 })
     }
 
     #[inline]
-    fn chunk_bits(_g: &Graph, _nodes: Range<usize>, slots: &[Self::Msg]) -> (u64, u64) {
-        // O(1) for fixed-width messages — this is what removes the whole
-        // accounting read-back pass from the engine's dense send path.
-        if let Some(b) = Self::Msg::FIXED_BITS {
-            return ((slots.len() as u64) * b, if slots.is_empty() { 0 } else { b });
-        }
-        let mut total = 0;
-        let mut max = 0;
-        for m in slots {
-            let b = m.approx_bits();
-            total += b;
-            max = max.max(b);
-        }
-        (total, max)
+    fn chunk_bits(g: &Graph, nodes: Range<usize>, bits: u64) -> (u64, u64) {
+        // The degrees of a contiguous node range sum to its arc-span
+        // length — this is what removes the whole accounting read-back
+        // pass from the engine's dense send path.
+        let arcs = g.arc_span(nodes).len() as u64;
+        (arcs * bits, if arcs > 0 { bits } else { 0 })
     }
 }
 
@@ -477,11 +556,12 @@ impl<A: BcastAlgorithm> Delivery<A> for Broadcast {
     fn gather<'b>(
         g: &Graph,
         v: usize,
-        buf: &'b [Self::Msg],
+        out: &Outbox<'b, Self::Msg>,
         canon: &CanonTable,
         gs: &mut GatherScratch,
         scratch: &mut Vec<&'b Self::Msg>,
     ) {
+        let buf = out.slots;
         debug_assert_eq!(canon.ranks.len(), buf.len(), "build_canon must precede ranked gather");
         debug_assert!(scratch.is_empty());
         // hot-path: begin — ranked broadcast gather
@@ -574,28 +654,18 @@ impl<A: BcastAlgorithm> Delivery<A> for Broadcast {
     }
 
     #[inline]
-    fn halted_bits(g: &Graph, v: usize, default_bits: u64) -> (u64, u64) {
-        (default_bits * g.degree(v) as u64, default_bits)
+    fn uniform_bits(g: &Graph, v: usize, bits: u64) -> (u64, u64) {
+        (bits * g.degree(v) as u64, bits)
     }
 
     #[inline]
-    fn chunk_bits(g: &Graph, nodes: Range<usize>, slots: &[Self::Msg]) -> (u64, u64) {
-        // Fixed-width messages: each node's broadcast counts `degree` times,
-        // and the degrees of a contiguous node range sum to its arc-span
-        // length — O(1) instead of a read-back over the chunk. The max
-        // matches the per-node accounting (isolated nodes still count).
-        if let Some(b) = Self::Msg::FIXED_BITS {
-            let arcs = g.arc_span(nodes.clone()).len() as u64;
-            return (b * arcs, if nodes.is_empty() { 0 } else { b });
-        }
-        let mut total = 0;
-        let mut max = 0;
-        for (v, m) in nodes.zip(slots) {
-            let b = m.approx_bits();
-            total += b * g.degree(v) as u64;
-            max = max.max(b);
-        }
-        (total, max)
+    fn chunk_bits(g: &Graph, nodes: Range<usize>, bits: u64) -> (u64, u64) {
+        // Each node's broadcast counts `degree` times, and the degrees of a
+        // contiguous node range sum to its arc-span length — O(1) instead
+        // of a read-back over the chunk. The max matches the per-node
+        // accounting (isolated nodes still count).
+        let arcs = g.arc_span(nodes.clone()).len() as u64;
+        (bits * arcs, if nodes.is_empty() { 0 } else { bits })
     }
 }
 
@@ -669,7 +739,8 @@ mod tests {
             let mut gs = GatherScratch::default();
             for v in 0..g.n() {
                 let mut scratch: Vec<&u64> = Vec::new();
-                <D as Delivery<Echo>>::gather(&g, v, &buf, &canon, &mut gs, &mut scratch);
+                let out = Outbox { slots: &buf[..], nodes: &[], senders: Senders::Slots };
+                <D as Delivery<Echo>>::gather(&g, v, &out, &canon, &mut gs, &mut scratch);
                 let got: Vec<u64> = scratch.iter().map(|m| **m).collect();
                 assert_eq!(got, sorted_values(&g, v, &buf), "node {v}, dup_mod {dup_mod}");
             }

@@ -46,6 +46,14 @@
 //!   `arc_start[v]..arc_start[v+1]`. Contiguous node ranges therefore own
 //!   contiguous, disjoint slot ranges — the property every `&mut` split
 //!   below relies on.
+//! * `nodes` / `uniform` ([`Delivery::NODE_SLOTS`] deliveries, i.e. port
+//!   numbering) — one message slot and one flag byte per node. When
+//!   [`PnAlgorithm::send_uniform`] returns `Some(m)`, the send sweep moves
+//!   `m` into the node slot, sets the flag and leaves the node's arc slots
+//!   untouched; otherwise it clears the flag and writes the arc slots. The
+//!   receive phase resolves port p of node v through the sender u at the
+//!   other end: `nodes[u]` when `uniform[u]`, else the reverse arc's slot
+//!   in `buf`. Node ranges split these arrays exactly like `buf`.
 //! * `sweep` — the sorted list of not-yet-halted nodes; each part of the
 //!   partition is a contiguous range of it. No swept node has halted, so
 //!   neither sweep phase tests a halted flag (`outputs` is only written
@@ -53,23 +61,38 @@
 //! * Per-part arenas (`PartArena`) — the receive phase's newly-halted lists and
 //!   [`GatherScratch`] rank/count tables, recycled across rounds.
 //!
-//! Per round the dense send path makes exactly one pass over the slot
+//! Per round the dense send path makes at most one pass over the slot
 //! buffer (default-fill fused with `send`, per node, while the lines are
-//! L1-hot), and the [`Trace`] accounting is O(1) per chunk for fixed-width
+//! L1-hot; a uniform send writes one node slot instead of `degree` arc
+//! slots), and the [`Trace`] accounting is O(1) per chunk for fixed-width
 //! messages ([`MessageSize::FIXED_BITS`]) instead of a read-back pass over
-//! every slot. The receive phase chases reverse arcs through the bulk
-//! [`Graph::rev_arcs`] slice (one bounds check per node, not per arc).
+//! every slot. Variable-width messages are accounted node by node as they
+//! are sent: a uniform message is measured once and counted `degree` times
+//! ([`Delivery::uniform_bits`]), so the [`Trace`] reads exactly as if it
+//! had been written into every arc slot. The receive phase chases reverse
+//! arcs (or heads, for node slots) through the bulk [`Graph::rev_arcs`] /
+//! [`Graph::heads`] slices (one bounds check per node, not per arc). The
+//! send sweep counts its uniform senders, and a round in which all or none
+//! of the swept nodes sent uniformly gathers from one array without
+//! reading the flags ([`Senders`]); only a mixed round checks the flag per
+//! arc.
 //! Broadcast rounds additionally build the round-global [`CanonTable`]
 //! between the phases (see [`crate::delivery`]) so no per-node sort runs in
 //! the receive sweep; [`Engine::canon_rounds`] counts those builds as the
 //! smoke signal that the counting path is actually exercised.
 //!
+//! With a single part (every service solve runs on one thread) the phases
+//! slice the buffers directly: a steady round allocates nothing — the
+//! receive phase's incoming-reference list reuses storage parked in its
+//! part's arena.
+//!
 //! **Halted frontier**: the engine sweeps only the sorted list of
 //! not-yet-halted nodes, so per-round cost is O(active slots) instead of
 //! O(n + arcs). At the end of every round in which nodes halt, they leave
-//! the list, their `Msg::default()` slots are written once and their
-//! per-round [`Trace`] contribution is cached, keeping the message/bit
-//! accounting **bit-identical** to the model's all-nodes-send semantics
+//! the list, their `Msg::default()` slots — arc and node slots alike — are
+//! written once and their per-round [`Trace`] contribution is cached,
+//! keeping the message/bit accounting **bit-identical** to the model's
+//! all-nodes-send semantics
 //! (halted nodes keep sending empty default messages every round; property
 //! tests assert equality with a naive reference that sweeps every node).
 //!
@@ -77,7 +100,9 @@
 //! outputs and traces (tested), because phases are barriers and no node
 //! reads another node's *current*-round state.
 
-use crate::delivery::{Broadcast, CanonTable, Delivery, GatherScratch, PortNumbering};
+use crate::delivery::{
+    Broadcast, CanonTable, Delivery, GatherScratch, Outbox, PortNumbering, Senders,
+};
 use crate::graph::Graph;
 use crate::model::{BcastAlgorithm, MessageSize, PnAlgorithm};
 use crate::pool::{self, RoundPool};
@@ -117,9 +142,10 @@ pub struct RoundStats {
     pub active_nodes: u64,
     /// Nodes that halted during this round.
     pub newly_halted: u64,
-    /// Message slots written by the send sweep this round (active nodes'
-    /// slots only; halted nodes' slots were written once at halt and are
-    /// not rewritten).
+    /// Message slots the send sweep filled this round: the active nodes'
+    /// slots only (halted nodes' slots were written once at halt and are
+    /// not rewritten). A uniform port-numbering send fills all of its
+    /// node's arcs through one node-slot write, and counts `degree` here.
     pub slots_written: u64,
     /// Whether the round-global canonicalisation table was (re)built between
     /// the phases this round (`RANKED` deliveries only).
@@ -209,6 +235,8 @@ pub struct EngineScratch<A, D: Delivery<A>> {
     states: Vec<A>,
     outputs: Vec<Option<D::Output>>,
     buf: Vec<D::Msg>,
+    nodes: Vec<D::Msg>,
+    uniform: Vec<bool>,
     sweep: Vec<u32>,
     newly: Vec<u32>,
     canon: CanonTable,
@@ -228,6 +256,8 @@ impl<A, D: Delivery<A>> Default for EngineScratch<A, D> {
             states: Vec::new(),
             outputs: Vec::new(),
             buf: Vec::new(),
+            nodes: Vec::new(),
+            uniform: Vec::new(),
             sweep: Vec::new(),
             newly: Vec::new(),
             canon: CanonTable::default(),
@@ -241,13 +271,27 @@ impl<A, D: Delivery<A>> Default for EngineScratch<A, D> {
 }
 
 /// Per-part persistent scratch for the receive phase: the part's
-/// newly-halted list and its [`GatherScratch`] rank/count tables. One per
-/// partition, recycled across rounds and engine constructions, so the
-/// receive sweep owns reusable storage without any cross-part sharing.
+/// newly-halted list, its [`GatherScratch`] rank/count tables and the
+/// storage of its incoming-reference list. One per partition, recycled
+/// across rounds and engine constructions, so the receive sweep owns
+/// reusable storage without any cross-part sharing.
 #[derive(Debug, Default)]
 struct PartArena {
     newly: Vec<u32>,
     gs: GatherScratch,
+    /// The incoming-reference list's allocation, parked empty between
+    /// rounds (the references themselves cannot outlive a round).
+    refs: Vec<&'static ()>,
+}
+
+/// Empties `v` and returns its allocation retyped as a list of references
+/// with another lifetime and referent: references cannot outlive a round,
+/// but their storage can. Collecting a `vec::IntoIter` into a `Vec` of an
+/// element with the same size and alignment reuses the buffer in place, so
+/// this allocates nothing.
+fn recycle<'y, T, U>(mut v: Vec<&T>) -> Vec<&'y U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("the list was just cleared")).collect()
 }
 
 impl<A, D: Delivery<A>> EngineScratch<A, D> {
@@ -300,23 +344,63 @@ pub(crate) fn partition_weighted(
     out
 }
 
-/// Splits `data` into disjoint `&mut` chunks covering the given strictly
-/// increasing, non-overlapping index spans (gaps between spans are skipped).
-fn split_spans<'a, T>(mut data: &'a mut [T], spans: &[Range<usize>]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(spans.len());
+/// Splits `data` lazily into disjoint `&mut` chunks covering the given
+/// strictly increasing, non-overlapping index spans (gaps between spans are
+/// skipped; empty spans at the cursor yield empty chunks). Allocates
+/// nothing.
+fn split_spans<T>(
+    data: &mut [T],
+    spans: impl IntoIterator<Item = Range<usize>>,
+) -> impl Iterator<Item = &mut [T]> {
+    let mut rest = data;
     let mut cursor = 0;
-    for span in spans {
-        let (_, rest) = data.split_at_mut(span.start - cursor);
-        let (head, rest) = rest.split_at_mut(span.len());
-        out.push(head);
-        data = rest;
+    spans.into_iter().map(move |span| {
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut(span.start - cursor);
+        let (head, tail) = tail.split_at_mut(span.len());
+        rest = tail;
         cursor = span.end;
-    }
-    out
+        head
+    })
 }
 
-/// Receives one not-yet-halted node: gathers its incoming slots from the
-/// delivery buffer, delivers them, and records a halt. Shared by the dense
+/// Sends one swept node and returns its [`Trace`] bits, or `(0, 0)` when
+/// `account` is false because the caller accounts its whole chunk at once,
+/// and whether it sent uniformly.
+/// `node` is the node's slot and uniform flag ([`Delivery::NODE_SLOTS`]
+/// deliveries): a uniform message is written there once, measured once,
+/// and the arc slots are left alone. Otherwise the arc slots are
+/// default-filled — fused with `send` while the lines are L1-hot — and
+/// written per port.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn send_node<A, D: Delivery<A>>(
+    g: &Graph,
+    cfg: &D::Config,
+    round: u64,
+    state: &A,
+    v: usize,
+    own: &mut [D::Msg],
+    node: Option<(&mut D::Msg, &mut bool)>,
+    account: bool,
+) -> ((u64, u64), bool) {
+    if let Some((slot, flag)) = node {
+        if let Some(m) = D::send_uniform(state, cfg, round) {
+            let bits = if account { D::uniform_bits(g, v, m.approx_bits()) } else { (0, 0) };
+            *slot = m;
+            *flag = true;
+            return (bits, true);
+        }
+        *flag = false;
+    }
+    for slot in own.iter_mut() {
+        *slot = D::Msg::default();
+    }
+    D::send(state, cfg, round, own);
+    (if account { D::slot_bits(g, v, own) } else { (0, 0) }, false)
+}
+
+/// Receives one not-yet-halted node: gathers its incoming messages from the
+/// round's outbox, delivers them, and records a halt. Shared by the dense
 /// and sparse sweep paths of phase 2.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
@@ -324,7 +408,7 @@ fn receive_node<'b, A, D: Delivery<A>>(
     g: &Graph,
     cfg: &D::Config,
     round: u64,
-    buf: &'b [D::Msg],
+    outbox: &Outbox<'b, D::Msg>,
     canon: &CanonTable,
     span_start: usize,
     v: usize,
@@ -336,7 +420,7 @@ fn receive_node<'b, A, D: Delivery<A>>(
 ) {
     let i = v - span_start;
     scratch.clear();
-    D::gather(g, v, buf, canon, gs, scratch);
+    D::gather(g, v, outbox, canon, gs, scratch);
     if let Some(out) = D::receive(&mut states[i], cfg, round, scratch) {
         outputs[i] = Some(out);
         newly.push(v as u32);
@@ -356,6 +440,12 @@ pub struct Engine<'a, A, D: Delivery<A>> {
     states: Vec<A>,
     outputs: Vec<Option<D::Output>>,
     buf: Vec<D::Msg>,
+    /// One slot per node for uniform sends ([`Delivery::NODE_SLOTS`]
+    /// deliveries; empty otherwise).
+    nodes: Vec<D::Msg>,
+    /// Per node: whether its current send sits in `nodes` rather than in
+    /// its `buf` slots (same length as `nodes`).
+    uniform: Vec<bool>,
     /// Node ids swept by the round loop, sorted ascending: exactly the
     /// not-yet-halted frontier.
     sweep: Vec<u32>,
@@ -440,6 +530,13 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         let mut buf = std::mem::take(&mut scratch.buf);
         buf.clear();
         buf.resize_with(buf_len, D::Msg::default);
+        let node_len = if D::NODE_SLOTS { graph.n() } else { 0 };
+        let mut nodes = std::mem::take(&mut scratch.nodes);
+        nodes.clear();
+        nodes.resize_with(node_len, D::Msg::default);
+        let mut uniform = std::mem::take(&mut scratch.uniform);
+        uniform.clear();
+        uniform.resize(node_len, false);
         let mut sweep = std::mem::take(&mut scratch.sweep);
         sweep.clear();
         sweep.extend(0..graph.n() as u32);
@@ -481,6 +578,8 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
             states,
             outputs,
             buf,
+            nodes,
+            uniform,
             sweep,
             newly,
             canon,
@@ -591,68 +690,89 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         let parts = &self.parts;
         let node_spans = &self.node_spans;
         let buf_spans = &self.buf_spans;
+        // A part's span of node slots: its node span when the delivery
+        // keeps node slots, empty otherwise.
+        let node_slot_span = |s: &Range<usize>| if D::NODE_SLOTS { s.clone() } else { 0..0 };
         // `&mut`: each phase takes a fresh exclusive reborrow — `run` needs
         // exclusive pool access (that is what makes the job-pointer erasure
         // sound), and the borrow checker proves the phases cannot overlap.
         let worker_pool = &mut self.pool;
 
-        // Phase 1: send, fused with message accounting over the same sweep.
-        let (bits, maxb) = {
+        // Phase 1: send, fused with message accounting over the same sweep;
+        // also counts the uniform senders.
+        let (bits, maxb, uniform_senders) = {
             let states = &self.states;
             let sweep = &self.sweep;
-            let chunks = split_spans(&mut self.buf, buf_spans);
             let send_part = |list: Range<usize>,
                              nodes: Range<usize>,
                              slots_base: usize,
-                             chunk: &mut [D::Msg]|
-             -> (u64, u64) {
+                             chunk: &mut [D::Msg],
+                             node_chunk: &mut [D::Msg],
+                             flags: &mut [bool]|
+             -> (u64, u64, usize) {
+                let mut total = 0u64;
+                let mut max = 0u64;
+                let mut uniform = 0usize;
                 if list.len() == nodes.len() {
                     // Dense part — every node in the span is swept (no
-                    // unswept gaps): the default-fill is fused into the
-                    // per-node loop (the lines are L1-hot when `send`
-                    // overwrites them, instead of a second full pass over
-                    // the chunk), and the accounting is one `chunk_bits`
-                    // call — O(1) for fixed-width messages.
+                    // unswept gaps). Fixed-width messages are accounted by
+                    // one O(1) `chunk_bits` call after the loop instead of
+                    // per node.
+                    let account = D::Msg::FIXED_BITS.is_none();
                     // hot-path: begin — dense send sweep
                     for v in nodes.clone() {
                         let slots = D::slot_span(g, v..v + 1);
                         let own = &mut chunk[slots.start - slots_base..slots.end - slots_base];
-                        for slot in own.iter_mut() {
-                            *slot = D::Msg::default();
-                        }
-                        D::send(&states[v], cfg, round, own);
+                        let i = v - nodes.start;
+                        let node = D::NODE_SLOTS.then(|| (&mut node_chunk[i], &mut flags[i]));
+                        let ((t, m), u) =
+                            send_node::<A, D>(g, cfg, round, &states[v], v, own, node, account);
+                        total += t;
+                        max = max.max(m);
+                        uniform += usize::from(u);
                     }
                     // hot-path: end
-                    return D::chunk_bits(g, nodes, chunk);
+                    let (total, max) = match D::Msg::FIXED_BITS {
+                        Some(b) => D::chunk_bits(g, nodes, b),
+                        None => (total, max),
+                    };
+                    return (total, max, uniform);
                 }
-                let mut total = 0u64;
-                let mut max = 0u64;
                 // hot-path: begin — sparse send sweep
                 for &v in &sweep[list] {
                     let v = v as usize;
                     let slots = D::slot_span(g, v..v + 1);
                     let own = &mut chunk[slots.start - slots_base..slots.end - slots_base];
-                    for slot in own.iter_mut() {
-                        *slot = D::Msg::default();
-                    }
-                    D::send(&states[v], cfg, round, own);
-                    let (t, m) = D::slot_bits(g, v, own);
+                    let i = v - nodes.start;
+                    let node = D::NODE_SLOTS.then(|| (&mut node_chunk[i], &mut flags[i]));
+                    let ((t, m), u) =
+                        send_node::<A, D>(g, cfg, round, &states[v], v, own, node, true);
                     total += t;
                     max = max.max(m);
+                    uniform += usize::from(u);
                 }
                 // hot-path: end
-                (total, max)
+                (total, max, uniform)
             };
             if parts.len() <= 1 {
-                match chunks.into_iter().next() {
-                    Some(chunk) => send_part(
-                        parts[0].clone(),
-                        node_spans[0].clone(),
-                        buf_spans[0].start,
-                        chunk,
-                    ),
-                    None => (0, 0),
+                // One part: slice the buffers directly — no task list.
+                // hot-path: begin — one-part send
+                match parts.first() {
+                    Some(list) => {
+                        let slots = buf_spans[0].clone();
+                        let own = node_slot_span(&node_spans[0]);
+                        send_part(
+                            list.clone(),
+                            node_spans[0].clone(),
+                            slots.start,
+                            &mut self.buf[slots],
+                            &mut self.nodes[own.clone()],
+                            &mut self.uniform[own],
+                        )
+                    }
+                    None => (0, 0, 0),
                 }
+                // hot-path: end
             } else {
                 // Fan the parts out over the persistent pool (or run them
                 // sequentially through the same task list when no pool is
@@ -662,17 +782,23 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                     .cloned()
                     .zip(node_spans.iter().cloned())
                     .zip(buf_spans.iter())
-                    .zip(chunks)
-                    .map(|(((list, nodes), bufs), chunk)| (list, nodes, bufs.start, chunk))
+                    .zip(split_spans(&mut self.buf, buf_spans.iter().cloned()))
+                    .zip(split_spans(&mut self.nodes, node_spans.iter().map(node_slot_span)))
+                    .zip(split_spans(&mut self.uniform, node_spans.iter().map(node_slot_span)))
+                    .map(|(((((list, nodes), bufs), chunk), node_chunk), flags)| {
+                        (list, nodes, bufs.start, chunk, node_chunk, flags)
+                    })
                     .collect();
                 pool::map_with(
                     worker_pool.as_mut(),
                     tasks,
                     || (),
-                    |_, _, (list, nodes, base, chunk)| send_part(list, nodes, base, chunk),
+                    |_, _, (list, nodes, base, chunk, node_chunk, flags)| {
+                        send_part(list, nodes, base, chunk, node_chunk, flags)
+                    },
                 )
                 .into_iter()
-                .fold((0u64, 0u64), |(t, m), (pt, pm)| (t + pt, m.max(pm)))
+                .fold((0u64, 0u64, 0usize), |(t, m, u), (pt, pm, pu)| (t + pt, m.max(pm), u + pu))
             }
         };
         self.trace.messages += g.arcs() as u64;
@@ -700,21 +826,30 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         // which worker ran which part).
         let parts_len = parts.len();
         {
-            let buf = &self.buf;
+            // Halted nodes hold default messages in both kinds of slot, so
+            // only the swept senders decide whether the gather needs the
+            // flags.
+            let senders = if uniform_senders == 0 {
+                Senders::Slots
+            } else if uniform_senders == self.sweep.len() {
+                Senders::Nodes
+            } else {
+                Senders::Mixed(&self.uniform)
+            };
+            let outbox = Outbox { slots: &self.buf, nodes: &self.nodes, senders };
             let sweep = &self.sweep;
             let canon = &self.canon;
             let max_deg = g.max_degree();
-            let state_chunks = split_spans(&mut self.states, node_spans);
-            let out_chunks = split_spans(&mut self.outputs, node_spans);
             let recv_part = |list: Range<usize>,
                              span: Range<usize>,
                              states: &mut [A],
                              outputs: &mut [Option<D::Output>],
                              arena: &mut PartArena| {
-                // One allocation per part per round (the refs cannot outlive
-                // the round); sized to the worst-case degree up front so the
-                // sweep itself never grows it.
-                let mut scratch: Vec<&D::Msg> = Vec::with_capacity(max_deg);
+                // The reference list reuses the arena's storage; sized to
+                // the worst-case degree, so neither this nor the sweep
+                // allocates once warm.
+                let mut scratch: Vec<&D::Msg> = recycle(std::mem::take(&mut arena.refs));
+                scratch.reserve(max_deg);
                 arena.newly.clear();
                 if list.len() == span.len() {
                     // Dense part: iterate node ids directly.
@@ -724,7 +859,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                             g,
                             cfg,
                             round,
-                            buf,
+                            &outbox,
                             canon,
                             span.start,
                             v,
@@ -743,7 +878,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                             g,
                             cfg,
                             round,
-                            buf,
+                            &outbox,
                             canon,
                             span.start,
                             v as usize,
@@ -756,21 +891,30 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                     }
                     // hot-path: end
                 }
+                arena.refs = recycle(scratch);
             };
             let arenas = &mut self.arenas;
             if parts_len <= 1 {
-                if let Some((sc, oc)) =
-                    state_chunks.into_iter().next().zip(out_chunks.into_iter().next())
-                {
-                    recv_part(parts[0].clone(), node_spans[0].clone(), sc, oc, &mut arenas[0]);
+                // One part: slice the state and output arrays directly.
+                // hot-path: begin — one-part receive
+                if let Some(list) = parts.first() {
+                    let span = node_spans[0].clone();
+                    recv_part(
+                        list.clone(),
+                        span.clone(),
+                        &mut self.states[span.clone()],
+                        &mut self.outputs[span],
+                        &mut arenas[0],
+                    );
                 }
+                // hot-path: end
             } else {
                 let tasks: Vec<_> = parts
                     .iter()
                     .cloned()
                     .zip(node_spans.iter().cloned())
-                    .zip(state_chunks)
-                    .zip(out_chunks)
+                    .zip(split_spans(&mut self.states, node_spans.iter().cloned()))
+                    .zip(split_spans(&mut self.outputs, node_spans.iter().cloned()))
                     .zip(arenas.iter_mut())
                     .map(|((((list, span), sc), oc), arena)| (list, span, sc, oc, arena))
                     .collect();
@@ -791,16 +935,23 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         self.halted += self.newly.len();
 
         if !self.newly.is_empty() {
-            // Write the halted nodes' default slots once — they are never
+            // Write the halted nodes' default messages once — they are never
             // touched again — and cache their per-round Trace contribution.
+            // A halted node sends uniformly from here on: its node slot
+            // carries the default message; its arc slots are reset too, so
+            // they hold nothing from earlier rounds.
             let newly = &self.newly;
             let buf = &mut self.buf;
             for &v in newly {
-                let slots = D::slot_span(g, v as usize..v as usize + 1);
-                for slot in &mut buf[slots] {
+                let v = v as usize;
+                for slot in &mut buf[D::slot_span(g, v..v + 1)] {
                     *slot = D::Msg::default();
                 }
-                let (t, m) = D::halted_bits(g, v as usize, self.default_bits);
+                if D::NODE_SLOTS {
+                    self.nodes[v] = D::Msg::default();
+                    self.uniform[v] = true;
+                }
+                let (t, m) = D::uniform_bits(g, v, self.default_bits);
                 self.skipped_bits += t;
                 self.skipped_max_bits = self.skipped_max_bits.max(m);
             }
@@ -862,6 +1013,8 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         self.states.clear();
         self.outputs.clear();
         self.buf.clear();
+        self.nodes.clear();
+        self.uniform.clear();
         // Park the worker pool too: the next construction through this
         // scratch reuses the spawned threads instead of respawning them.
         if self.pool.is_some() {
@@ -870,6 +1023,8 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         scratch.states = self.states;
         scratch.outputs = self.outputs;
         scratch.buf = self.buf;
+        scratch.nodes = self.nodes;
+        scratch.uniform = self.uniform;
         scratch.sweep = self.sweep;
         scratch.newly = self.newly;
         scratch.canon = self.canon;
@@ -1312,10 +1467,13 @@ mod tests {
     #[test]
     fn split_spans_skips_gaps() {
         let mut data: Vec<u32> = (0..10).collect();
-        let chunks = split_spans(&mut data, &[1..3, 5..6, 8..10]);
-        let views: Vec<Vec<u32>> = chunks.into_iter().map(|c| c.to_vec()).collect();
+        let chunks = split_spans(&mut data, [1..3, 5..6, 8..10]);
+        let views: Vec<Vec<u32>> = chunks.map(|c| c.to_vec()).collect();
         assert_eq!(views, vec![vec![1, 2], vec![5], vec![8, 9]]);
-        assert!(split_spans(&mut data, &[]).is_empty());
+        assert_eq!(split_spans(&mut data, []).count(), 0);
+        // Empty spans yield empty chunks: the node-slot split of a delivery
+        // without node slots.
+        assert!(split_spans(&mut data, [0..0, 0..0]).all(|c| c.is_empty()));
     }
 
     #[test]

@@ -271,6 +271,14 @@ impl Graph {
         &self.arc_rev[arcs]
     }
 
+    /// The head words of a contiguous arc range, as one slice — the
+    /// port-numbering gather walks it beside [`rev_arcs`](Graph::rev_arcs)
+    /// to find each port's sender.
+    #[inline]
+    pub fn heads(&self, arcs: std::ops::Range<usize>) -> &[u32] {
+        &self.arc_head[arcs]
+    }
+
     /// Undirected edge id of an arc.
     #[inline]
     pub fn edge_of(&self, arc: usize) -> usize {

@@ -61,7 +61,9 @@ pub mod pool;
 
 pub use batch::{BatchRunner, BcastJob, Job, PnJob};
 pub use bipartite::{SetCoverError, SetCoverInstance};
-pub use delivery::{Broadcast, CanonTable, Delivery, GatherScratch, PortNumbering, WordHasher};
+pub use delivery::{
+    Broadcast, CanonTable, Delivery, GatherScratch, Outbox, PortNumbering, Senders, WordHasher,
+};
 pub use engine::{
     run_bcast, run_engine, run_engine_observed, run_engine_scratch, run_pn, BcastEngine, Engine,
     EngineScratch, NoopObserver, PnEngine, RoundObserver, RoundStats, RunResult, SimError, Trace,

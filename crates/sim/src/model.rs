@@ -118,6 +118,18 @@ pub trait PnAlgorithm: Sized + Send + Sync {
     /// `out.len() == degree`; entries are pre-filled with `Msg::default()`.
     fn send(&self, cfg: &Self::Config, round: u64, out: &mut [Self::Msg]);
 
+    /// `Some(m)` when this round's [`send`](PnAlgorithm::send) would write
+    /// `m` on every port. The engine then stores `m` once for the node
+    /// instead of once per port; receivers see exactly what `send` would
+    /// have delivered, and the [`Trace`](crate::engine::Trace) still counts
+    /// `degree` messages of `m`'s size. `send` must stay correct for every
+    /// round (the asynchronous runtime calls only `send`). The default,
+    /// `None`, sends per port.
+    fn send_uniform(&self, cfg: &Self::Config, round: u64) -> Option<Self::Msg> {
+        let _ = (cfg, round);
+        None
+    }
+
     /// Consumes this round's incoming messages (one per port, same indexing
     /// as `send`; references into the engine's delivery buffer, so large
     /// messages are not cloned on delivery). Returning `Some` halts the node

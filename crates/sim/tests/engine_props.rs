@@ -1,16 +1,24 @@
 //! Property tests for the simulator: the unified engine, which sweeps only
 //! the not-yet-halted frontier, is bit-identical — outputs *and* traces — to
 //! a naive seed-semantics reference that sweeps every node every round,
-//! across thread counts for both delivery models; broadcast is
-//! sender-oblivious under arbitrary port permutations; lifts project; and
-//! instrumentation accounting matches the all-nodes-send model.
+//! across thread counts for both delivery models and for algorithms that
+//! mix uniform and per-port sends; every adopter's uniform send agrees with
+//! its per-port send; broadcast is sender-oblivious under arbitrary port
+//! permutations; lifts project; and instrumentation accounting matches the
+//! all-nodes-send model.
 
+use anonet_baselines::bchs::{BchsConfig, BchsNode};
+use anonet_baselines::kvy_eps::{KvyConfig, KvyNode};
+use anonet_bench::{halting_inputs, HaltingGossip};
+use anonet_bigmath::BigRat;
+use anonet_core::vc_pn::{EdgePackingNode, VcConfig};
 use anonet_sim::cover::{check_lift_outputs, lift};
 use anonet_sim::{
     run_bcast, run_engine, run_engine_scratch, run_pn, BcastAlgorithm, Broadcast, EngineScratch,
-    Graph, MessageSize, PnAlgorithm, PortNumbering, RunResult, Trace,
+    Graph, MessageSize, PnAlgorithm, PnEngine, PortNumbering, RunResult, Trace,
 };
 use proptest::prelude::*;
+use std::fmt::Debug;
 
 /// These suites must exercise the *real* pooled multi-part path even on a
 /// single-core runner, where the worker-width cap would otherwise collapse
@@ -107,6 +115,84 @@ impl PnAlgorithm for StaggerHash {
     fn receive(&mut self, _cfg: &u64, round: u64, incoming: &[&u64]) -> Option<u64> {
         for (p, &&m) in incoming.iter().enumerate() {
             self.h = self.h.rotate_left(7).wrapping_mul(0x100000001B3).wrapping_add(m ^ p as u64);
+        }
+        (round >= self.halt_at).then_some(self.h)
+    }
+}
+
+/// A message type for [`MixedHash`]: how a hash becomes a message and
+/// back.
+trait MixMsg: Clone + Default + Send + Sync + MessageSize + 'static {
+    fn make(x: u64) -> Self;
+    fn read(&self) -> u64;
+}
+
+/// Fixed width: the engine accounts whole chunks at once.
+impl MixMsg for u64 {
+    fn make(x: u64) -> Self {
+        x
+    }
+    fn read(&self) -> u64 {
+        *self
+    }
+}
+
+/// Variable width: the engine accounts node by node.
+impl MixMsg for Option<u64> {
+    fn make(x: u64) -> Self {
+        (x % 4 != 0).then_some(x)
+    }
+    fn read(&self) -> u64 {
+        self.unwrap_or(0x55)
+    }
+}
+
+/// PN hash with staggered halting whose nodes switch between uniform and
+/// per-port sends from round to round. In every fourth round all of them
+/// send uniformly and in the round after none does; in the others each
+/// node picks by its hash, so one round's gather reads node slots and arc
+/// slots side by side.
+struct MixedHash<M> {
+    h: u64,
+    halt_at: u64,
+    _msg: std::marker::PhantomData<M>,
+}
+
+impl<M: MixMsg> PnAlgorithm for MixedHash<M> {
+    type Msg = M;
+    type Input = u64;
+    type Output = u64;
+    type Config = u64; // halting-round spread
+
+    fn init(cfg: &u64, degree: usize, input: &u64) -> Self {
+        let h = *input ^ (degree as u64).wrapping_mul(0x9E37);
+        MixedHash { h, halt_at: input % cfg + 1, _msg: std::marker::PhantomData }
+    }
+    fn send(&self, cfg: &u64, round: u64, out: &mut [M]) {
+        if let Some(m) = self.send_uniform(cfg, round) {
+            out.fill(m);
+            return;
+        }
+        for (p, m) in out.iter_mut().enumerate() {
+            *m = M::make(self.h.wrapping_add(round).wrapping_add(p as u64));
+        }
+    }
+    fn send_uniform(&self, _cfg: &u64, round: u64) -> Option<M> {
+        let pick = match round % 4 {
+            0 => 1,
+            1 => 2,
+            _ => (self.h ^ round) % 3,
+        };
+        match pick {
+            0 => Some(M::default()),
+            1 => Some(M::make(self.h.wrapping_mul(round))),
+            _ => None,
+        }
+    }
+    fn receive(&mut self, _cfg: &u64, round: u64, incoming: &[&M]) -> Option<u64> {
+        for (p, m) in incoming.iter().enumerate() {
+            self.h =
+                self.h.rotate_left(7).wrapping_mul(0x100000001B3).wrapping_add(m.read() ^ p as u64);
         }
         (round >= self.halt_at).then_some(self.h)
     }
@@ -256,6 +342,25 @@ proptest! {
             prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
             prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
         }
+    }
+
+    /// Uniform sends: an algorithm whose nodes mix uniform and per-port
+    /// rounds is bit-identical to the reference, which only ever calls the
+    /// per-port `send` — with fixed-width and variable-width messages, at
+    /// every thread count, fresh and with reused scratch.
+    #[test]
+    fn pn_mixed_uniform_sends_bit_identical_to_reference(
+        n in 2usize..40,
+        p in 0.05f64..0.5,
+        seed in any::<u64>(),
+        spread in 1u64..7,
+    ) {
+        allow_oversubscribe();
+        let g = seeded_gnp(n, p, seed);
+        let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
+        let limit = spread + 2;
+        check_mixed::<u64>(&g, spread, &inputs, limit)?;
+        check_mixed::<Option<u64>>(&g, spread, &inputs, limit)?;
     }
 
     /// Same acceptance in the broadcast model.
@@ -429,6 +534,122 @@ proptest! {
         let g2 = Graph::from_adjacency(g.adjacency()).unwrap();
         prop_assert_eq!(g2, g);
     }
+}
+
+/// [`MixedHash`] with message type `M` at threads {0, 1, 2, 4, 8}, fresh
+/// and with reused scratch, against the per-arc reference.
+fn check_mixed<M: MixMsg>(
+    g: &Graph,
+    spread: u64,
+    inputs: &[u64],
+    limit: u64,
+) -> Result<(), TestCaseError> {
+    let base = reference_pn::<MixedHash<M>>(g, &spread, inputs, limit);
+    let mut scratch = EngineScratch::new();
+    for threads in [0usize, 1, 2, 4, 8] {
+        let res =
+            run_engine::<MixedHash<M>, PortNumbering>(g, &spread, inputs, limit, threads).unwrap();
+        prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
+        prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
+        let reused = run_engine_scratch::<MixedHash<M>, PortNumbering>(
+            g,
+            &spread,
+            inputs,
+            limit,
+            threads,
+            &mut scratch,
+        )
+        .unwrap();
+        prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
+        prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
+    }
+    Ok(())
+}
+
+/// Steps `A` for at most `limit` rounds and, before every round, checks
+/// every node's `send_uniform` against its `send`: whenever the former
+/// returns `Some(m)`, the latter writes `m` on every port. The engine
+/// relies on the first and the asynchronous runtime on the second, so the
+/// two must never disagree. Returns `(uniform, per_port)`: how many
+/// (node, round) pairs took each path.
+fn uniform_sends_agree<A: PnAlgorithm>(
+    g: &Graph,
+    cfg: &A::Config,
+    inputs: &[A::Input],
+    limit: u64,
+) -> (u64, u64)
+where
+    A::Msg: PartialEq + Debug,
+{
+    let mut engine = PnEngine::<A>::new(g, cfg, inputs, 1).unwrap();
+    let (mut uniform, mut per_port) = (0, 0);
+    while engine.round() < limit {
+        let round = engine.round() + 1;
+        for (v, state) in engine.states().iter().enumerate() {
+            let mut out = vec![A::Msg::default(); g.degree(v)];
+            state.send(cfg, round, &mut out);
+            match state.send_uniform(cfg, round) {
+                Some(m) => {
+                    assert!(
+                        out.iter().all(|x| *x == m),
+                        "node {v}, round {round}: send wrote {out:?}, send_uniform said {m:?}"
+                    );
+                    uniform += 1;
+                }
+                None => per_port += 1,
+            }
+        }
+        if engine.step() {
+            break;
+        }
+    }
+    (uniform, per_port)
+}
+
+/// The fixed-seed instances the adopter checks run on: (graph, weights).
+fn adopter_instances() -> Vec<(Graph, Vec<u64>)> {
+    [(12usize, 0.3f64, 1u64), (24, 0.2, 2), (24, 0.35, 3), (40, 0.1, 4)]
+        .into_iter()
+        .map(|(n, p, seed)| {
+            let g = seeded_gnp(n, p, seed);
+            let w = (0..n as u64).map(|v| (v.wrapping_mul(seed * 0x9E37 + 1) >> 3) % 1000 + 1);
+            (g, w.collect())
+        })
+        .collect()
+}
+
+/// §3 (every phase of the full schedule), the KVY and BCHS baselines, and
+/// the engine benchmark's `HaltingGossip` all send uniformly where their
+/// `send` writes one value on every port — and some of their rounds take
+/// each path.
+#[test]
+fn adopters_send_uniform_agrees_with_send() {
+    let (mut uniform, mut per_port) = ([0u64; 4], [0u64; 4]);
+    let mut tally = |i: usize, (u, p): (u64, u64)| {
+        uniform[i] += u;
+        per_port[i] += p;
+    };
+    for (g, w) in adopter_instances() {
+        let max_w = w.iter().copied().max().unwrap_or(1);
+        let cfg = VcConfig::new(g.max_degree(), max_w);
+        let rounds = cfg.total_rounds();
+        tally(0, uniform_sends_agree::<EdgePackingNode<BigRat>>(&g, &cfg, &w, rounds));
+        let kvy = KvyConfig { eps_num: 1, eps_den: 4 };
+        tally(1, uniform_sends_agree::<KvyNode<BigRat>>(&g, &kvy, &w, 10_000));
+        let bchs = BchsConfig { eps_num: 1, eps_den: 4, max_weight: max_w };
+        tally(2, uniform_sends_agree::<BchsNode<BigRat>>(&g, &bchs, &w, 10_000));
+        let gossip = halting_inputs(g.n(), |v| v % 5 + 1);
+        tally(3, uniform_sends_agree::<HaltingGossip>(&g, &(), &gossip, 10));
+    }
+    for (i, name) in ["§3", "KVY", "BCHS", "HaltingGossip"].into_iter().enumerate() {
+        assert!(uniform[i] > 0, "{name}: no uniform send was exercised");
+    }
+    // Per-port sends remain where a node has something port-specific to
+    // say; the gossip is uniform throughout.
+    for (i, name) in ["§3", "KVY", "BCHS"].into_iter().enumerate() {
+        assert!(per_port[i] > 0, "{name}: no per-port send was exercised");
+    }
+    assert_eq!(per_port[3], 0, "HaltingGossip is uniform in every round");
 }
 
 /// Seeded G(n, p) without pulling `anonet-gen` into `sim`'s dev-deps.
