@@ -23,9 +23,13 @@
 //! exceed `ε·w ≥ ε`, so every raise exceeds `ε/(2Δ)` and bounded loads kill
 //! every edge in finitely many rounds.
 
+use crate::kvy_eps::{fold_port_values, freeze_threshold};
 use anonet_bigmath::PackingValue;
 use anonet_core::packing::EdgePacking;
-use anonet_sim::{Graph, MessageSize, PnAlgorithm, PnEngine, SimError, Trace};
+use anonet_sim::{
+    run_engine_scratch, EngineScratch, Graph, MessageSize, PnAlgorithm, PortNumbering, SimError,
+    Trace,
+};
 
 /// Defensive ceiling on the bid level. For in-contract inputs
 /// `2^b ≤ 2·Δ·W·den/num`, so honest levels stay far below it.
@@ -159,8 +163,7 @@ impl<V: PackingValue> PnAlgorithm for BchsNode<V> {
     fn init(cfg: &BchsConfig, degree: usize, input: &u64) -> Self {
         assert!(*input <= cfg.max_weight, "weight exceeds the declared bound W");
         let w = V::from_u64(*input);
-        let eps = V::from_u64(cfg.eps_num).div(&V::from_u64(cfg.eps_den));
-        let threshold = w.mul(&V::one().sub(&eps));
+        let threshold = freeze_threshold(&w, cfg.eps_num, cfg.eps_den);
         let mut node = BchsNode {
             w,
             y_total: V::zero(),
@@ -266,33 +269,28 @@ pub fn run_bchs<V: PackingValue>(
     eps_den: u64,
     max_rounds: u64,
 ) -> Result<BchsRun<V>, SimError> {
+    run_bchs_scratch(g, weights, eps_num, eps_den, max_rounds, &mut EngineScratch::new())
+}
+
+/// [`run_bchs`] reusing engine allocations across calls — the
+/// repeated-short-run entry point (results bit-identical to [`run_bchs`]).
+pub fn run_bchs_scratch<V: PackingValue>(
+    g: &Graph,
+    weights: &[u64],
+    eps_num: u64,
+    eps_den: u64,
+    max_rounds: u64,
+    scratch: &mut EngineScratch<BchsNode<V>, PortNumbering>,
+) -> Result<BchsRun<V>, SimError> {
     assert!(eps_num >= 1 && eps_num < eps_den, "need 0 < ε < 1");
     let max_weight = weights.iter().copied().max().unwrap_or(1).max(1);
     let cfg = BchsConfig { eps_num, eps_den, max_weight };
-    let mut engine = PnEngine::<BchsNode<V>>::new(g, &cfg, weights, 1)?;
-    for _ in 0..max_rounds {
-        if engine.step() {
-            break;
-        }
-    }
-    let res = engine.finish().map_err(|e| SimError::RoundLimit {
-        limit: max_rounds,
-        halted: e.halted(),
-        n: g.n(),
-    })?;
-    let mut y = vec![V::zero(); g.m()];
-    for (v, out) in res.outputs.iter().enumerate() {
-        for (p, val) in out.y.iter().enumerate() {
-            let e = g.edge_of(g.arc(v, p));
-            if v < g.head(g.arc(v, p)) {
-                y[e] = val.clone();
-            } else {
-                assert_eq!(&y[e], val, "endpoint copies disagree");
-            }
-        }
-    }
+    let res =
+        run_engine_scratch::<BchsNode<V>, PortNumbering>(g, &cfg, weights, max_rounds, 1, scratch)?;
+    let ports: Vec<&[V]> = res.outputs.iter().map(|o| &o.y[..]).collect();
+    let packing = fold_port_values(g, &ports);
     let cover = res.outputs.iter().map(|o| o.in_cover).collect();
-    Ok(BchsRun { packing: EdgePacking { y }, cover, trace: res.trace })
+    Ok(BchsRun { packing, cover, trace: res.trace })
 }
 
 #[cfg(test)]

@@ -14,7 +14,10 @@
 
 use anonet_bigmath::PackingValue;
 use anonet_core::packing::EdgePacking;
-use anonet_sim::{Graph, MessageSize, PnAlgorithm, PnEngine, SimError, Trace};
+use anonet_sim::{
+    run_engine_scratch, EngineScratch, Graph, MessageSize, PnAlgorithm, PortNumbering, SimError,
+    Trace,
+};
 
 /// Global configuration.
 #[derive(Clone, Debug)]
@@ -84,8 +87,7 @@ impl<V: PackingValue> PnAlgorithm for KvyNode<V> {
 
     fn init(cfg: &KvyConfig, degree: usize, input: &u64) -> Self {
         let w = V::from_u64(*input);
-        let eps = V::from_u64(cfg.eps_num).div(&V::from_u64(cfg.eps_den));
-        let threshold = w.mul(&V::one().sub(&eps));
+        let threshold = freeze_threshold(&w, cfg.eps_num, cfg.eps_den);
         let mut node = KvyNode {
             w,
             y_total: V::zero(),
@@ -181,30 +183,18 @@ pub struct KvyRun<V> {
     pub trace: Trace,
 }
 
-/// Runs the (2+ε) primal–dual baseline.
-pub fn run_kvy<V: PackingValue>(
-    g: &Graph,
-    weights: &[u64],
-    eps_num: u64,
-    eps_den: u64,
-    max_rounds: u64,
-) -> Result<KvyRun<V>, SimError> {
-    assert!(eps_num >= 1 && eps_num < eps_den, "need 0 < ε < 1");
-    let cfg = KvyConfig { eps_num, eps_den };
-    let mut engine = PnEngine::<KvyNode<V>>::new(g, &cfg, weights, 1)?;
-    for _ in 0..max_rounds {
-        if engine.step() {
-            break;
-        }
-    }
-    let res = engine.finish().map_err(|e| SimError::RoundLimit {
-        limit: max_rounds,
-        halted: e.halted(),
-        n: g.n(),
-    })?;
+/// The freeze threshold `(1−ε)·w` for ε = `eps_num/eps_den`, computed as
+/// `w·(den − num)/den` with one division.
+pub(crate) fn freeze_threshold<V: PackingValue>(w: &V, eps_num: u64, eps_den: u64) -> V {
+    w.mul(&V::from_u64(eps_den - eps_num)).div(&V::from_u64(eps_den))
+}
+
+/// Folds per-node, per-port edge values into one value per edge; both
+/// endpoints of an edge must hold the same value.
+pub(crate) fn fold_port_values<V: PackingValue>(g: &Graph, ports: &[&[V]]) -> EdgePacking<V> {
     let mut y = vec![V::zero(); g.m()];
-    for (v, out) in res.outputs.iter().enumerate() {
-        for (p, val) in out.y.iter().enumerate() {
+    for (v, vals) in ports.iter().enumerate() {
+        for (p, val) in vals.iter().enumerate() {
             let e = g.edge_of(g.arc(v, p));
             if v < g.head(g.arc(v, p)) {
                 y[e] = val.clone();
@@ -213,6 +203,36 @@ pub fn run_kvy<V: PackingValue>(
             }
         }
     }
+    EdgePacking { y }
+}
+
+/// Runs the (2+ε) primal–dual baseline.
+pub fn run_kvy<V: PackingValue>(
+    g: &Graph,
+    weights: &[u64],
+    eps_num: u64,
+    eps_den: u64,
+    max_rounds: u64,
+) -> Result<KvyRun<V>, SimError> {
+    run_kvy_scratch(g, weights, eps_num, eps_den, max_rounds, &mut EngineScratch::new())
+}
+
+/// [`run_kvy`] reusing engine allocations across calls — the
+/// repeated-short-run entry point (results bit-identical to [`run_kvy`]).
+pub fn run_kvy_scratch<V: PackingValue>(
+    g: &Graph,
+    weights: &[u64],
+    eps_num: u64,
+    eps_den: u64,
+    max_rounds: u64,
+    scratch: &mut EngineScratch<KvyNode<V>, PortNumbering>,
+) -> Result<KvyRun<V>, SimError> {
+    assert!(eps_num >= 1 && eps_num < eps_den, "need 0 < ε < 1");
+    let cfg = KvyConfig { eps_num, eps_den };
+    let res =
+        run_engine_scratch::<KvyNode<V>, PortNumbering>(g, &cfg, weights, max_rounds, 1, scratch)?;
+    let ports: Vec<&[V]> = res.outputs.iter().map(|o| &o.y[..]).collect();
+    let packing = fold_port_values(g, &ports);
     let cover = res.outputs.iter().map(|o| o.in_cover).collect();
-    Ok(KvyRun { packing: EdgePacking { y }, cover, trace: res.trace })
+    Ok(KvyRun { packing, cover, trace: res.trace })
 }

@@ -23,9 +23,11 @@
 //!
 //! The `solver_workloads` rows time whole runs of the paper's solvers on
 //! fixed instances (µs per run, median and quartiles over back-to-back
-//! reps): §4 on a k = 3 set-cover instance with 32 elements, §5 on a Δ = 2
-//! path and on the Petersen graph, §3 on random 3- and 4-regular graphs
-//! with 256 nodes, and the unique-ID forest baseline of Table 1. The
+//! reps): §4 on a k = 3 set-cover instance with 32 elements and on
+//! `perfbench`'s `cold_mix` set-cover instance, §5 on a Δ = 2 path and on
+//! the Petersen graph, §3 on random 3- and 4-regular graphs with 256 nodes,
+//! and the unique-ID forest baseline of Table 1. The `arith_workloads` row
+//! times a fixed-seed mix of `AutoRat` operations (ns per op). The
 //! `runtime_workloads` rows time the asynchronous executor per event, and
 //! `sync_overhead_x` is the ratio of its median run to the synchronous
 //! engine's median run of the same workload.
@@ -43,11 +45,12 @@
 
 use anonet_baselines::run_id_edge_packing;
 use anonet_bench::{halting_inputs, HaltingBcastGossip, HaltingGossip};
-use anonet_bigmath::AutoRat;
-use anonet_core::sc_bcast::run_fractional_packing;
+use anonet_bigmath::{AutoRat, PackingValue};
+use anonet_core::canon;
+use anonet_core::sc_bcast::{run_fractional_packing, run_fractional_packing_scratch, ScInstance};
 use anonet_core::vc_bcast::run_vc_broadcast;
 use anonet_core::vc_pn::run_edge_packing_with;
-use anonet_gen::{family, setcover, WeightSpec};
+use anonet_gen::{family, setcover, Rng, WeightSpec};
 use anonet_runtime::{run_async_pn, DelayModel, NetworkConfig};
 use anonet_service::loadgen::{drive, synthesize, DriveConfig, FamilyKind, LoopMode, WorkloadSpec};
 use anonet_service::{ConnModel, Server, ServiceConfig, SolverId};
@@ -115,6 +118,54 @@ fn time_solver(name: &'static str, reps: usize, mut f: impl FnMut()) -> RunSampl
         1
     });
     RunSample { name, reps, ns }
+}
+
+/// Operations per call of the `AutoRat` op-mix row.
+const OP_MIX_LEN: usize = 4096;
+
+/// A fixed-seed `AutoRat` operation mix shaped like the solvers' own:
+/// operands with numerators below 2^20 over small smooth denominators (so
+/// pairs share factors, are coprime or are equal), 1 in 64 of them scaled
+/// past 2^40 onto the wide path; ops are half additions, then subtractions,
+/// multiplications, divisions and comparisons.
+fn op_mix(seed: u64) -> Vec<(u8, AutoRat, AutoRat)> {
+    const DENS: [u64; 16] = [1, 2, 3, 4, 6, 8, 12, 16, 24, 36, 60, 120, 256, 720, 1024, 5040];
+    let mut rng = Rng::new(seed);
+    let value = |rng: &mut Rng| {
+        let num = rng.below(1 << 20) as i64 - (1 << 18);
+        let num = if rng.below(64) == 0 { (num << 40) | 1 } else { num };
+        AutoRat::from_frac(num, DENS[rng.index(DENS.len())])
+    };
+    (0..OP_MIX_LEN)
+        .map(|_| {
+            let op = [0u8, 0, 0, 0, 0, 1, 2, 3, 4, 4][rng.index(10)];
+            let (a, b) = (value(&mut rng), value(&mut rng));
+            (op, a, if op == 3 && b.is_zero() { AutoRat::from_u64(1) } else { b })
+        })
+        .collect()
+}
+
+/// Runs one pass of [`op_mix`]'s operations; returns how many ran.
+fn run_op_mix(ops: &[(u8, AutoRat, AutoRat)]) -> u64 {
+    use std::hint::black_box;
+    for (op, a, b) in ops {
+        match op {
+            4 => drop(black_box(a.cmp(b) as i8)),
+            _ => drop(black_box(match op {
+                0 => a.add(b),
+                1 => a.sub(b),
+                2 => a.mul(b),
+                _ => a.div(b),
+            })),
+        }
+    }
+    ops.len() as u64
+}
+
+/// `perfbench`'s per-pool seed (`workload::pool_seed`): `cold_mix` draws
+/// its pool for registry row `i` from `pool_seed(seed, i + 1)`.
+fn cold_mix_pool_seed(seed: u64, salt: u64) -> u64 {
+    (seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xBF58_476D_1CE4_E5B9)
 }
 
 fn main() {
@@ -276,9 +327,29 @@ fn main() {
     let g64 = family::random_regular(64, 4, 5);
     let w64 = WeightSpec::Uniform(1 << 12).draw_many(64, 9);
     let ids64: Vec<u64> = (1..=64).collect();
+    // cold_mix's first set-cover instance at perfbench's default seed 1
+    // (n = 32 elements, k = 3, W = 16), run as the service runs it: the
+    // bounds from its blob, AutoRat, engine scratch reused across runs.
+    let cold_sc = synthesize(&WorkloadSpec {
+        solver: SolverId::SET_COVER,
+        family: FamilyKind::Regular,
+        n: 32,
+        degree: 3,
+        instances: 1,
+        weights: WeightSpec::LogUniform(16),
+        seed: cold_mix_pool_seed(1, 3),
+    });
+    let cold_sc = canon::decode_sc(&cold_sc[0]).expect("synthesized blob decodes");
+    let cold_sc_inst =
+        ScInstance::with_bounds(&cold_sc.inst, cold_sc.f, cold_sc.k, cold_sc.max_weight);
+    let mut sc_scratch = EngineScratch::new();
     let run_samples = [
         time_solver("sc_bcast_k3_n32", 21, || {
             run_fractional_packing::<AutoRat>(&sc_inst).expect("§4 run");
+        }),
+        time_solver("sc_bcast_cold_mix", 21, || {
+            run_fractional_packing_scratch::<AutoRat>(&cold_sc_inst, &mut sc_scratch)
+                .expect("§4 run");
         }),
         time_solver("vc_bcast_path_d2", 21, || {
             run_vc_broadcast::<AutoRat>(&path, &[1, 2, 1]).expect("§5 run");
@@ -296,6 +367,9 @@ fn main() {
             run_id_edge_packing::<AutoRat>(&g64, &w64, &ids64, 64).expect("id-forest run");
         }),
     ];
+
+    let ops = op_mix(0x0A07_04A7);
+    let (op_count, op_ns) = time_runs(ENGINE_REPS, || run_op_mix(&ops));
 
     // Asynchronous-runtime workloads: event-loop throughput (events/sec)
     // and the α-synchronizer's wall-clock overhead vs the synchronous
@@ -436,7 +510,17 @@ fn main() {
                 conns,
             };
             let report = drive(SolverId::VC_PN, &blobs, &cfg).expect("conns drive");
-            assert_eq!(report.errors, 0, "{name}: {} errored requests", report.errors);
+            assert_eq!(
+                report.errors,
+                0,
+                "{name}: {} errored requests ({} error replies, {} unanswered on {} dropped \
+                 connections; {} busy)",
+                report.errors,
+                report.error_replies(),
+                report.dropped_requests,
+                report.dropped_conns,
+                report.busy
+            );
             assert_eq!(report.ok, conns as u64, "{name}: every request must be solved");
             assert_eq!(
                 report.certified_instances, report.solved_instances,
@@ -490,7 +574,7 @@ fn main() {
     let informative = hardware_threads > 1;
     // Hand-rolled JSON (no serde in the offline workspace).
     let mut json = format!(
-        "{{\n  \"schema\": \"anonet-bench-engine/11\",\n  \"hardware_threads\": {hardware_threads},\n  \
+        "{{\n  \"schema\": \"anonet-bench-engine/12\",\n  \"hardware_threads\": {hardware_threads},\n  \
          \"rustc\": \"{}\",\n  \"git_rev\": \"{}\",\n  \"workloads\": [\n",
         env!("ANONET_BENCH_RUSTC_VERSION"),
         env!("ANONET_BENCH_GIT_REV")
@@ -519,6 +603,11 @@ fn main() {
             if i + 1 < run_samples.len() { "," } else { "" }
         ));
     }
+    json.push_str("  ],\n  \"arith_workloads\": [\n");
+    json.push_str(&format!(
+        "    {{\"name\": \"autorat_op_mix\", \"reps\": {ENGINE_REPS}, \"ops\": {op_count}, \"ns_per_op\": {:.2}, \"ns_q1\": {:.2}, \"ns_q3\": {:.2}}}\n",
+        op_ns.median, op_ns.q1, op_ns.q3
+    ));
     json.push_str("  ],\n  \"runtime_workloads\": [\n");
     for (i, s) in rt_samples.iter().enumerate() {
         let per_sec = if s.ns.median > 0.0 { 1e9 / s.ns.median } else { 0.0 };

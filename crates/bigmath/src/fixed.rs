@@ -49,6 +49,26 @@
 //!   refuses it.
 //! * **Reciprocal** swaps the components (and moves the sign): a
 //!   lowest-terms value stays in lowest terms.
+//! * **Word path.** Solver values are small: the §3/§4 duals and the
+//!   primal–dual baselines keep nearly every numerator and denominator below
+//!   2^31. When both operands of `checked_add`, `checked_sub`,
+//!   `checked_mul_rat`, `checked_div_rat` or `checked_cmp` have every
+//!   component below 2^31 in magnitude, the operation runs on `i64`/`u64`
+//!   words with no overflow checks: each cross product is below 2^62 and a
+//!   sum of two of them below 2^63, so nothing it computes can overflow an
+//!   `i64`. Its GCD is a binary GCD on `u64` whose step replaces the pair by
+//!   its minimum and its odd-part difference (no swap branch), after one
+//!   remainder step when the operands are more than 8 bits apart, and its
+//!   exact divisions run on 32-bit hardware division when both operands
+//!   fit (64-bit division costs more on many x86-64 cores). The result is
+//!   built directly in lowest terms by the same arguments as above (Knuth's
+//!   for the sum, cross-reduction for the product), with no normalising GCD;
+//!   a zero operand of a sum returns the other operand. `checked_new` takes
+//!   the same `u64` GCD and word division whenever both of its components
+//!   are below 2^63. Larger operands take the `i128` path, so a result is
+//!   refused (and [`AutoRat`](crate::auto::AutoRat) promotes) exactly when it
+//!   was before: the word path only runs where the `i128` path cannot
+//!   overflow.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -61,23 +81,59 @@ pub struct Rat128 {
     den: i128,
 }
 
-/// Binary GCD of two `u64`s (`gcd(0, b) = b`).
+/// Binary GCD of two `u64`s (`gcd(0, b) = b`). Each step replaces the odd
+/// pair by its minimum and the odd part of its difference, which needs no
+/// swap branch.
+#[inline]
 fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     if a == 0 || b == 0 {
         return a | b;
     }
     let shift = (a | b).trailing_zeros();
     a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        b -= a;
-        if b == 0 {
-            return a << shift;
-        }
+    b >>= b.trailing_zeros();
+    while a != b {
+        let d = a.abs_diff(b);
+        b = a.min(b);
+        a = d >> d.trailing_zeros();
     }
+    a << shift
+}
+
+/// Components strictly below this magnitude take the word path (see the
+/// module doc): cross products stay below 2^62 and their sums below 2^63.
+const WORD_LIMIT: u128 = 1 << 31;
+
+/// `x / g` for a divisor `g ≥ 1` of `x`: skipped for `g = 1`, on 32-bit
+/// hardware division (cheaper than 64-bit on many x86-64 cores) when both
+/// fit.
+#[inline]
+fn div_word(x: i64, g: u64) -> i64 {
+    if g == 1 {
+        return x;
+    }
+    let m = x.unsigned_abs();
+    let q = if (m | g) >> 32 == 0 { u64::from(m as u32 / g as u32) } else { m / g };
+    // |q| ≤ |x| < 2^63, so the cast and the negation cannot overflow.
+    if x < 0 {
+        -(q as i64)
+    } else {
+        q as i64
+    }
+}
+
+/// `gcd(|x|, |y|)` for the word path. A numerator and a denominator are
+/// often far apart (an integer has denominator 1): past a factor of 2^8,
+/// one hardware remainder replaces the many subtract-and-shift steps.
+#[inline]
+fn gcd_word(x: i64, y: i64) -> u64 {
+    let (a, b) = (x.unsigned_abs(), y.unsigned_abs());
+    let (hi, lo) = (a.max(b), a.min(b));
+    if lo != 0 && hi >> 8 > lo {
+        let r = if hi >> 32 == 0 { u64::from(hi as u32 % lo as u32) } else { hi % lo };
+        return gcd_u64(lo, r);
+    }
+    gcd_u64(a, b)
 }
 
 /// Binary GCD of two `u128`s, finishing in [`gcd_u64`] once both fit.
@@ -135,11 +191,70 @@ fn div_exact(x: i128, g: u128) -> i128 {
     }
 }
 
+/// `a/b + c/d` on the word path: lowest-terms operands, `b, d > 0`, every
+/// component below 2^31 in magnitude.
+#[inline]
+fn add_words(a: i64, b: i64, c: i64, d: i64) -> Rat128 {
+    if c == 0 {
+        return Rat128::of_words(a, b);
+    }
+    if a == 0 {
+        return Rat128::of_words(c, d);
+    }
+    if b == d {
+        // gcd(0, b) = b, so a zero sum lands on 0/1.
+        let t = a + c;
+        let g = gcd_word(t, b);
+        return Rat128::of_words(div_word(t, g), div_word(b, g));
+    }
+    let g = gcd_u64(b as u64, d as u64);
+    if g == 1 {
+        return Rat128::of_words(a * d + c * b, b * d);
+    }
+    let (b_g, d_g) = (b / g as i64, d / g as i64);
+    let t = a * d_g + c * b_g;
+    // Lowest-terms operands with b ≠ d never sum to 0.
+    debug_assert_ne!(t, 0);
+    let g2 = gcd_word(t, g as i64);
+    Rat128::of_words(div_word(t, g2), b_g * div_word(d, g2))
+}
+
+/// `(a/b)·(c/d)` on the word path (same preconditions as [`add_words`]).
+#[inline]
+fn mul_words(a: i64, b: i64, c: i64, d: i64) -> Rat128 {
+    if a == 0 || c == 0 {
+        return Rat128::ZERO;
+    }
+    let (g1, g2) = (gcd_word(a, d), gcd_word(c, b));
+    Rat128::of_words(div_word(a, g1) * div_word(c, g2), div_word(b, g2) * div_word(d, g1))
+}
+
 impl Rat128 {
     /// The value 0.
     pub const ZERO: Rat128 = Rat128 { num: 0, den: 1 };
     /// The value 1.
     pub const ONE: Rat128 = Rat128 { num: 1, den: 1 };
+
+    /// A value from word-path components already in lowest terms.
+    #[inline]
+    fn of_words(num: i64, den: i64) -> Rat128 {
+        Rat128 { num: num.into(), den: den.into() }
+    }
+
+    /// `(a, b, c, d)` for `self = a/b` and `rhs = c/d` when every component
+    /// is below 2^31 in magnitude: the operands of the word path.
+    #[inline]
+    fn words(self, rhs: Rat128) -> Option<(i64, i64, i64, i64)> {
+        // Denominators are positive, so their casts are their magnitudes.
+        let all =
+            self.num.unsigned_abs() | self.den as u128 | rhs.num.unsigned_abs() | rhs.den as u128;
+        (all < WORD_LIMIT).then_some((
+            self.num as i64,
+            self.den as i64,
+            rhs.num as i64,
+            rhs.den as i64,
+        ))
+    }
 
     /// Builds `num / den` in lowest terms.
     ///
@@ -193,6 +308,18 @@ impl Rat128 {
     /// when normalisation overflows (including the unreducible
     /// `i128::MIN`, which has no representable absolute value).
     pub fn checked_new(num: i128, den: i128) -> Option<Rat128> {
+        if den == 0 || num == 0 || (num.unsigned_abs() | den.unsigned_abs()) >> 63 != 0 {
+            return Rat128::new_wide(num, den);
+        }
+        // Word path: both fit an i64 with room for the sign flip.
+        let (n, d) = (num as i64, den as i64);
+        let g = gcd_word(n, d);
+        let (n, d) = (div_word(n, g), div_word(d, g));
+        Some(if d < 0 { Rat128::of_words(-n, -d) } else { Rat128::of_words(n, d) })
+    }
+
+    /// [`checked_new`](Rat128::checked_new) on `i128`.
+    fn new_wide(num: i128, den: i128) -> Option<Rat128> {
         if den == 0 || num == i128::MIN || den == i128::MIN {
             return None;
         }
@@ -212,8 +339,16 @@ impl Rat128 {
 
     /// Non-panicking addition: `None` when any intermediate overflows.
     pub fn checked_add(self, rhs: Rat128) -> Option<Rat128> {
+        match self.words(rhs) {
+            Some((a, b, c, d)) => Some(add_words(a, b, c, d)),
+            None => self.add_wide(rhs),
+        }
+    }
+
+    /// [`checked_add`](Rat128::checked_add) on `i128`.
+    fn add_wide(self, rhs: Rat128) -> Option<Rat128> {
         if self.den == rhs.den {
-            return Rat128::checked_new(self.num.checked_add(rhs.num)?, self.den);
+            return Rat128::new_wide(self.num.checked_add(rhs.num)?, self.den);
         }
         // Knuth's addition (TAOCP 4.5.1): with g = gcd(b, d),
         // a/b + c/d = t / (b/g · d) for t = a·(d/g) + c·(b/g), and only
@@ -234,11 +369,22 @@ impl Rat128 {
 
     /// Non-panicking subtraction.
     pub fn checked_sub(self, rhs: Rat128) -> Option<Rat128> {
-        self.checked_add(rhs.checked_neg()?)
+        match self.words(rhs) {
+            Some((a, b, c, d)) => Some(add_words(a, b, -c, d)),
+            None => self.add_wide(rhs.checked_neg()?),
+        }
     }
 
     /// Non-panicking multiplication.
     pub fn checked_mul_rat(self, rhs: Rat128) -> Option<Rat128> {
+        match self.words(rhs) {
+            Some((a, b, c, d)) => Some(mul_words(a, b, c, d)),
+            None => self.mul_wide(rhs),
+        }
+    }
+
+    /// [`checked_mul_rat`](Rat128::checked_mul_rat) on `i128`.
+    fn mul_wide(self, rhs: Rat128) -> Option<Rat128> {
         if self.num == i128::MIN || rhs.num == i128::MIN {
             return None; // gcd needs |num|
         }
@@ -252,7 +398,7 @@ impl Rat128 {
         let num = div_exact(self.num, g1).checked_mul(div_exact(rhs.num, g2))?;
         let den = div_exact(self.den, g2).checked_mul(div_exact(rhs.den, g1))?;
         if num == i128::MIN {
-            return Rat128::checked_new(num, den); // refuses: no |i128::MIN|
+            return Rat128::new_wide(num, den); // refuses: no |i128::MIN|
         }
         Some(Rat128 { num, den })
     }
@@ -270,12 +416,24 @@ impl Rat128 {
 
     /// Non-panicking division (`None` on a zero divisor or overflow).
     pub fn checked_div_rat(self, rhs: Rat128) -> Option<Rat128> {
-        self.checked_mul_rat(rhs.checked_recip()?)
+        match self.words(rhs) {
+            // Multiply by d/c with the sign moved to the numerator.
+            Some((a, b, c, d)) if c != 0 => Some(mul_words(a, b, c.signum() * d, c.abs())),
+            _ => self.mul_wide(rhs.checked_recip()?),
+        }
     }
 
     /// Non-panicking comparison: `None` when the cross-multiplication
     /// overflows `i128` (the caller falls back to wide arithmetic).
     pub fn checked_cmp(self, rhs: Rat128) -> Option<Ordering> {
+        match self.words(rhs) {
+            Some((a, b, c, d)) => Some((a * d).cmp(&(c * b))),
+            None => self.cmp_wide(rhs),
+        }
+    }
+
+    /// [`checked_cmp`](Rat128::checked_cmp) on `i128`.
+    fn cmp_wide(self, rhs: Rat128) -> Option<Ordering> {
         if self.den == rhs.den {
             return Some(self.num.cmp(&rhs.num));
         }
@@ -453,7 +611,16 @@ mod tests {
                 assert_eq!(gcd_u128(a, b), euclid(a, b), "gcd({a}, {b})");
             }
         }
-        assert_eq!(gcd_u64(12, 18), 6);
+        let words = [0u64, 1, 2, 3, 6, 12, 18, (1 << 31) - 1, 1 << 31, 3 << 40, 1 << 63, u64::MAX];
+        for &a in &words {
+            for &b in &words {
+                let want = euclid(a.into(), b.into());
+                assert_eq!(u128::from(gcd_u64(a, b)), want, "gcd({a}, {b})");
+                if let (Ok(x), Ok(y)) = (i64::try_from(a), i64::try_from(b)) {
+                    assert_eq!(u128::from(gcd_word(-x, y)), want, "gcd_word({a}, {b})");
+                }
+            }
+        }
         assert_eq!(gcd_i128(-12, 18), 6);
         assert_eq!(gcd_i128(i128::MIN, 0), 1 << 127);
     }
@@ -519,6 +686,60 @@ mod tests {
         let p = AutoRat::from_rat128(a).mul(&AutoRat::from_rat128(b));
         assert!(p.is_promoted());
         assert_eq!(p.to_bigrat(), &big(a) * &big(b));
+    }
+
+    /// The word path against the `i128` path and `BigRat`, for every op, on
+    /// operands at and around its 2^31 bound and far beyond it. Both paths
+    /// must give the same `Option` (so `AutoRat` promotes exactly when the
+    /// `i128` path alone would), and every result must equal `BigRat`'s, in
+    /// lowest terms.
+    #[test]
+    fn word_path_matches_the_i128_path_and_bigrat() {
+        const W: i128 = 1 << 31;
+        let nums = [0, 1, -1, 6, -10, W - 1, -(W - 1), W, -W, 1 << 62, 1 << 63, -(1 << 63)];
+        let nums = nums.into_iter().chain([i128::MAX, -i128::MAX, 3 * (W - 1)]);
+        // Equal, coprime and shared-factor denominators on both sides of 2^31.
+        let dens = [1, 2, 6, 10, 15, W - 1, 2 * (W - 1), W, 1 << 62, 1 << 63, i128::MAX];
+        let mut vals: Vec<Rat128> =
+            nums.flat_map(|n| dens.iter().map(move |&d| Rat128::new(n, d))).collect();
+        vals.sort_by_key(|r| (r.num, r.den));
+        vals.dedup();
+        let mut word_pairs = 0;
+        for &a in &vals {
+            for &b in &vals {
+                let word = a.words(b).is_some();
+                word_pairs += usize::from(word);
+                let ops = [
+                    ("add", a.checked_add(b), a.add_wide(b), &big(a) + &big(b)),
+                    ("sub", a.checked_sub(b), a.add_wide(-b), &big(a) - &big(b)),
+                    ("mul", a.checked_mul_rat(b), a.mul_wide(b), &big(a) * &big(b)),
+                ];
+                let div = (!b.is_zero()).then(|| {
+                    ("div", a.checked_div_rat(b), a.mul_wide(b.recip()), &big(a) / &big(b))
+                });
+                for (name, got, wide, want) in ops.into_iter().chain(div) {
+                    assert_eq!(got, wide, "{a:?} {name} {b:?}: word and i128 paths differ");
+                    assert!(got.is_some() || !word, "{a:?} {name} {b:?}: word path refused");
+                    if let Some(r) = got {
+                        assert_eq!(big(r), want, "{a:?} {name} {b:?}");
+                        assert!(r.den > 0 && gcd_i128(r.num, r.den) == 1, "{r:?} not normalised");
+                    }
+                }
+                let cmp = a.checked_cmp(b);
+                assert_eq!(cmp, a.cmp_wide(b), "{a:?} cmp {b:?}");
+                if let Some(ord) = cmp {
+                    assert_eq!(ord, big(a).cmp(&big(b)), "{a:?} cmp {b:?}");
+                }
+            }
+        }
+        assert!(word_pairs > 400, "only {word_pairs} pairs took the word path");
+        // Construction: the u64 path against the i128 one, signs included.
+        let comps = [0, 1, -1, 6, -15, W - 1, W, -W, 1 << 62, (1 << 63) - 1, 1 << 63, i128::MAX];
+        for &n in &comps {
+            for &d in &comps {
+                assert_eq!(Rat128::checked_new(n, d), Rat128::new_wide(n, d), "new({n}, {d})");
+            }
+        }
     }
 
     #[test]

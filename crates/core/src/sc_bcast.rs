@@ -197,7 +197,7 @@ impl<V: PackingValue> MessageSize for ScMsg<V> {
 }
 
 /// Node state: either a subset node or an element node.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScNode<V> {
     /// A subset node `s ∈ S`.
     Subset(SubsetState<V>),
@@ -225,7 +225,7 @@ impl<V: PackingValue> ScNode<V> {
 }
 
 /// Subset-node state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SubsetState<V> {
     weight: V,
     /// Residual `r_y(s)` (recomputed whenever elements broadcast y).
@@ -241,7 +241,7 @@ pub struct SubsetState<V> {
 }
 
 /// Element-node state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ElementState<V> {
     /// Current improper colouring `c(u) ∈ {0, …, D}` (paper: 1..D+1).
     c: u32,
@@ -373,6 +373,39 @@ impl<V: PackingValue> BcastAlgorithm for ScNode<V> {
                 ScMsg::Cols(Arc::clone(&s.pending_cols))
             }
             _ => ScMsg::Nil,
+        }
+    }
+
+    /// Exactly one role speaks per round, and the other role's receive
+    /// ignores the all-`Nil` multiset it would get. Subsets read every
+    /// round in which elements speak. An element reads only while
+    /// unsaturated (a saturated element never changes again): the
+    /// residuals of step (ii), `StatusResid` and `FinalResid`, the `X`
+    /// offers of step (iv) while in `U_yi`, the triples of weak-CV
+    /// sub-round 2, and the colour sets of its own reduction class.
+    fn listens(&self, cfg: &ScConfig, round: u64) -> bool {
+        let phase = cfg.phase(round);
+        match self {
+            ScNode::Subset(_) => matches!(
+                phase,
+                ScPhase::Sat { step: 0 | 2 | 4, .. }
+                    | ScPhase::StatusY
+                    | ScPhase::WeakCv { sub: 0, .. }
+                    | ScPhase::Reduce { sub: 0, .. }
+                    | ScPhase::FinalY
+            ),
+            ScNode::Element(e) => {
+                !e.saturated
+                    && match phase {
+                        ScPhase::Sat { step: 1, .. }
+                        | ScPhase::StatusResid
+                        | ScPhase::WeakCv { sub: 1, .. }
+                        | ScPhase::FinalResid => true,
+                        ScPhase::Sat { step: 3, .. } => e.in_uyi,
+                        ScPhase::Reduce { colour, sub: 1, .. } => e.c3 == colour,
+                        _ => false,
+                    }
+            }
         }
     }
 

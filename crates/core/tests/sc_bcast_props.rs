@@ -7,12 +7,13 @@ use anonet_bigmath::{AutoRat, BigRat, PackingValue};
 use anonet_core::certify::certify_set_cover;
 use anonet_core::sc_bcast::{
     run_fractional_packing, run_fractional_packing_many, run_fractional_packing_with, ScConfig,
+    ScMsg, ScNode, ScOutput,
 };
 use anonet_core::trivial::{run_trivial, trivial_bound};
 use anonet_core::vc_bcast::{incidence_instance, run_vc_broadcast, VcBcastConfig};
 use anonet_core::vc_pn::run_edge_packing;
 use anonet_gen::{family, reduction, setcover, WeightSpec};
-use anonet_sim::{Graph, SetCoverInstance, Trace};
+use anonet_sim::{BcastAlgorithm, Graph, SetCoverInstance, Trace};
 use proptest::prelude::*;
 
 /// All §4 guarantees in one checker.
@@ -183,6 +184,63 @@ fn parallel_matches_sequential_sc() {
     assert_eq!(seq.cover, par.cover);
     assert_eq!(seq.packing, par.packing);
     assert_eq!(seq.trace, par.trace);
+}
+
+/// Runs §4 round by round without the engine, gathering every node's real
+/// multiset. Wherever a node says it does not listen, it also receives `&[]`
+/// on a copy of its state, and both copies must end equal with equal
+/// outputs: the `listens` contract. Returns the outputs of the full-gather
+/// run and how many (node, round) pairs did not listen.
+fn full_gather_run<V: PackingValue>(inst: &SetCoverInstance) -> (Vec<ScOutput<V>>, u64) {
+    let g = &inst.graph;
+    let cfg = ScConfig::new(inst.f().max(1), inst.k().max(1), inst.max_weight().max(1));
+    let mut states: Vec<ScNode<V>> = (0..g.n())
+        .map(|v| ScNode::init(&cfg, g.degree(v), &inst.is_subset(v).then(|| inst.weights[v])))
+        .collect();
+    let mut outputs: Vec<Option<ScOutput<V>>> = vec![None; g.n()];
+    let mut deaf_pairs = 0;
+    for round in 1..=cfg.total_rounds() {
+        let sent: Vec<ScMsg<V>> = states.iter().map(|s| s.send(&cfg, round)).collect();
+        for (v, state) in states.iter_mut().enumerate() {
+            let mut incoming: Vec<&ScMsg<V>> = g.neighbors(v).map(|(_, u)| &sent[u]).collect();
+            incoming.sort();
+            let deaf = (!state.listens(&cfg, round)).then(|| state.clone());
+            outputs[v] = state.receive(&cfg, round, &incoming);
+            if let Some(mut deaf) = deaf {
+                deaf_pairs += 1;
+                let out = deaf.receive(&cfg, round, &[]);
+                assert_eq!(
+                    deaf, *state,
+                    "node {v} round {round}: state differs without its multiset"
+                );
+                assert_eq!(out, outputs[v], "node {v} round {round}: output differs");
+            }
+        }
+    }
+    (
+        outputs.into_iter().map(|o| o.expect("every node halts in the last round")).collect(),
+        deaf_pairs,
+    )
+}
+
+/// `listens` answers `false` only where the multiset cannot matter, and the
+/// engine, which skips those gathers, matches the full-gather run exactly.
+#[test]
+fn sc_listens_only_skips_multisets_that_receive_ignores() {
+    for seed in 0..4u64 {
+        let inst = setcover::random_bounded(14, 9, 2, 3, WeightSpec::Uniform(40), seed);
+        let (outputs, deaf_pairs) = full_gather_run::<AutoRat>(&inst);
+        let rounds = ScConfig::new(inst.f(), inst.k(), inst.max_weight()).total_rounds();
+        let pairs = rounds * inst.graph.n() as u64;
+        assert!(2 * deaf_pairs > pairs, "seed {seed}: only {deaf_pairs} of {pairs} pairs deaf");
+        let run = run_fractional_packing::<AutoRat>(&inst).unwrap();
+        for (v, out) in outputs.iter().enumerate() {
+            match out {
+                ScOutput::Subset { in_cover } => assert_eq!(*in_cover, run.cover[v]),
+                ScOutput::Element { y, .. } => assert_eq!(*y, run.packing.y[v - inst.n_subsets]),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@
 //! *does* guarantee is that every Linux target links the C runtime, whose
 //! `syscall(2)` entry point is a stable, documented, variadic trampoline
 //! into the kernel. This module declares exactly that one symbol and
-//! issues four syscalls through it: `epoll_create1`, `epoll_ctl`,
+//! issues five syscalls through it: `epoll_create1`, `epoll_ctl`,
 //! `epoll_pwait` (the portable spelling — arm64 never had plain
-//! `epoll_wait`) and `eventfd2`.
+//! `epoll_wait`), `eventfd2`, and `listen` (to deepen a bound listener's
+//! accept queue, which `std` fixes at 128).
 //!
 //! ## Soundness argument
 //!
@@ -52,6 +53,7 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 mod nr {
     //! x86_64 syscall numbers (arch/x86/entry/syscalls/syscall_64.tbl).
     use std::ffi::c_long;
+    pub const LISTEN: c_long = 50;
     pub const EPOLL_CTL: c_long = 233;
     pub const EPOLL_PWAIT: c_long = 281;
     pub const EVENTFD2: c_long = 290;
@@ -66,6 +68,7 @@ mod nr {
     pub const EPOLL_CREATE1: c_long = 20;
     pub const EPOLL_CTL: c_long = 21;
     pub const EPOLL_PWAIT: c_long = 22;
+    pub const LISTEN: c_long = 201;
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -123,6 +126,22 @@ fn check(ret: c_long) -> io::Result<c_long> {
     } else {
         Ok(ret)
     }
+}
+
+/// Re-issues `listen(2)` on an already listening socket with a deeper
+/// accept queue; the kernel caps `backlog` at `net.core.somaxconn`.
+/// `std` binds with a queue of 128, and a loopback connect burst completes
+/// each handshake inside the client's own `connect`, so it can fill 128
+/// slots before a reactor thread is scheduled to accept them. Every
+/// connection past a full queue has its SYN dropped and retried one
+/// second later.
+pub(crate) fn set_listen_backlog(listener: &std::net::TcpListener, backlog: i32) -> io::Result<()> {
+    // SAFETY: both arguments are plain integers; the kernel validates the
+    // descriptor (it belongs to the live `listener`) and clamps the
+    // backlog.
+    #[allow(unsafe_code)]
+    let ret = unsafe { syscall(nr::LISTEN, listener.as_raw_fd() as c_long, backlog as c_long) };
+    check(ret).map(|_| ())
 }
 
 /// An owned epoll instance. Closed on drop via [`OwnedFd`].

@@ -32,6 +32,9 @@ const TOKEN_WAKER: u64 = u64::MAX - 1;
 const READ_CHUNK: usize = 16 * 1024;
 /// Readiness events drained per `epoll_wait` call.
 const EVENT_BATCH: usize = 1024;
+/// Accept-queue depth requested for the listener (the kernel caps it at
+/// `net.core.somaxconn`, 4096 by default).
+const LISTEN_BACKLOG: i32 = 4096;
 
 /// Identifies one live connection: slab index in the low 32 bits, a
 /// generation in the high 32. A completion carrying a stale generation
@@ -253,6 +256,9 @@ impl<H: Handler> Reactor<H> {
         F: FnOnce(CompletionSender) -> H,
     {
         listener.set_nonblocking(true)?;
+        // One thread accepts for every connection: give connect bursts the
+        // kernel's deepest accept queue instead of std's 128.
+        crate::epoll::set_listen_backlog(&listener, LISTEN_BACKLOG)?;
         let local_addr = listener.local_addr()?;
         let ep = Epoll::new()?;
         let waker = Arc::new(Waker { fd: EventFd::new()? });

@@ -173,8 +173,16 @@ pub struct Report {
     pub ok: u64,
     /// Requests rejected with `Busy`.
     pub busy: u64,
-    /// Requests with per-instance or protocol errors.
+    /// Requests that failed: answered with per-instance or protocol errors,
+    /// or never answered because their connection dropped mid-run
+    /// ([`Report::dropped_requests`] of them).
     pub errors: u64,
+    /// Connections that closed or failed before all of their requests were
+    /// answered (connection-pool driver only).
+    pub dropped_conns: u64,
+    /// Requests left unanswered on those connections; included in
+    /// [`Report::errors`].
+    pub dropped_requests: u64,
     /// Solved instances served from the server's cache (`from_cache` flag).
     pub cached_instances: u64,
     /// Solved instances total.
@@ -233,13 +241,22 @@ impl Report {
         }
     }
 
+    /// Failed requests that were answered with an error reply (as opposed
+    /// to lost with a dropped connection).
+    pub fn error_replies(&self) -> u64 {
+        self.errors - self.dropped_requests
+    }
+
     /// Human-readable one-block summary.
     pub fn render(&self) -> String {
         format!(
-            "requests: ok {} busy {} err {} | goodput {:.1} req/s (offered {:.1}) | instances: {} solved, {} cached ({:.0}% hit), {} certified\nok-latency: p50 {:?} p90 {:?} p99 {:?} max {:?} | elapsed {:?}",
+            "requests: ok {} busy {} err {} ({} error replies, {} unanswered on {} dropped connections) | goodput {:.1} req/s (offered {:.1}) | instances: {} solved, {} cached ({:.0}% hit), {} certified\nok-latency: p50 {:?} p90 {:?} p99 {:?} max {:?} | elapsed {:?}",
             self.ok,
             self.busy,
             self.errors,
+            self.error_replies(),
+            self.dropped_requests,
+            self.dropped_conns,
             self.goodput(),
             self.offered_rate(),
             self.solved_instances,
@@ -266,6 +283,11 @@ impl Report {
                     let us = self.elapsed.as_micros();
                     MetricValue::Gauge(u64::try_from(us).unwrap_or(u64::MAX))
                 }),
+                ("driven.dropped_conns".to_string(), MetricValue::Counter(self.dropped_conns)),
+                (
+                    "driven.dropped_requests".to_string(),
+                    MetricValue::Counter(self.dropped_requests),
+                ),
                 ("driven.errors".to_string(), MetricValue::Counter(self.errors)),
                 ("driven.ok".to_string(), MetricValue::Counter(self.ok)),
                 ("instances.cached".to_string(), MetricValue::Counter(self.cached_instances)),
@@ -640,8 +662,12 @@ fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Res
             }
             if c.recvd >= c.assigned || dead {
                 // A connection dropped mid-run charges its unanswered
-                // requests as errors instead of hanging the drive.
-                report.errors += (c.assigned - c.recvd) as u64;
+                // requests as errors instead of hanging the drive, counted
+                // apart from error replies.
+                let lost = (c.assigned - c.recvd) as u64;
+                report.dropped_conns += u64::from(lost > 0);
+                report.dropped_requests += lost;
+                report.errors += lost;
                 let _ = ep.delete(c.sock.as_raw_fd());
                 c.done = true;
                 open -= 1;

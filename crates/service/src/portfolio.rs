@@ -44,8 +44,8 @@
 
 use crate::server::Shared;
 use crate::wire::{self, ExecMode, Scenario, SolveRequest, SolveResponse, WireTrace};
-use anonet_baselines::bchs::run_bchs;
-use anonet_baselines::kvy_eps::run_kvy;
+use anonet_baselines::bchs::{run_bchs_scratch, BchsNode};
+use anonet_baselines::kvy_eps::{run_kvy_scratch, KvyNode};
 use anonet_baselines::ps3::{half_matching_packing, run_ps3_scratch, PsNode};
 use anonet_bigmath::{AutoRat, BigRat};
 use anonet_core::canon::{self, OwnedScInstance, OwnedVcInstance};
@@ -430,15 +430,25 @@ fn solve_vc_ps3(
     certify_rational(d, run.cover, &packing, &run.trace, 4, 1)
 }
 
-fn solve_vc_kvy(d: &OwnedVcInstance, _: ExecMode, _: &mut ()) -> Solution {
-    let run = run_kvy::<AutoRat>(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS)
-        .map_err(execution_failed)?;
+fn solve_vc_kvy(
+    d: &OwnedVcInstance,
+    _: ExecMode,
+    scratch: &mut EngineScratch<KvyNode<AutoRat>, PortNumbering>,
+) -> Solution {
+    let run =
+        run_kvy_scratch(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS, scratch)
+            .map_err(execution_failed)?;
     certify_rational(d, run.cover, &run.packing, &run.trace, 8, 3)
 }
 
-fn solve_vc_bchs(d: &OwnedVcInstance, _: ExecMode, _: &mut ()) -> Solution {
-    let run = run_bchs::<AutoRat>(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS)
-        .map_err(execution_failed)?;
+fn solve_vc_bchs(
+    d: &OwnedVcInstance,
+    _: ExecMode,
+    scratch: &mut EngineScratch<BchsNode<AutoRat>, PortNumbering>,
+) -> Solution {
+    let run =
+        run_bchs_scratch(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS, scratch)
+            .map_err(execution_failed)?;
     certify_rational(d, run.cover, &run.packing, &run.trace, 8, 3)
 }
 

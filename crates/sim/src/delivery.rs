@@ -22,7 +22,10 @@
 //! * **Broadcast** ([`Broadcast`]): a node owns one slot, fanned out along
 //!   every incident edge, and receives its neighbours' slots as a canonically
 //!   **sorted multiset** (enforced here, so no algorithm can depend on sender
-//!   identity).
+//!   identity). A node whose [`BcastAlgorithm::listens`] answers `false`
+//!   for the round is not gathered for at all: [`Delivery::listens`] tells
+//!   the engine to hand its receive an empty slice, and a round in which no
+//!   swept node listens skips [`Delivery::build_canon`] too.
 //!
 //! [`Delivery`] captures exactly those differences (slot layout, send,
 //! gather, and the per-model [`Trace`](crate::engine::Trace) bit accounting);
@@ -263,6 +266,15 @@ pub trait Delivery<A> {
         None
     }
 
+    /// Whether the node reads its incoming messages this round. When
+    /// `false`, the engine skips [`gather`](Delivery::gather) and delivers
+    /// an empty slice. Broadcast asks [`BcastAlgorithm::listens`]; the
+    /// default (port numbering) always gathers.
+    fn listens(state: &A, cfg: &Self::Config, round: u64) -> bool {
+        let _ = (state, cfg, round);
+        true
+    }
+
     /// Builds the round-global [`CanonTable`] from the post-send buffer.
     /// Called once per round by the engine when
     /// [`RANKED`](Delivery::RANKED) is set; the default is a no-op.
@@ -482,6 +494,11 @@ impl<A: BcastAlgorithm> Delivery<A> for Broadcast {
     #[inline(always)]
     fn send(state: &A, cfg: &Self::Config, round: u64, out: &mut [Self::Msg]) {
         out[0] = state.send(cfg, round);
+    }
+
+    #[inline(always)]
+    fn listens(state: &A, cfg: &Self::Config, round: u64) -> bool {
+        state.listens(cfg, round)
     }
 
     fn build_canon(_g: &Graph, buf: &[Self::Msg], canon: &mut CanonTable) {

@@ -79,7 +79,11 @@
 //! Broadcast rounds additionally build the round-global [`CanonTable`]
 //! between the phases (see [`crate::delivery`]) so no per-node sort runs in
 //! the receive sweep; [`Engine::canon_rounds`] counts those builds as the
-//! smoke signal that the counting path is actually exercised.
+//! smoke signal that the counting path is actually exercised. The receive
+//! sweep gathers only for nodes that [listen](Delivery::listens) this
+//! round; the rest receive an empty slice, which the
+//! [`BcastAlgorithm::listens`] contract makes indistinguishable from their
+//! real multiset. A round in which no swept node listens builds no table.
 //!
 //! With a single part (every service solve runs on one thread) the phases
 //! slice the buffers directly: a steady round allocates nothing — the
@@ -148,7 +152,8 @@ pub struct RoundStats {
     /// node's arcs through one node-slot write, and counts `degree` here.
     pub slots_written: u64,
     /// Whether the round-global canonicalisation table was (re)built between
-    /// the phases this round (`RANKED` deliveries only).
+    /// the phases this round (`RANKED` deliveries only, and only in rounds
+    /// where some swept node [listens](crate::Delivery::listens)).
     pub canon_pass: bool,
     /// Payload bits accounted to [`Trace::total_bits`] this round (including
     /// the cached contribution of halted nodes).
@@ -400,8 +405,9 @@ fn send_node<A, D: Delivery<A>>(
 }
 
 /// Receives one not-yet-halted node: gathers its incoming messages from the
-/// round's outbox, delivers them, and records a halt. Shared by the dense
-/// and sparse sweep paths of phase 2.
+/// round's outbox (only when it [listens](Delivery::listens) this round;
+/// otherwise it receives an empty slice), delivers them, and records a
+/// halt. Shared by the dense and sparse sweep paths of phase 2.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn receive_node<'b, A, D: Delivery<A>>(
@@ -420,7 +426,9 @@ fn receive_node<'b, A, D: Delivery<A>>(
 ) {
     let i = v - span_start;
     scratch.clear();
-    D::gather(g, v, outbox, canon, gs, scratch);
+    if D::listens(&states[i], cfg, round) {
+        D::gather(g, v, outbox, canon, gs, scratch);
+    }
     if let Some(out) = D::receive(&mut states[i], cfg, round, scratch) {
         outputs[i] = Some(out);
         newly.push(v as u32);
@@ -643,8 +651,9 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
     }
 
     /// Rounds in which the round-global canonicalisation table was built.
-    /// Zero for port numbering; equal to [`round`](Engine::round) for
-    /// broadcast. `perf_baseline` asserts this is non-zero on its broadcast
+    /// Zero for port numbering; equal to [`round`](Engine::round) for a
+    /// broadcast algorithm whose nodes always listen (rounds in which no
+    /// node listens skip the build). `perf_baseline` asserts this is non-zero on its broadcast
     /// workload, so a silent fallback to per-node sorting fails the build.
     pub fn canon_rounds(&self) -> u64 {
         self.canon_rounds
@@ -814,8 +823,14 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
 
         // Between the phases: (re)build the round-global canonicalisation
         // table from the full post-send buffer, once — this replaces the
-        // per-node message sorts the receive phase used to pay.
-        if D::RANKED {
+        // per-node message sorts the receive phase used to pay. A round in
+        // which no swept node listens gathers nothing, so it needs no table
+        // (the scan stops at the first listener).
+        let canon_pass = D::RANKED && {
+            let states = &self.states;
+            self.sweep.iter().any(|&v| D::listens(&states[v as usize], cfg, round))
+        };
+        if canon_pass {
             D::build_canon(g, &self.buf, &mut self.canon);
             self.canon_rounds += 1;
         }
@@ -971,7 +986,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
                 active_nodes,
                 newly_halted: self.newly.len() as u64,
                 slots_written,
-                canon_pass: D::RANKED,
+                canon_pass,
                 bits: round_bits,
             });
             // hot-path: end

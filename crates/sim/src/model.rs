@@ -165,6 +165,21 @@ pub trait BcastAlgorithm: Sized + Send + Sync {
     /// Produces this round's broadcast message.
     fn send(&self, cfg: &Self::Config, round: u64) -> Self::Msg;
 
+    /// Whether this node reads its incoming multiset in `round`, asked of
+    /// the node's state before that round's
+    /// [`receive`](BcastAlgorithm::receive). When it answers `false` the
+    /// engine gathers nothing for the node and hands `receive` an empty
+    /// slice instead of the multiset, so `false` is allowed only where
+    /// `receive` leaves the same state and returns the same output given
+    /// `&[]` as given the real multiset (typically: a round in which the
+    /// node's role ignores what it hears). `receive` must stay correct on
+    /// the real multiset in every round (the asynchronous runtime always
+    /// delivers it). The default, `true`, always gathers.
+    fn listens(&self, cfg: &Self::Config, round: u64) -> bool {
+        let _ = (cfg, round);
+        true
+    }
+
     /// Consumes the sorted multiset of incoming messages. Returning `Some`
     /// halts the node with that output.
     fn receive(
