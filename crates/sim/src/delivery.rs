@@ -31,6 +31,10 @@
 //! gather, and the per-model [`Trace`](crate::engine::Trace) bit accounting);
 //! a uniform port-numbering send is still accounted as `degree` messages of
 //! its size, with the size measured once per node rather than once per slot.
+//! The engine's one send sweep measures only variable-width messages: for
+//! fixed-width ones ([`MessageSize::FIXED_BITS`]) it sums
+//! [`Delivery::uniform_bits`] over the sweep list once per frontier change
+//! and charges that term every round.
 //! [`Engine`](crate::engine::Engine) implements everything else — phase
 //! scaffolding, arc-weight-balanced partitioning over the persistent
 //! [`RoundPool`](crate::pool::RoundPool), halted-frontier skipping,
@@ -324,21 +328,19 @@ pub trait Delivery<A> {
     /// `v`'s own slots this round. Must reproduce the historical per-model
     /// accounting bit-exactly: port numbering counts each slot once;
     /// broadcast counts the single slot `deg(v)` times for the total but
-    /// counts it toward the max even when `deg(v) == 0`.
+    /// counts it toward the max even when `deg(v) == 0`. The engine calls
+    /// it only for variable-width messages.
     fn slot_bits(g: &Graph, v: usize, slots: &[Self::Msg]) -> (u64, u64);
 
     /// The same accounting for a node whose every slot carries a message
-    /// of `bits` bits: a uniform send, or a halted node's `Msg::default()`.
-    /// This is what lets the engine measure a uniform message once and skip
-    /// halted nodes entirely while keeping [`Trace`](crate::engine::Trace)
-    /// counts identical to the all-nodes-send, one-slot-per-arc semantics.
+    /// of `bits` bits: a uniform send, a halted node's `Msg::default()`, or
+    /// any send of a fixed-width message ([`MessageSize::FIXED_BITS`]).
+    /// This is what lets the engine measure a uniform message once, skip
+    /// halted nodes entirely, and account a round of fixed-width sends by
+    /// one term summed when the frontier changes, while keeping
+    /// [`Trace`](crate::engine::Trace) counts identical to the
+    /// all-nodes-send, one-slot-per-arc semantics.
     fn uniform_bits(g: &Graph, v: usize, bits: u64) -> (u64, u64);
-
-    /// [`uniform_bits`](Delivery::uniform_bits) summed over the contiguous
-    /// node range `nodes`, in O(1): the engine's dense fast path for
-    /// fixed-width messages ([`MessageSize::FIXED_BITS`]), where every slot
-    /// measures `bits`. Must equal the per-node sum exactly.
-    fn chunk_bits(g: &Graph, nodes: Range<usize>, bits: u64) -> (u64, u64);
 }
 
 /// Zero-sized marker: port-numbering-model delivery (see [`PnAlgorithm`]).
@@ -436,12 +438,6 @@ impl<A: PnAlgorithm> Delivery<A> for PortNumbering {
 
     #[inline]
     fn slot_bits(_g: &Graph, _v: usize, slots: &[Self::Msg]) -> (u64, u64) {
-        // Fixed-width messages: every slot measures the same, so the whole
-        // span is accounted without reading it back (`FIXED_BITS` promises
-        // equality with `approx_bits` for every value).
-        if let Some(b) = Self::Msg::FIXED_BITS {
-            return ((slots.len() as u64) * b, if slots.is_empty() { 0 } else { b });
-        }
         let mut total = 0;
         let mut max = 0;
         for m in slots {
@@ -457,15 +453,6 @@ impl<A: PnAlgorithm> Delivery<A> for PortNumbering {
         // One message per arc, as if each slot had been written.
         let d = g.degree(v) as u64;
         (d * bits, if d > 0 { bits } else { 0 })
-    }
-
-    #[inline]
-    fn chunk_bits(g: &Graph, nodes: Range<usize>, bits: u64) -> (u64, u64) {
-        // The degrees of a contiguous node range sum to its arc-span
-        // length — this is what removes the whole accounting read-back
-        // pass from the engine's dense send path.
-        let arcs = g.arc_span(nodes).len() as u64;
-        (arcs * bits, if arcs > 0 { bits } else { 0 })
     }
 }
 
@@ -673,16 +660,6 @@ impl<A: BcastAlgorithm> Delivery<A> for Broadcast {
     #[inline]
     fn uniform_bits(g: &Graph, v: usize, bits: u64) -> (u64, u64) {
         (bits * g.degree(v) as u64, bits)
-    }
-
-    #[inline]
-    fn chunk_bits(g: &Graph, nodes: Range<usize>, bits: u64) -> (u64, u64) {
-        // Each node's broadcast counts `degree` times, and the degrees of a
-        // contiguous node range sum to its arc-span length — O(1) instead
-        // of a read-back over the chunk. The max matches the per-node
-        // accounting (isolated nodes still count).
-        let arcs = g.arc_span(nodes.clone()).len() as u64;
-        (bits * arcs, if nodes.is_empty() { 0 } else { bits })
     }
 }
 

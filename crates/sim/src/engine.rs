@@ -25,7 +25,8 @@
 //! part and serialise the round behind it. Parts are recomputed only when
 //! the frontier changes (`spans_dirty`); each part covers a contiguous node
 //! span and hence, by slot-span monotonicity, a contiguous disjoint slot
-//! span. Partitioning never affects results: outputs and [`Trace`] are
+//! span. The refresh refills the recycled partition vectors in place.
+//! Partitioning never affects results: outputs and [`Trace`] are
 //! bit-identical for every thread count (property-tested).
 //!
 //! There is exactly **one** engine, [`Engine`], generic over a
@@ -61,34 +62,41 @@
 //! * Per-part arenas (`PartArena`) — the receive phase's newly-halted lists and
 //!   [`GatherScratch`] rank/count tables, recycled across rounds.
 //!
-//! Per round the dense send path makes at most one pass over the slot
-//! buffer (default-fill fused with `send`, per node, while the lines are
-//! L1-hot; a uniform send writes one node slot instead of `degree` arc
-//! slots), and the [`Trace`] accounting is O(1) per chunk for fixed-width
-//! messages ([`MessageSize::FIXED_BITS`]) instead of a read-back pass over
-//! every slot. Variable-width messages are accounted node by node as they
-//! are sent: a uniform message is measured once and counted `degree` times
-//! ([`Delivery::uniform_bits`]), so the [`Trace`] reads exactly as if it
-//! had been written into every arc slot. The receive phase chases reverse
-//! arcs (or heads, for node slots) through the bulk [`Graph::rev_arcs`] /
-//! [`Graph::heads`] slices (one bounds check per node, not per arc). The
-//! send sweep counts its uniform senders, and a round in which all or none
-//! of the swept nodes sent uniformly gathers from one array without
-//! reading the flags ([`Senders`]); only a mixed round checks the flag per
-//! arc.
-//! Broadcast rounds additionally build the round-global [`CanonTable`]
-//! between the phases (see [`crate::delivery`]) so no per-node sort runs in
-//! the receive sweep; [`Engine::canon_rounds`] counts those builds as the
-//! smoke signal that the counting path is actually exercised. The receive
-//! sweep gathers only for nodes that [listen](Delivery::listens) this
-//! round; the rest receive an empty slice, which the
-//! [`BcastAlgorithm::listens`] contract makes indistinguishable from their
-//! real multiset. A round in which no swept node listens builds no table.
+//! Each phase is **one sweep**: every part, however densely the sweep list
+//! covers its node span, walks its range of `sweep` with the same loop, and
+//! one lazy `split_spans` chain hands each part its list range and its
+//! disjoint `&mut` chunks of the buffers. With a single part (every service
+//! solve runs on one thread) that one item runs inline: there is no task
+//! list, and a steady round allocates nothing (the receive phase's
+//! incoming-reference list reuses storage parked in its part's arena;
+//! `tests/round_allocs.rs` counts the allocations). With more parts the
+//! items are collected and fanned out over the pool.
 //!
-//! With a single part (every service solve runs on one thread) the phases
-//! slice the buffers directly: a steady round allocates nothing — the
-//! receive phase's incoming-reference list reuses storage parked in its
-//! part's arena.
+//! The send sweep writes each swept node's slots once (default-fill fused
+//! with `send` while the lines are L1-hot; a uniform send writes one node
+//! slot instead of `degree` arc slots). Fixed-width messages
+//! ([`MessageSize::FIXED_BITS`] = `Some(b)`) are never measured in the
+//! sweep: the round's [`Trace`] bits are one term, the sum of
+//! [`Delivery::uniform_bits`]`(g, v, b)` over the sweep list, recomputed
+//! with the partition — the rule the halted-node cache uses. Variable-width
+//! messages are accounted node by node as they are sent: a uniform message
+//! is measured once and counted `degree` times, so the [`Trace`] reads
+//! exactly as if it had been written into every arc slot.
+//!
+//! The receive sweep chases reverse arcs (or heads, for node slots) through
+//! the bulk [`Graph::rev_arcs`] / [`Graph::heads`] slices (one bounds check
+//! per node, not per arc). The send sweep counts its uniform senders, and a
+//! round in which all or none of the swept nodes sent uniformly gathers
+//! from one array without reading the flags ([`Senders`]); only a mixed
+//! round checks the flag per arc. Broadcast rounds additionally build the
+//! round-global [`CanonTable`] between the phases (see [`crate::delivery`])
+//! so no per-node sort runs in the receive sweep; [`Engine::canon_rounds`]
+//! counts those builds as the smoke signal that the counting path is
+//! actually exercised. The receive sweep gathers only for nodes that
+//! [listen](Delivery::listens) this round; the rest receive an empty slice,
+//! which the [`BcastAlgorithm::listens`] contract makes indistinguishable
+//! from their real multiset. A round in which no swept node listens builds
+//! no table.
 //!
 //! **Halted frontier**: the engine sweeps only the sorted list of
 //! not-yet-halted nodes, so per-round cost is O(active slots) instead of
@@ -111,7 +119,6 @@ use crate::graph::Graph;
 use crate::model::{BcastAlgorithm, MessageSize, PnAlgorithm};
 use crate::pool::{self, RoundPool};
 use std::fmt;
-use std::marker::PhantomData;
 use std::ops::Range;
 
 /// Instrumentation collected by an engine run.
@@ -236,16 +243,32 @@ pub struct RunResult<O> {
 /// constructions, so steady-state construction allocates nothing once the
 /// high-water graph size has been seen. Results are bit-identical to the
 /// non-reusing path (the vectors are fully cleared and refilled).
+///
+/// An [`Engine`] runs on one `EngineScratch` value: it takes the caller's
+/// at construction and hands it back, cleared, at
+/// [`Engine::finish_scratch`].
 pub struct EngineScratch<A, D: Delivery<A>> {
     states: Vec<A>,
     outputs: Vec<Option<D::Output>>,
     buf: Vec<D::Msg>,
+    /// One slot per node for uniform sends ([`Delivery::NODE_SLOTS`]
+    /// deliveries; empty otherwise).
     nodes: Vec<D::Msg>,
+    /// Per node: whether its current send sits in `nodes` rather than in
+    /// its `buf` slots (same length as `nodes`).
     uniform: Vec<bool>,
+    /// Node ids swept by the round loop, sorted ascending: exactly the
+    /// not-yet-halted frontier.
     sweep: Vec<u32>,
+    /// Merged newly-halted list of the current round.
     newly: Vec<u32>,
+    /// Round-global canonicalisation table (`RANKED` deliveries only).
     canon: CanonTable,
+    /// Per-part receive-phase arenas, aligned with `parts`.
     arenas: Vec<PartArena>,
+    /// The partition of the sweep list: ranges into `sweep`, the node span
+    /// each covers, and its buffer slot span. Refilled only when the sweep
+    /// list changes.
     parts: Vec<Range<usize>>,
     node_spans: Vec<Range<usize>>,
     buf_spans: Vec<Range<usize>>,
@@ -306,12 +329,13 @@ impl<A, D: Delivery<A>> EngineScratch<A, D> {
     }
 }
 
-/// Splits `0..n` into at most `parts` contiguous non-empty ranges whose
-/// cumulative `weight` is balanced: a part is closed as soon as the running
-/// total crosses its proportional threshold (or when the remaining items are
-/// exactly enough to keep every remaining part non-empty). Every part except
-/// one holding a single oversized item carries at most
-/// `total/parts + max_item_weight` — the greedy bound the skew tests assert.
+/// Refills `out` with at most `parts` contiguous non-empty ranges splitting
+/// `0..n` whose cumulative `weight` is balanced: a part is closed as soon as
+/// the running total crosses its proportional threshold (or when the
+/// remaining items are exactly enough to keep every remaining part
+/// non-empty). Every part except one holding a single oversized item
+/// carries at most `total/parts + max_item_weight` — the greedy bound the
+/// skew tests assert.
 ///
 /// With uniform weights this reduces exactly to the historical
 /// count-balanced split (larger parts first).
@@ -319,16 +343,15 @@ pub(crate) fn partition_weighted(
     n: usize,
     parts: usize,
     weight: impl Fn(usize) -> u64,
-) -> Vec<Range<usize>> {
-    let parts = parts.max(1).min(n.max(1));
-    if n == 0 {
-        return Vec::new();
+    out: &mut Vec<Range<usize>>,
+) {
+    out.clear();
+    if n <= 1 || parts <= 1 {
+        out.extend((n > 0).then_some(0..n));
+        return;
     }
-    if parts == 1 {
-        return std::iter::once(0..n).collect();
-    }
+    let parts = parts.min(n);
     let total: u64 = (0..n).map(&weight).sum();
-    let mut out = Vec::with_capacity(parts);
     let mut start = 0usize;
     let mut cum = 0u64;
     for i in 0..n {
@@ -346,7 +369,6 @@ pub(crate) fn partition_weighted(
         }
     }
     out.push(start..n);
-    out
 }
 
 /// Splits `data` lazily into disjoint `&mut` chunks covering the given
@@ -368,71 +390,119 @@ fn split_spans<T>(
     })
 }
 
-/// Sends one swept node and returns its [`Trace`] bits, or `(0, 0)` when
-/// `account` is false because the caller accounts its whole chunk at once,
-/// and whether it sent uniformly.
-/// `node` is the node's slot and uniform flag ([`Delivery::NODE_SLOTS`]
-/// deliveries): a uniform message is written there once, measured once,
-/// and the arc slots are left alone. Otherwise the arc slots are
-/// default-filled — fused with `send` while the lines are L1-hot — and
-/// written per port.
+/// Runs `f` on every part's task and folds the results, in part order, with
+/// `merge`. At most one part runs inline, so a one-part round builds no
+/// task list and allocates nothing; more parts are collected and fanned out
+/// over the persistent pool — no threads are spawned here.
+fn for_parts<T: Send, R: Send>(
+    pool: Option<&mut RoundPool>,
+    parts: usize,
+    tasks: impl Iterator<Item = T>,
+    init: R,
+    merge: impl FnMut(R, R) -> R,
+    f: impl Fn(T) -> R + Sync,
+) -> R {
+    if parts <= 1 {
+        tasks.map(f).fold(init, merge)
+    } else {
+        pool::map_with(pool, tasks.collect(), || (), |_, _, t| f(t)).into_iter().fold(init, merge)
+    }
+}
+
+/// The send sweep of one part: sends every node of `list` (sorted node ids
+/// whose node span starts at `first` and whose slots start at `base`, the
+/// offsets of `chunk`, `node_chunk` and `flags`). Returns the `Trace` bits
+/// (total, max) of variable-width messages — fixed-width ones are
+/// accounted per round by the engine — and the number of uniform senders.
+/// The buffers are separate parameters so that the compiler knows they do
+/// not alias each other or the graph.
 #[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn send_node<A, D: Delivery<A>>(
+fn send_part<A, D: Delivery<A>>(
     g: &Graph,
     cfg: &D::Config,
     round: u64,
-    state: &A,
-    v: usize,
-    own: &mut [D::Msg],
-    node: Option<(&mut D::Msg, &mut bool)>,
-    account: bool,
-) -> ((u64, u64), bool) {
-    if let Some((slot, flag)) = node {
-        if let Some(m) = D::send_uniform(state, cfg, round) {
-            let bits = if account { D::uniform_bits(g, v, m.approx_bits()) } else { (0, 0) };
-            *slot = m;
-            *flag = true;
-            return (bits, true);
+    states: &[A],
+    list: &[u32],
+    first: usize,
+    base: usize,
+    chunk: &mut [D::Msg],
+    node_chunk: &mut [D::Msg],
+    flags: &mut [bool],
+) -> (u64, u64, usize) {
+    let account = D::Msg::FIXED_BITS.is_none();
+    let (mut total, mut max, mut senders) = (0u64, 0u64, 0usize);
+    let mut add = |(t, m): (u64, u64)| {
+        total += t;
+        max = max.max(m);
+    };
+    // hot-path: begin — send sweep
+    for &v in list {
+        let v = v as usize;
+        let state = &states[v];
+        if D::NODE_SLOTS {
+            // A uniform message is written once into the node slot and
+            // measured once; the arc slots are left alone.
+            let i = v - first;
+            if let Some(m) = D::send_uniform(state, cfg, round) {
+                if account {
+                    add(D::uniform_bits(g, v, m.approx_bits()));
+                }
+                node_chunk[i] = m;
+                flags[i] = true;
+                senders += 1;
+                continue;
+            }
+            flags[i] = false;
         }
-        *flag = false;
+        let slots = D::slot_span(g, v..v + 1);
+        let own = &mut chunk[slots.start - base..slots.end - base];
+        own.fill_with(D::Msg::default);
+        D::send(state, cfg, round, own);
+        if account {
+            add(D::slot_bits(g, v, own));
+        }
     }
-    for slot in own.iter_mut() {
-        *slot = D::Msg::default();
-    }
-    D::send(state, cfg, round, own);
-    (if account { D::slot_bits(g, v, own) } else { (0, 0) }, false)
+    // hot-path: end
+    (total, max, senders)
 }
 
-/// Receives one not-yet-halted node: gathers its incoming messages from the
-/// round's outbox (only when it [listens](Delivery::listens) this round;
-/// otherwise it receives an empty slice), delivers them, and records a
-/// halt. Shared by the dense and sparse sweep paths of phase 2.
+/// The receive sweep of one part: gathers each node of `list` its incoming
+/// messages from the round's outbox (only when it
+/// [listens](Delivery::listens) this round; otherwise it receives an empty
+/// slice), delivers them, and records its halt in the part's arena.
+/// `states` and `outputs` start at node `first`.
 #[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn receive_node<'b, A, D: Delivery<A>>(
+fn receive_part<'b, A, D: Delivery<A>>(
     g: &Graph,
     cfg: &D::Config,
     round: u64,
     outbox: &Outbox<'b, D::Msg>,
     canon: &CanonTable,
-    span_start: usize,
-    v: usize,
+    list: &[u32],
+    first: usize,
     states: &mut [A],
     outputs: &mut [Option<D::Output>],
-    gs: &mut GatherScratch,
-    scratch: &mut Vec<&'b D::Msg>,
-    newly: &mut Vec<u32>,
+    arena: &mut PartArena,
 ) {
-    let i = v - span_start;
-    scratch.clear();
-    if D::listens(&states[i], cfg, round) {
-        D::gather(g, v, outbox, canon, gs, scratch);
+    // The reference list reuses the arena's storage; sized to the
+    // worst-case degree, so neither this nor the sweep allocates once warm.
+    let mut refs: Vec<&'b D::Msg> = recycle(std::mem::take(&mut arena.refs));
+    refs.reserve(g.max_degree());
+    arena.newly.clear();
+    // hot-path: begin — receive sweep
+    for &v in list {
+        let i = v as usize - first;
+        refs.clear();
+        if D::listens(&states[i], cfg, round) {
+            D::gather(g, v as usize, outbox, canon, &mut arena.gs, &mut refs);
+        }
+        if let Some(out) = D::receive(&mut states[i], cfg, round, &refs) {
+            outputs[i] = Some(out);
+            arena.newly.push(v);
+        }
     }
-    if let Some(out) = D::receive(&mut states[i], cfg, round, scratch) {
-        outputs[i] = Some(out);
-        newly.push(v as u32);
-    }
+    // hot-path: end
+    arena.refs = recycle(refs);
 }
 
 /// An in-flight synchronous execution: the one round core, generic over the
@@ -445,55 +515,34 @@ fn receive_node<'b, A, D: Delivery<A>>(
 pub struct Engine<'a, A, D: Delivery<A>> {
     graph: &'a Graph,
     cfg: &'a D::Config,
-    states: Vec<A>,
-    outputs: Vec<Option<D::Output>>,
-    buf: Vec<D::Msg>,
-    /// One slot per node for uniform sends ([`Delivery::NODE_SLOTS`]
-    /// deliveries; empty otherwise).
-    nodes: Vec<D::Msg>,
-    /// Per node: whether its current send sits in `nodes` rather than in
-    /// its `buf` slots (same length as `nodes`).
-    uniform: Vec<bool>,
-    /// Node ids swept by the round loop, sorted ascending: exactly the
-    /// not-yet-halted frontier.
-    sweep: Vec<u32>,
-    /// Merged newly-halted list of the current round (recycled storage).
-    newly: Vec<u32>,
-    /// Round-global canonicalisation table (`RANKED` deliveries only).
-    canon: CanonTable,
+    /// Every recyclable vector and the persistent phase workers (spawned at
+    /// construction when the effective width exceeds 1 — never inside
+    /// [`Engine::step`]).
+    s: EngineScratch<A, D>,
     /// Rounds in which the canon table was (re)built — the smoke counter
     /// that proves the counting canonicalisation path runs.
     canon_rounds: u64,
-    /// Per-part receive-phase arenas, aligned with `parts`.
-    arenas: Vec<PartArena>,
     halted: usize,
     trace: Trace,
     /// Partition granularity of the sweep list (1 when the worker width is
     /// 1, see [`Engine::with_scratch`]).
     threads: usize,
-    /// Cached per-round `Trace` bits of all halted nodes.
-    skipped_bits: u64,
-    /// Cached max-single-message contribution of halted nodes.
-    skipped_max_bits: u64,
+    /// Cached per-round `Trace` bits (total, max) of all halted nodes.
+    halted_bits: (u64, u64),
     /// `approx_bits` of `D::Msg::default()`, computed once.
     default_bits: u64,
-    /// Cached per-thread partition of the sweep list: ranges into `sweep`,
-    /// the node span each covers, and its buffer slot span. Recomputed only
-    /// when the sweep list changes (steady rounds allocate nothing here).
-    parts: Vec<Range<usize>>,
-    node_spans: Vec<Range<usize>>,
-    buf_spans: Vec<Range<usize>>,
+    /// Whether the sweep list changed since the partition was computed.
     spans_dirty: bool,
     /// Message slots owned by the current sweep list — what one send sweep
     /// writes. Recomputed with the partition (frontier changes only).
     active_slots: u64,
+    /// Per-round `Trace` bits (total, max) of the sweep list's sends when
+    /// messages are fixed-width ([`MessageSize::FIXED_BITS`]); `(0, 0)`
+    /// otherwise. Recomputed with the partition.
+    fixed_bits: (u64, u64),
     /// Per-round instrumentation hook ([`Engine::set_observer`]); `None`
     /// (the default) costs one branch per round.
     observer: Option<&'a mut dyn RoundObserver>,
-    /// Persistent phase workers (`None` when the effective width is 1).
-    /// Spawned once at construction — never inside [`Engine::step`].
-    pool: Option<RoundPool>,
-    _model: PhantomData<fn() -> D>,
 }
 
 impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
@@ -522,45 +571,24 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         threads: usize,
         scratch: &mut EngineScratch<A, D>,
     ) -> Result<Self, SimError> {
-        if inputs.len() != graph.n() {
-            return Err(SimError::InputLength { got: inputs.len(), want: graph.n() });
+        let n = graph.n();
+        if inputs.len() != n {
+            return Err(SimError::InputLength { got: inputs.len(), want: n });
         }
         // The sweep list stores node ids as u32 (matching the graph's CSR
         // arc words); fail loudly rather than truncate on absurd n.
-        assert!(graph.n() <= u32::MAX as usize, "engine supports at most 2^32 - 1 nodes");
-        let mut states = std::mem::take(&mut scratch.states);
-        states.clear();
-        states.extend((0..graph.n()).map(|v| D::init(cfg, graph.degree(v), &inputs[v])));
-        let mut outputs = std::mem::take(&mut scratch.outputs);
-        outputs.clear();
-        outputs.resize_with(graph.n(), || None);
-        let buf_len = D::slot_span(graph, 0..graph.n()).len();
-        let mut buf = std::mem::take(&mut scratch.buf);
-        buf.clear();
-        buf.resize_with(buf_len, D::Msg::default);
-        let node_len = if D::NODE_SLOTS { graph.n() } else { 0 };
-        let mut nodes = std::mem::take(&mut scratch.nodes);
-        nodes.clear();
-        nodes.resize_with(node_len, D::Msg::default);
-        let mut uniform = std::mem::take(&mut scratch.uniform);
-        uniform.clear();
-        uniform.resize(node_len, false);
-        let mut sweep = std::mem::take(&mut scratch.sweep);
-        sweep.clear();
-        sweep.extend(0..graph.n() as u32);
-        let mut newly = std::mem::take(&mut scratch.newly);
-        newly.clear();
-        let mut arenas = std::mem::take(&mut scratch.arenas);
-        for arena in &mut arenas {
-            arena.newly.clear();
-        }
-        let canon = std::mem::take(&mut scratch.canon);
-        let mut parts = std::mem::take(&mut scratch.parts);
-        parts.clear();
-        let mut node_spans = std::mem::take(&mut scratch.node_spans);
-        node_spans.clear();
-        let mut buf_spans = std::mem::take(&mut scratch.buf_spans);
-        buf_spans.clear();
+        assert!(n <= u32::MAX as usize, "engine supports at most 2^32 - 1 nodes");
+        // A scratch is either new or cleared by `finish_scratch`, so the
+        // per-run vectors are refilled by extension; the rest are refilled
+        // where they are used.
+        let mut s = std::mem::take(scratch);
+        s.states.extend((0..n).map(|v| D::init(cfg, graph.degree(v), &inputs[v])));
+        s.outputs.resize_with(n, || None);
+        s.buf.resize_with(D::slot_span(graph, 0..n).len(), D::Msg::default);
+        let node_len = if D::NODE_SLOTS { n } else { 0 };
+        s.nodes.resize_with(node_len, D::Msg::default);
+        s.uniform.resize(node_len, false);
+        s.sweep.extend(0..n as u32);
         // `threads: 0` = auto; the worker width is capped at the machine's
         // available parallelism while the partition granularity keeps the
         // requested value (see `pool` module docs) — unless the capped
@@ -571,42 +599,23 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         // workers are (re)spawned here, once — never per round.
         let resolved = pool::resolve_threads(threads);
         let width = pool::clamp_width(resolved);
-        let threads = if width > 1 { resolved } else { 1 };
-        let worker_pool = if width > 1 {
-            Some(match scratch.pool.take() {
-                Some(p) if p.width() == width => p,
-                _ => RoundPool::new(width),
-            })
-        } else {
-            None
-        };
+        if width > 1 && !matches!(&s.pool, Some(p) if p.width() == width) {
+            s.pool = Some(RoundPool::new(width));
+        }
         Ok(Engine {
             graph,
             cfg,
-            states,
-            outputs,
-            buf,
-            nodes,
-            uniform,
-            sweep,
-            newly,
-            canon,
+            s,
             canon_rounds: 0,
-            arenas,
             halted: 0,
             trace: Trace::default(),
-            threads,
-            skipped_bits: 0,
-            skipped_max_bits: 0,
+            threads: if width > 1 { resolved } else { 1 },
+            halted_bits: (0, 0),
             default_bits: D::Msg::default().approx_bits(),
-            parts,
-            node_spans,
-            buf_spans,
             spans_dirty: true,
             active_slots: 0,
+            fixed_bits: (0, 0),
             observer: None,
-            pool: worker_pool,
-            _model: PhantomData,
         })
     }
 
@@ -624,7 +633,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
     /// Number of nodes the round loop still sweeps: the not-yet-halted
     /// frontier.
     pub fn frontier_len(&self) -> usize {
-        self.sweep.len()
+        self.s.sweep.len()
     }
 
     /// Completed rounds so far.
@@ -635,14 +644,14 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
     /// Read access to node states (white-box tests and instrumentation only —
     /// a real distributed node cannot see this).
     pub fn states(&self) -> &[A] {
-        &self.states
+        &self.s.states
     }
 
     /// Mutable access to node states — the **fault-injection hook** used by
     /// the self-stabilization experiments to model adversarial memory
     /// corruption between rounds. Never used by algorithms themselves.
     pub fn states_mut(&mut self) -> &mut [A] {
-        &mut self.states
+        &mut self.s.states
     }
 
     /// Instrumentation so far.
@@ -653,185 +662,126 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
     /// Rounds in which the round-global canonicalisation table was built.
     /// Zero for port numbering; equal to [`round`](Engine::round) for a
     /// broadcast algorithm whose nodes always listen (rounds in which no
-    /// node listens skip the build). `perf_baseline` asserts this is non-zero on its broadcast
-    /// workload, so a silent fallback to per-node sorting fails the build.
+    /// node listens skip the build). `perf_baseline` asserts that equality
+    /// on its always-listening broadcast workload, so a silent fallback to
+    /// per-node sorting fails the run.
     pub fn canon_rounds(&self) -> u64 {
         self.canon_rounds
+    }
+
+    /// Repartitions the sweep list after it changed, refilling the recycled
+    /// partition vectors in place, and recomputes the per-round terms that
+    /// depend only on the list. The list is sorted, so each part owns a
+    /// contiguous node span, hence a contiguous slot span. Parts are
+    /// balanced by slot/arc weight (degree + 1), not node count — equal
+    /// node counts serialise skewed-degree graphs behind the part holding
+    /// the hubs.
+    fn refresh_partition(&mut self) {
+        let g = self.graph;
+        let EngineScratch { sweep, parts, node_spans, buf_spans, arenas, .. } = &mut self.s;
+        partition_weighted(
+            sweep.len(),
+            self.threads,
+            |i| g.degree(sweep[i] as usize) as u64 + 1,
+            parts,
+        );
+        node_spans.clear();
+        node_spans
+            .extend(parts.iter().map(|r| sweep[r.start] as usize..sweep[r.end - 1] as usize + 1));
+        buf_spans.clear();
+        buf_spans.extend(node_spans.iter().map(|s| D::slot_span(g, s.clone())));
+        if arenas.len() < parts.len() {
+            arenas.resize_with(parts.len(), PartArena::default);
+        }
+        // What one send sweep writes, and what fixed-width sends add to the
+        // trace: every swept node's slots, each carrying `b` bits. With
+        // variable-width messages `b = 0` makes the bit term `(0, 0)`.
+        let b = D::Msg::FIXED_BITS.unwrap_or(0);
+        let (mut slots, mut total, mut max) = (0, 0, 0);
+        for &v in sweep.iter() {
+            let v = v as usize;
+            slots += D::slot_span(g, v..v + 1).len() as u64;
+            let (t, m) = D::uniform_bits(g, v, b);
+            total += t;
+            max = max.max(m);
+        }
+        self.active_slots = slots;
+        self.fixed_bits = (total, max);
+        self.spans_dirty = false;
     }
 
     /// Runs one synchronous round; returns `true` when every node has halted.
     pub fn step(&mut self) -> bool {
         let round = self.trace.rounds + 1;
-        let g = self.graph;
-        let cfg = self.cfg;
+        let (g, cfg) = (self.graph, self.cfg);
         // Partition the sweep list (not 0..n): with a collapsed frontier the
-        // whole round costs O(active slots). The list is sorted, so each
-        // part owns a contiguous node span, hence a contiguous slot span.
-        // Parts are balanced by slot/arc weight (degree + 1), not node
-        // count — equal node counts serialise skewed-degree graphs behind
-        // the part holding the hubs — and recomputed only when the frontier
-        // changes, so steady rounds allocate nothing here.
+        // whole round costs O(active slots).
         if self.spans_dirty {
-            let sweep = &self.sweep;
-            self.parts = partition_weighted(sweep.len(), self.threads, |i| {
-                g.degree(sweep[i] as usize) as u64 + 1
-            });
-            self.node_spans = self
-                .parts
-                .iter()
-                .map(|r| self.sweep[r.start] as usize..self.sweep[r.end - 1] as usize + 1)
-                .collect();
-            self.buf_spans = self.node_spans.iter().map(|s| D::slot_span(g, s.clone())).collect();
-            if self.arenas.len() < self.parts.len() {
-                self.arenas.resize_with(self.parts.len(), PartArena::default);
-            }
-            // What one send sweep writes: the sweep list's own slots (dense
-            // parts have no gaps, sparse parts only touch swept nodes'
-            // slots, so the same sum covers both). Cached with the
-            // partition — steady rounds pay nothing for it.
-            self.active_slots = self
-                .sweep
-                .iter()
-                .map(|&v| D::slot_span(g, v as usize..v as usize + 1).len() as u64)
-                .sum();
-            self.spans_dirty = false;
+            self.refresh_partition();
         }
-        let parts = &self.parts;
-        let node_spans = &self.node_spans;
-        let buf_spans = &self.buf_spans;
+        let EngineScratch {
+            states,
+            outputs,
+            buf,
+            nodes,
+            uniform,
+            sweep,
+            newly,
+            canon,
+            arenas,
+            parts,
+            node_spans,
+            buf_spans,
+            pool,
+        } = &mut self.s;
+        let swept: &[u32] = sweep;
         // A part's span of node slots: its node span when the delivery
         // keeps node slots, empty otherwise.
         let node_slot_span = |s: &Range<usize>| if D::NODE_SLOTS { s.clone() } else { 0..0 };
-        // `&mut`: each phase takes a fresh exclusive reborrow — `run` needs
-        // exclusive pool access (that is what makes the job-pointer erasure
-        // sound), and the borrow checker proves the phases cannot overlap.
-        let worker_pool = &mut self.pool;
 
-        // Phase 1: send, fused with message accounting over the same sweep;
-        // also counts the uniform senders.
-        let (bits, maxb, uniform_senders) = {
-            let states = &self.states;
-            let sweep = &self.sweep;
-            let send_part = |list: Range<usize>,
-                             nodes: Range<usize>,
-                             slots_base: usize,
-                             chunk: &mut [D::Msg],
-                             node_chunk: &mut [D::Msg],
-                             flags: &mut [bool]|
-             -> (u64, u64, usize) {
-                let mut total = 0u64;
-                let mut max = 0u64;
-                let mut uniform = 0usize;
-                if list.len() == nodes.len() {
-                    // Dense part — every node in the span is swept (no
-                    // unswept gaps). Fixed-width messages are accounted by
-                    // one O(1) `chunk_bits` call after the loop instead of
-                    // per node.
-                    let account = D::Msg::FIXED_BITS.is_none();
-                    // hot-path: begin — dense send sweep
-                    for v in nodes.clone() {
-                        let slots = D::slot_span(g, v..v + 1);
-                        let own = &mut chunk[slots.start - slots_base..slots.end - slots_base];
-                        let i = v - nodes.start;
-                        let node = D::NODE_SLOTS.then(|| (&mut node_chunk[i], &mut flags[i]));
-                        let ((t, m), u) =
-                            send_node::<A, D>(g, cfg, round, &states[v], v, own, node, account);
-                        total += t;
-                        max = max.max(m);
-                        uniform += usize::from(u);
-                    }
-                    // hot-path: end
-                    let (total, max) = match D::Msg::FIXED_BITS {
-                        Some(b) => D::chunk_bits(g, nodes, b),
-                        None => (total, max),
-                    };
-                    return (total, max, uniform);
-                }
-                // hot-path: begin — sparse send sweep
-                for &v in &sweep[list] {
-                    let v = v as usize;
-                    let slots = D::slot_span(g, v..v + 1);
-                    let own = &mut chunk[slots.start - slots_base..slots.end - slots_base];
-                    let i = v - nodes.start;
-                    let node = D::NODE_SLOTS.then(|| (&mut node_chunk[i], &mut flags[i]));
-                    let ((t, m), u) =
-                        send_node::<A, D>(g, cfg, round, &states[v], v, own, node, true);
-                    total += t;
-                    max = max.max(m);
-                    uniform += usize::from(u);
-                }
-                // hot-path: end
-                (total, max, uniform)
-            };
-            if parts.len() <= 1 {
-                // One part: slice the buffers directly — no task list.
-                // hot-path: begin — one-part send
-                match parts.first() {
-                    Some(list) => {
-                        let slots = buf_spans[0].clone();
-                        let own = node_slot_span(&node_spans[0]);
-                        send_part(
-                            list.clone(),
-                            node_spans[0].clone(),
-                            slots.start,
-                            &mut self.buf[slots],
-                            &mut self.nodes[own.clone()],
-                            &mut self.uniform[own],
-                        )
-                    }
-                    None => (0, 0, 0),
-                }
-                // hot-path: end
-            } else {
-                // Fan the parts out over the persistent pool (or run them
-                // sequentially through the same task list when no pool is
-                // attached) — no threads are spawned here.
-                let tasks: Vec<_> = parts
-                    .iter()
-                    .cloned()
-                    .zip(node_spans.iter().cloned())
-                    .zip(buf_spans.iter())
-                    .zip(split_spans(&mut self.buf, buf_spans.iter().cloned()))
-                    .zip(split_spans(&mut self.nodes, node_spans.iter().map(node_slot_span)))
-                    .zip(split_spans(&mut self.uniform, node_spans.iter().map(node_slot_span)))
-                    .map(|(((((list, nodes), bufs), chunk), node_chunk), flags)| {
-                        (list, nodes, bufs.start, chunk, node_chunk, flags)
-                    })
-                    .collect();
-                pool::map_with(
-                    worker_pool.as_mut(),
-                    tasks,
-                    || (),
-                    |_, _, (list, nodes, base, chunk, node_chunk, flags)| {
-                        send_part(list, nodes, base, chunk, node_chunk, flags)
-                    },
+        // Phase 1: send, fused with the accounting of variable-width
+        // messages over the same sweep; also counts the uniform senders.
+        let (total, max, uniform_senders) = {
+            let states: &[A] = states;
+            let tasks = parts
+                .iter()
+                .zip(node_spans.iter())
+                .zip(buf_spans.iter())
+                .zip(split_spans(buf, buf_spans.iter().cloned()))
+                .zip(split_spans(nodes, node_spans.iter().map(node_slot_span)))
+                .zip(split_spans(uniform, node_spans.iter().map(node_slot_span)))
+                .map(|(((((list, span), slots), chunk), node_chunk), flags)| {
+                    (&swept[list.clone()], span.start, slots.start, chunk, node_chunk, flags)
+                });
+            let merge =
+                |a: (u64, u64, usize), b: (u64, u64, usize)| (a.0 + b.0, a.1.max(b.1), a.2 + b.2);
+            for_parts(pool.as_mut(), parts.len(), tasks, (0, 0, 0), merge, |task| {
+                let (list, first, base, chunk, node_chunk, flags) = task;
+                send_part::<A, D>(
+                    g, cfg, round, states, list, first, base, chunk, node_chunk, flags,
                 )
-                .into_iter()
-                .fold((0u64, 0u64, 0usize), |(t, m, u), (pt, pm, pu)| (t + pt, m.max(pm), u + pu))
-            }
+            })
         };
-        self.trace.messages += g.arcs() as u64;
         // Captured for the observer before the post-receive halt bookkeeping
-        // below grows `skipped_bits`: this is exactly what the round adds to
+        // below grows `halted_bits`: this is exactly what the round adds to
         // `Trace::total_bits`.
-        let round_bits = bits + self.skipped_bits;
-        let active_nodes = self.sweep.len() as u64;
+        let round_bits = total + self.fixed_bits.0 + self.halted_bits.0;
+        let active_nodes = swept.len() as u64;
         let slots_written = self.active_slots;
+        self.trace.messages += g.arcs() as u64;
         self.trace.total_bits += round_bits;
         self.trace.max_message_bits =
-            self.trace.max_message_bits.max(maxb).max(self.skipped_max_bits);
+            self.trace.max_message_bits.max(max).max(self.fixed_bits.1).max(self.halted_bits.1);
 
         // Between the phases: (re)build the round-global canonicalisation
         // table from the full post-send buffer, once — this replaces the
         // per-node message sorts the receive phase used to pay. A round in
         // which no swept node listens gathers nothing, so it needs no table
         // (the scan stops at the first listener).
-        let canon_pass = D::RANKED && {
-            let states = &self.states;
-            self.sweep.iter().any(|&v| D::listens(&states[v as usize], cfg, round))
-        };
+        let canon_pass =
+            D::RANKED && swept.iter().any(|&v| D::listens(&states[v as usize], cfg, round));
         if canon_pass {
-            D::build_canon(g, &self.buf, &mut self.canon);
+            D::build_canon(g, buf, canon);
             self.canon_rounds += 1;
         }
 
@@ -839,141 +789,70 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         // list and uses its arena's rank tables; the lists are merged in
         // part order below (so the concatenation stays sorted regardless of
         // which worker ran which part).
-        let parts_len = parts.len();
         {
             // Halted nodes hold default messages in both kinds of slot, so
             // only the swept senders decide whether the gather needs the
             // flags.
             let senders = if uniform_senders == 0 {
                 Senders::Slots
-            } else if uniform_senders == self.sweep.len() {
+            } else if uniform_senders == swept.len() {
                 Senders::Nodes
             } else {
-                Senders::Mixed(&self.uniform)
+                Senders::Mixed(uniform)
             };
-            let outbox = Outbox { slots: &self.buf, nodes: &self.nodes, senders };
-            let sweep = &self.sweep;
-            let canon = &self.canon;
-            let max_deg = g.max_degree();
-            let recv_part = |list: Range<usize>,
-                             span: Range<usize>,
-                             states: &mut [A],
-                             outputs: &mut [Option<D::Output>],
-                             arena: &mut PartArena| {
-                // The reference list reuses the arena's storage; sized to
-                // the worst-case degree, so neither this nor the sweep
-                // allocates once warm.
-                let mut scratch: Vec<&D::Msg> = recycle(std::mem::take(&mut arena.refs));
-                scratch.reserve(max_deg);
-                arena.newly.clear();
-                if list.len() == span.len() {
-                    // Dense part: iterate node ids directly.
-                    // hot-path: begin — dense receive sweep
-                    for v in span.clone() {
-                        receive_node::<A, D>(
-                            g,
-                            cfg,
-                            round,
-                            &outbox,
-                            canon,
-                            span.start,
-                            v,
-                            states,
-                            outputs,
-                            &mut arena.gs,
-                            &mut scratch,
-                            &mut arena.newly,
-                        );
-                    }
-                    // hot-path: end
-                } else {
-                    // hot-path: begin — sparse receive sweep
-                    for &v in &sweep[list] {
-                        receive_node::<A, D>(
-                            g,
-                            cfg,
-                            round,
-                            &outbox,
-                            canon,
-                            span.start,
-                            v as usize,
-                            states,
-                            outputs,
-                            &mut arena.gs,
-                            &mut scratch,
-                            &mut arena.newly,
-                        );
-                    }
-                    // hot-path: end
-                }
-                arena.refs = recycle(scratch);
-            };
-            let arenas = &mut self.arenas;
-            if parts_len <= 1 {
-                // One part: slice the state and output arrays directly.
-                // hot-path: begin — one-part receive
-                if let Some(list) = parts.first() {
-                    let span = node_spans[0].clone();
-                    recv_part(
-                        list.clone(),
-                        span.clone(),
-                        &mut self.states[span.clone()],
-                        &mut self.outputs[span],
-                        &mut arenas[0],
-                    );
-                }
-                // hot-path: end
-            } else {
-                let tasks: Vec<_> = parts
-                    .iter()
-                    .cloned()
-                    .zip(node_spans.iter().cloned())
-                    .zip(split_spans(&mut self.states, node_spans.iter().cloned()))
-                    .zip(split_spans(&mut self.outputs, node_spans.iter().cloned()))
-                    .zip(arenas.iter_mut())
-                    .map(|((((list, span), sc), oc), arena)| (list, span, sc, oc, arena))
-                    .collect();
-                pool::map_with(
-                    worker_pool.as_mut(),
-                    tasks,
-                    || (),
-                    |_, _, (list, span, sc, oc, arena)| recv_part(list, span, sc, oc, arena),
-                );
-            }
+            let outbox = Outbox { slots: buf, nodes, senders };
+            let canon: &CanonTable = canon;
+            let tasks = parts
+                .iter()
+                .zip(node_spans.iter())
+                .zip(split_spans(states, node_spans.iter().cloned()))
+                .zip(split_spans(outputs, node_spans.iter().cloned()))
+                .zip(arenas.iter_mut())
+                .map(|((((list, span), sc), oc), arena)| {
+                    (&swept[list.clone()], span.start, sc, oc, arena)
+                });
+            for_parts(
+                pool.as_mut(),
+                parts.len(),
+                tasks,
+                (),
+                |(), ()| (),
+                |task| {
+                    let (list, first, states, outputs, arena) = task;
+                    receive_part::<A, D>(
+                        g, cfg, round, &outbox, canon, list, first, states, outputs, arena,
+                    )
+                },
+            );
         }
         // Merge the per-part newly-halted lists (part order keeps the merge
         // sorted) into the engine's recycled list.
-        self.newly.clear();
-        for arena in self.arenas.iter_mut().take(parts_len) {
-            self.newly.append(&mut arena.newly);
+        newly.clear();
+        for arena in arenas.iter_mut().take(parts.len()) {
+            newly.append(&mut arena.newly);
         }
-        self.halted += self.newly.len();
+        self.halted += newly.len();
 
-        if !self.newly.is_empty() {
+        if !newly.is_empty() {
             // Write the halted nodes' default messages once — they are never
             // touched again — and cache their per-round Trace contribution.
             // A halted node sends uniformly from here on: its node slot
             // carries the default message; its arc slots are reset too, so
             // they hold nothing from earlier rounds.
-            let newly = &self.newly;
-            let buf = &mut self.buf;
-            for &v in newly {
+            for &v in newly.iter() {
                 let v = v as usize;
-                for slot in &mut buf[D::slot_span(g, v..v + 1)] {
-                    *slot = D::Msg::default();
-                }
+                buf[D::slot_span(g, v..v + 1)].fill_with(D::Msg::default);
                 if D::NODE_SLOTS {
-                    self.nodes[v] = D::Msg::default();
-                    self.uniform[v] = true;
+                    nodes[v] = D::Msg::default();
+                    uniform[v] = true;
                 }
                 let (t, m) = D::uniform_bits(g, v, self.default_bits);
-                self.skipped_bits += t;
-                self.skipped_max_bits = self.skipped_max_bits.max(m);
+                self.halted_bits = (self.halted_bits.0 + t, self.halted_bits.1.max(m));
             }
             // Drop them from the sweep list: both lists are sorted, so one
             // merge pass does it in place.
             let mut next = newly.iter().peekable();
-            self.sweep.retain(|v| next.next_if_eq(&v).is_none());
+            sweep.retain(|v| next.next_if_eq(&v).is_none());
             self.spans_dirty = true;
         }
 
@@ -984,7 +863,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
             obs.on_round(&RoundStats {
                 round,
                 active_nodes,
-                newly_halted: self.newly.len() as u64,
+                newly_halted: newly.len() as u64,
                 slots_written,
                 canon_pass,
                 bits: round_bits,
@@ -1002,7 +881,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
     pub fn finish(self) -> Result<RunResult<D::Output>, Self> {
         if self.halted == self.graph.n() {
             Ok(RunResult {
-                outputs: self.outputs.into_iter().map(|o| o.expect("halted")).collect(),
+                outputs: self.s.outputs.into_iter().map(|o| o.expect("halted")).collect(),
                 trace: self.trace,
             })
         } else {
@@ -1010,43 +889,31 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         }
     }
 
-    /// Consumes the engine, recycling **every** internal allocation into
-    /// `scratch` and returning the outputs if all nodes have halted (`None`
-    /// otherwise — allocations are recycled either way).
+    /// Consumes the engine, handing **every** internal allocation and the
+    /// parked worker pool back to `scratch`, cleared, and returning the
+    /// outputs if all nodes have halted (`None` otherwise — allocations are
+    /// recycled either way). The next construction through `scratch`
+    /// reuses the spawned threads instead of respawning them.
     pub fn finish_scratch(
         mut self,
         scratch: &mut EngineScratch<A, D>,
     ) -> Option<RunResult<D::Output>> {
         let result = (self.halted == self.graph.n()).then(|| RunResult {
-            outputs: self.outputs.drain(..).map(|o| o.expect("halted")).collect(),
+            outputs: self.s.outputs.drain(..).map(|o| o.expect("halted")).collect(),
             trace: self.trace.clone(),
         });
-        // Drop per-run values now (a worker may idle between runs; keeping
-        // heap-carrying states/messages alive until the next construction
-        // would be a silent memory-retention window) — the allocations
-        // themselves survive.
-        self.states.clear();
-        self.outputs.clear();
-        self.buf.clear();
-        self.nodes.clear();
-        self.uniform.clear();
-        // Park the worker pool too: the next construction through this
-        // scratch reuses the spawned threads instead of respawning them.
-        if self.pool.is_some() {
-            scratch.pool = self.pool.take();
-        }
-        scratch.states = self.states;
-        scratch.outputs = self.outputs;
-        scratch.buf = self.buf;
-        scratch.nodes = self.nodes;
-        scratch.uniform = self.uniform;
-        scratch.sweep = self.sweep;
-        scratch.newly = self.newly;
-        scratch.canon = self.canon;
-        scratch.arenas = self.arenas;
-        scratch.parts = self.parts;
-        scratch.node_spans = self.node_spans;
-        scratch.buf_spans = self.buf_spans;
+        // Drop every per-run value the next construction refills by
+        // extension, keeping the allocations: a worker may idle between
+        // runs, so heap-carrying states and messages are not kept alive
+        // until the next construction.
+        let s = &mut self.s;
+        s.states.clear();
+        s.outputs.clear();
+        s.buf.clear();
+        s.nodes.clear();
+        s.uniform.clear();
+        s.sweep.clear();
+        *scratch = self.s;
         result
     }
 }
@@ -1396,6 +1263,14 @@ mod tests {
         assert_eq!(seq.trace, par.trace);
     }
 
+    /// [`partition_weighted`] into a vector that holds stale ranges, so
+    /// every property below also checks that the refill clears it.
+    fn partition(n: usize, parts: usize, weight: impl Fn(usize) -> u64) -> Vec<Range<usize>> {
+        let mut out = vec![7..9, 0..0, 3..4];
+        partition_weighted(n, parts, weight, &mut out);
+        out
+    }
+
     #[test]
     fn partition_covers_range() {
         // Uniform and skewed weights alike: contiguous, non-empty, at most
@@ -1403,7 +1278,7 @@ mod tests {
         for n in [0usize, 1, 5, 16, 17] {
             for p in [1usize, 2, 3, 8, 40] {
                 for weight in [(|_| 1) as fn(usize) -> u64, |i| (i as u64 % 5) * 100 + 1] {
-                    let parts = partition_weighted(n, p, weight);
+                    let parts = partition(n, p, weight);
                     assert!(parts.len() <= p.max(1));
                     let mut covered = 0;
                     let mut prev_end = 0;
@@ -1422,9 +1297,9 @@ mod tests {
     #[test]
     fn uniform_weights_reproduce_count_balanced_split() {
         // The historical node-count partition: larger parts first.
-        assert_eq!(partition_weighted(10, 3, |_| 1), vec![0..4, 4..7, 7..10]);
-        assert_eq!(partition_weighted(16, 3, |_| 1), vec![0..6, 6..11, 11..16]);
-        assert_eq!(partition_weighted(5, 8, |_| 1), vec![0..1, 1..2, 2..3, 3..4, 4..5]);
+        assert_eq!(partition(10, 3, |_| 1), vec![0..4, 4..7, 7..10]);
+        assert_eq!(partition(16, 3, |_| 1), vec![0..6, 6..11, 11..16]);
+        assert_eq!(partition(5, 8, |_| 1), vec![0..1, 1..2, 2..3, 3..4, 4..5]);
     }
 
     #[test]
@@ -1434,7 +1309,7 @@ mod tests {
         // leaves to part 0; the weighted split closes part 0 right after
         // the hub, so the leaves parallelise across the remaining parts.
         let w = |i: usize| if i == 0 { 10_000 } else { 1 };
-        let parts = partition_weighted(10_000, 4, w);
+        let parts = partition(10_000, 4, w);
         assert_eq!(parts[0], 0..1, "hub must sit in a part of its own");
         assert!(parts.len() >= 3, "leaves must spread over the remaining parts");
     }
@@ -1459,7 +1334,7 @@ mod tests {
         let total: u64 = weights.iter().sum();
         let max_w = *weights.iter().max().unwrap();
         for p in [2usize, 3, 4, 8] {
-            let parts = partition_weighted(weights.len(), p, |i| weights[i]);
+            let parts = partition(weights.len(), p, |i| weights[i]);
             for r in &parts {
                 let part_w: u64 = weights[r.clone()].iter().sum();
                 assert!(
@@ -1475,7 +1350,7 @@ mod tests {
     fn weighted_partition_heavy_tail_item_keeps_all_parts() {
         // All the weight at the end: the must-close rule still yields the
         // full number of non-empty parts.
-        let parts = partition_weighted(4, 2, |i| if i == 3 { 1000 } else { 1 });
+        let parts = partition(4, 2, |i| if i == 3 { 1000 } else { 1 });
         assert_eq!(parts, vec![0..3, 3..4]);
     }
 

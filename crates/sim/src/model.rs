@@ -26,8 +26,9 @@ use std::hash::Hash;
 pub trait MessageSize {
     /// `Some(b)` when **every** value of the type measures exactly `b` bits
     /// (fixed-width integers, `()`, `bool`, tuples thereof). The engine's
-    /// accounting uses this to charge a whole slot chunk in O(1) instead of
-    /// reading every message back; the value must therefore equal
+    /// accounting uses this to charge a round's sends by one term,
+    /// recomputed only when the frontier changes, instead of measuring
+    /// every message it sends; the value must therefore equal
     /// [`approx_bits`](MessageSize::approx_bits) for every possible value.
     /// Variable-size types (`Option`, `Vec`) keep the `None` default.
     const FIXED_BITS: Option<u64> = None;

@@ -1,7 +1,8 @@
 //! Property tests for the simulator: the unified engine, which sweeps only
 //! the not-yet-halted frontier, is bit-identical — outputs *and* traces — to
 //! a naive seed-semantics reference that sweeps every node every round,
-//! across thread counts for both delivery models and for algorithms that
+//! across thread counts for both delivery models (on random graphs and on
+//! graphs with isolated nodes) and for algorithms that
 //! mix uniform and per-port sends; every adopter's uniform send agrees with
 //! its per-port send; broadcast is sender-oblivious under arbitrary port
 //! permutations; lifts project; and instrumentation accounting matches the
@@ -318,7 +319,8 @@ proptest! {
     /// Tentpole acceptance: the unified engine — any thread count (`0` =
     /// auto), fresh or **reused scratch** (the reused path also parks and
     /// revives the persistent round pool) — is bit-identical (outputs and
-    /// Trace) to the seed-semantics reference, in the port-numbering model.
+    /// Trace) to the seed-semantics reference, in the port-numbering model,
+    /// on a random graph and on the [`isolated_graphs`].
     #[test]
     fn pn_engine_bit_identical_to_reference(
         n in 2usize..40,
@@ -327,20 +329,22 @@ proptest! {
         spread in 1u64..7,
     ) {
         allow_oversubscribe();
-        let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let limit = spread + 2;
-        let base = reference_pn::<StaggerHash>(&g, &spread, &inputs, limit);
-        let mut scratch = EngineScratch::new();
-        for threads in [0usize, 1, 2, 4, 8] {
-            let res = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, threads)
-                .unwrap();
-            prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
-            prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
-            let reused = run_engine_scratch::<StaggerHash, PortNumbering>(
-                &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
-            prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
-            prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
+        for g in std::iter::once(seeded_gnp(n, p, seed)).chain(isolated_graphs(n)) {
+            let base = reference_pn::<StaggerHash>(&g, &spread, &inputs, limit);
+            let mut scratch = EngineScratch::new();
+            for threads in [0usize, 1, 2, 4, 8] {
+                let res =
+                    run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, threads)
+                        .unwrap();
+                prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
+                prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
+                let reused = run_engine_scratch::<StaggerHash, PortNumbering>(
+                    &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
+                prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
+                prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
+            }
         }
     }
 
@@ -372,20 +376,22 @@ proptest! {
         spread in 1u64..6,
     ) {
         allow_oversubscribe();
-        let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul((seed >> 1) | 1)).collect();
         let limit = spread + 2;
-        let base = reference_bcast::<StaggerCensus>(&g, &spread, &inputs, limit);
-        let mut scratch = EngineScratch::new();
-        for threads in [0usize, 1, 2, 4, 8] {
-            let res = run_engine::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, threads)
-                .unwrap();
-            prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
-            prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
-            let reused = run_engine_scratch::<StaggerCensus, Broadcast>(
-                &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
-            prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
-            prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
+        for g in std::iter::once(seeded_gnp(n, p, seed)).chain(isolated_graphs(n)) {
+            let base = reference_bcast::<StaggerCensus>(&g, &spread, &inputs, limit);
+            let mut scratch = EngineScratch::new();
+            for threads in [0usize, 1, 2, 4, 8] {
+                let res =
+                    run_engine::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, threads)
+                        .unwrap();
+                prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
+                prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
+                let reused = run_engine_scratch::<StaggerCensus, Broadcast>(
+                    &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
+                prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
+                prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
+            }
         }
     }
 
@@ -650,6 +656,15 @@ fn adopters_send_uniform_agrees_with_send() {
         assert!(per_port[i] > 0, "{name}: no per-port send was exercised");
     }
     assert_eq!(per_port[3], 0, "HaltingGossip is uniform in every round");
+}
+
+/// Fixed graphs on which the models' fixed-width max-bits rules part: an
+/// isolated node adds nothing to the port-numbering max but its message's
+/// width to the broadcast max. The edgeless graph on `n` nodes, and a star
+/// over the first `n/2 + 1` nodes with the rest isolated.
+fn isolated_graphs(n: usize) -> [Graph; 2] {
+    let star: Vec<(usize, usize)> = (1..=n / 2).map(|v| (0, v)).collect();
+    [Graph::from_edges(n, &[]).unwrap(), Graph::from_edges(n, &star).unwrap()]
 }
 
 /// Seeded G(n, p) without pulling `anonet-gen` into `sim`'s dev-deps.
