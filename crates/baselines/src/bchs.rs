@@ -23,7 +23,7 @@
 //! exceed `ε·w ≥ ε`, so every raise exceeds `ε/(2Δ)` and bounded loads kill
 //! every edge in finitely many rounds.
 
-use crate::kvy_eps::{fold_port_values, freeze_threshold};
+use crate::kvy_eps::freeze_threshold;
 use anonet_bigmath::PackingValue;
 use anonet_core::packing::EdgePacking;
 use anonet_sim::{
@@ -286,9 +286,8 @@ pub fn run_bchs_scratch<V: PackingValue>(
     let max_weight = weights.iter().copied().max().unwrap_or(1).max(1);
     let cfg = BchsConfig { eps_num, eps_den, max_weight };
     let res =
-        run_engine_scratch::<BchsNode<V>, PortNumbering>(g, &cfg, weights, max_rounds, 1, scratch)?;
-    let ports: Vec<&[V]> = res.outputs.iter().map(|o| &o.y[..]).collect();
-    let packing = fold_port_values(g, &ports);
+        run_engine_scratch::<BchsNode<V>, PortNumbering>(g, &cfg, weights, max_rounds, scratch)?;
+    let packing = EdgePacking::from_ports(g, res.outputs.iter().map(|o| &o.y[..]));
     let cover = res.outputs.iter().map(|o| o.in_cover).collect();
     Ok(BchsRun { packing, cover, trace: res.trace })
 }

@@ -332,19 +332,9 @@ pub fn run_id_edge_packing<V: PackingValue>(
     let inputs: Vec<(u64, u64)> = weights.iter().copied().zip(ids.iter().copied()).collect();
     let res: RunResult<IdPackOutput<V>> =
         run_pn::<IdPackNode<V>>(g, &cfg, &inputs, cfg.total_rounds())?;
-    let mut y = vec![V::zero(); g.m()];
-    for (v, out) in res.outputs.iter().enumerate() {
-        for (p, val) in out.y.iter().enumerate() {
-            let e = g.edge_of(g.arc(v, p));
-            if v < g.head(g.arc(v, p)) {
-                y[e] = val.clone();
-            } else {
-                assert_eq!(&y[e], val, "endpoint copies disagree (edge {e})");
-            }
-        }
-    }
+    let packing = EdgePacking::from_ports(g, res.outputs.iter().map(|o| &o.y[..]));
     let cover = res.outputs.iter().map(|o| o.in_cover).collect();
-    Ok(IdPackRun { packing: EdgePacking { y }, cover, trace: res.trace })
+    Ok(IdPackRun { packing, cover, trace: res.trace })
 }
 
 #[cfg(test)]

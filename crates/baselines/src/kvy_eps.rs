@@ -189,23 +189,6 @@ pub(crate) fn freeze_threshold<V: PackingValue>(w: &V, eps_num: u64, eps_den: u6
     w.mul(&V::from_u64(eps_den - eps_num)).div(&V::from_u64(eps_den))
 }
 
-/// Folds per-node, per-port edge values into one value per edge; both
-/// endpoints of an edge must hold the same value.
-pub(crate) fn fold_port_values<V: PackingValue>(g: &Graph, ports: &[&[V]]) -> EdgePacking<V> {
-    let mut y = vec![V::zero(); g.m()];
-    for (v, vals) in ports.iter().enumerate() {
-        for (p, val) in vals.iter().enumerate() {
-            let e = g.edge_of(g.arc(v, p));
-            if v < g.head(g.arc(v, p)) {
-                y[e] = val.clone();
-            } else {
-                assert_eq!(&y[e], val, "endpoint copies disagree");
-            }
-        }
-    }
-    EdgePacking { y }
-}
-
 /// Runs the (2+ε) primal–dual baseline.
 pub fn run_kvy<V: PackingValue>(
     g: &Graph,
@@ -230,9 +213,8 @@ pub fn run_kvy_scratch<V: PackingValue>(
     assert!(eps_num >= 1 && eps_num < eps_den, "need 0 < ε < 1");
     let cfg = KvyConfig { eps_num, eps_den };
     let res =
-        run_engine_scratch::<KvyNode<V>, PortNumbering>(g, &cfg, weights, max_rounds, 1, scratch)?;
-    let ports: Vec<&[V]> = res.outputs.iter().map(|o| &o.y[..]).collect();
-    let packing = fold_port_values(g, &ports);
+        run_engine_scratch::<KvyNode<V>, PortNumbering>(g, &cfg, weights, max_rounds, scratch)?;
+    let packing = EdgePacking::from_ports(g, res.outputs.iter().map(|o| &o.y[..]));
     let cover = res.outputs.iter().map(|o| o.in_cover).collect();
     Ok(KvyRun { packing, cover, trace: res.trace })
 }

@@ -187,7 +187,6 @@ pub fn run_ps3_scratch(
         &cfg,
         &vec![(); g.n()],
         cfg.total_rounds(),
-        1,
         scratch,
     )?;
     let cover = res.outputs.iter().map(|o| o.in_cover).collect();

@@ -132,7 +132,7 @@ pub struct RmRun {
 pub fn run_rand_matching(g: &Graph, seed: u64, max_rounds: u64) -> Result<RmRun, SimError> {
     let mut master = Rng::new(seed);
     let inputs: Vec<u64> = (0..g.n()).map(|_| master.next_u64()).collect();
-    let mut engine = PnEngine::<RmNode>::new(g, &(), &inputs, 1)?;
+    let mut engine = PnEngine::<RmNode>::new(g, &(), &inputs, None)?;
     for _ in 0..max_rounds {
         if engine.step() {
             break;

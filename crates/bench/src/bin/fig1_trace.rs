@@ -30,7 +30,7 @@ fn main() {
     let cfg = ScConfig::new(f, k, w);
     let inputs: Vec<Option<u64>> =
         (0..inst.graph.n()).map(|v| inst.is_subset(v).then(|| inst.weights[v])).collect();
-    let mut engine = BcastEngine::<ScNode<BigRat>>::new(&inst.graph, &cfg, &inputs, 1).unwrap();
+    let mut engine = BcastEngine::<ScNode<BigRat>>::new(&inst.graph, &cfg, &inputs, None).unwrap();
 
     // The colour-0 saturation phase is rounds 1..=5 of the schedule.
     println!("\n-- saturation phase for colour i = 1 (paper numbering) --");

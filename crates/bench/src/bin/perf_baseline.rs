@@ -6,14 +6,23 @@
 //! Regenerate with:
 //! `cargo run --release -p anonet-bench --bin perf_baseline [-- out.json]`
 //!
-//! `--assert-parallel` additionally fails the run (exit 1) unless the
-//! multithreaded steady-state workloads are at least 0.9× as fast as their
-//! single-threaded twins, median against median — the CI guard that the
+//! The `speedups` rows are **paired**: each builds a fresh single-threaded
+//! engine and a fresh multithreaded twin on the same workload, and times
+//! them in alternating 20-round windows (t1 first in even pairs, tN first
+//! in odd ones) inside this one process. Each pair gives one ratio, t1 ns /
+//! tN ns, and a row reports the median and quartiles of its per-pair
+//! ratios — so a change of box state between two rows timed seconds apart
+//! cannot read as a gain or a loss. The unpaired t1/t2/t4 rows are timed
+//! as before, so their trajectory stays comparable.
+//!
+//! `--assert-parallel` additionally fails the run (exit 1) unless every
+//! paired speedup's median is at least 0.9 — the CI guard that the
 //! persistent round pool never regresses back to "more threads = slower"
 //! (the generous margin absorbs box noise). On a machine with one hardware
 //! thread the ratios say nothing about the pool: the file marks those rows
 //! `"informative": false`, and `--assert-parallel` skips them with a note
-//! on stderr.
+//! on stderr. A tN engine borrows a pool of `min(N, hardware_threads)`
+//! workers and splits each round into one part per worker.
 //!
 //! The file's header records what the numbers depend on: the machine's
 //! `hardware_threads`, the `rustc` version that built the binary, and the
@@ -54,9 +63,11 @@ use anonet_gen::{family, setcover, Rng, WeightSpec};
 use anonet_runtime::{run_async_pn, DelayModel, NetworkConfig};
 use anonet_service::loadgen::{drive, synthesize, DriveConfig, FamilyKind, LoopMode, WorkloadSpec};
 use anonet_service::{ConnModel, Server, ServiceConfig, SolverId};
+use anonet_sim::pool::clamp_width;
 use anonet_sim::{
-    run_engine_observed, run_pn, BatchRunner, BcastEngine, EngineScratch, Graph, Job, NoopObserver,
-    PnEngine, PortNumbering, RoundObserver, RoundStats,
+    run_engine_observed, run_engine_scratch, run_pn, BatchRunner, BcastEngine, Broadcast, Delivery,
+    Engine, EngineScratch, Graph, NoopObserver, PnEngine, PortNumbering, RoundObserver, RoundPool,
+    RoundStats,
 };
 use std::time::{Duration, Instant};
 
@@ -72,16 +83,61 @@ struct Quartiles {
 /// the quartiles of the per-unit time.
 fn time_runs(reps: usize, mut f: impl FnMut() -> u64) -> (u64, Quartiles) {
     let mut units = f();
-    let mut ns: Vec<f64> = (0..reps)
+    let ns = (0..reps)
         .map(|_| {
             let t = Instant::now();
             units = f();
             t.elapsed().as_nanos() as f64 / units.max(1) as f64
         })
         .collect();
-    ns.sort_by(f64::total_cmp);
-    let at = |q: f64| ns[((reps - 1) as f64 * q).round() as usize];
-    (units, Quartiles { q1: at(0.25), median: at(0.5), q3: at(0.75) })
+    (units, quartiles(ns))
+}
+
+/// The median and quartiles of `xs` (non-empty).
+fn quartiles(mut xs: Vec<f64>) -> Quartiles {
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+    Quartiles { q1: at(0.25), median: at(0.5), q3: at(0.75) }
+}
+
+/// Steps `engine` through one 20-round window; returns ns per round.
+fn window<A: Send + Sync, D: Delivery<A>>(engine: &mut Engine<'_, A, D>) -> f64 {
+    let t = Instant::now();
+    for _ in 0..20 {
+        engine.step();
+    }
+    t.elapsed().as_nanos() as f64 / 20.0
+}
+
+/// A paired speedup row: a fresh one-part engine and a fresh twin on a
+/// pool of `min(threads, hardware)` workers, on the same steady workload
+/// (every node halts at round 0xFF). After one warmup window each, they run
+/// `ENGINE_REPS` pairs of windows, alternating which goes first; returns
+/// the quartiles of the per-pair ratio t1 ns / tN ns (> 1: threads help).
+fn paired_speedup<A: Send + Sync, D: Delivery<A>>(
+    g: &Graph,
+    cfg: &D::Config,
+    inputs: &[D::Input],
+    threads: usize,
+) -> Quartiles {
+    let mut pool = RoundPool::new(clamp_width(threads));
+    let mut t1 = Engine::<A, D>::new(g, cfg, inputs, None).expect("inputs match");
+    let mut tn = Engine::<A, D>::new(g, cfg, inputs, Some(&mut pool)).expect("inputs match");
+    window(&mut t1);
+    window(&mut tn);
+    let ratios = (0..ENGINE_REPS)
+        .map(|pair| {
+            if pair % 2 == 0 {
+                let one = window(&mut t1);
+                one / window(&mut tn)
+            } else {
+                let many = window(&mut tn);
+                window(&mut t1) / many
+            }
+        })
+        .collect();
+    assert!(tn.round() < 0xFF, "steady-state window exceeded the halt round");
+    quartiles(ratios)
 }
 
 /// One engine workload: ns per round.
@@ -91,8 +147,9 @@ struct Sample {
     ns: Quartiles,
 }
 
-/// Reps per engine row. The steady rows step one engine 20 rounds per rep,
-/// so warmup + `ENGINE_REPS` × 20 must stay below the halt round 255.
+/// Reps per engine row, and pairs per speedup row. The steady rows step one
+/// engine 20 rounds per rep, so warmup + `ENGINE_REPS` × 20 must stay below
+/// the halt round 255.
 const ENGINE_REPS: usize = 11;
 
 /// Reps per asynchronous-runtime row and for its synchronous reference.
@@ -195,8 +252,10 @@ fn main() {
     for (threads, name) in
         [(1usize, "pn_steady_n10k_d8_t1"), (2, "pn_steady_n10k_d8_t2"), (4, "pn_steady_n10k_d8_t4")]
     {
-        let mut engine = PnEngine::<HaltingGossip>::new(&g10k, &(), &steady_inputs, threads)
-            .expect("inputs match");
+        let mut pool = RoundPool::new(clamp_width(threads));
+        let mut engine =
+            PnEngine::<HaltingGossip>::new(&g10k, &(), &steady_inputs, Some(&mut pool))
+                .expect("inputs match");
         let s = time_engine(name, || {
             for _ in 0..20 {
                 engine.step();
@@ -213,7 +272,7 @@ fn main() {
     {
         let mut noop = NoopObserver;
         let mut engine =
-            PnEngine::<HaltingGossip>::new(&g10k, &(), &steady_inputs, 1).expect("inputs match");
+            PnEngine::<HaltingGossip>::new(&g10k, &(), &steady_inputs, None).expect("inputs match");
         engine.set_observer(&mut noop);
         let s = time_engine("pn_steady_n10k_d8_t1_observed", || {
             for _ in 0..20 {
@@ -232,8 +291,10 @@ fn main() {
     for (threads, name) in
         [(1usize, "pn_steady_n50k_d8_t1"), (2, "pn_steady_n50k_d8_t2"), (4, "pn_steady_n50k_d8_t4")]
     {
-        let mut engine = PnEngine::<HaltingGossip>::new(&g50k, &(), &steady_inputs_50k, threads)
-            .expect("inputs match");
+        let mut pool = RoundPool::new(clamp_width(threads));
+        let mut engine =
+            PnEngine::<HaltingGossip>::new(&g50k, &(), &steady_inputs_50k, Some(&mut pool))
+                .expect("inputs match");
         let s = time_engine(name, || {
             for _ in 0..20 {
                 engine.step();
@@ -250,8 +311,9 @@ fn main() {
     // the engine silently fell back to per-node sorts (canon_rounds == 0),
     // the baseline would still produce numbers, just of the wrong thing.
     for (threads, name) in [(1usize, "bcast_steady_n10k_t1"), (4, "bcast_steady_n10k_t4")] {
+        let mut pool = RoundPool::new(clamp_width(threads));
         let mut engine =
-            BcastEngine::<HaltingBcastGossip>::new(&g10k, &(), &steady_inputs, threads)
+            BcastEngine::<HaltingBcastGossip>::new(&g10k, &(), &steady_inputs, Some(&mut pool))
                 .expect("inputs match");
         let s = time_engine(name, || {
             for _ in 0..20 {
@@ -276,7 +338,8 @@ fn main() {
     let gstar = family::star(9_999);
     let star_inputs = halting_inputs(10_000, |_| 0xFF);
     for (threads, name) in [(1usize, "pn_steady_star_n10k_t1"), (4, "pn_steady_star_n10k_t4")] {
-        let mut engine = PnEngine::<HaltingGossip>::new(&gstar, &(), &star_inputs, threads)
+        let mut pool = RoundPool::new(clamp_width(threads));
+        let mut engine = PnEngine::<HaltingGossip>::new(&gstar, &(), &star_inputs, Some(&mut pool))
             .expect("inputs match");
         let s = time_engine(name, || {
             for _ in 0..20 {
@@ -293,8 +356,8 @@ fn main() {
     // (construction included): the collapse only happens once per engine.
     let collapse_inputs = halting_inputs(10_000, |v| if v % 20 == 0 { 40 } else { 1 });
     samples.push(time_engine("pn_collapse_n10k_d8", || {
-        let mut engine =
-            PnEngine::<HaltingGossip>::new(&g10k, &(), &collapse_inputs, 1).expect("inputs match");
+        let mut engine = PnEngine::<HaltingGossip>::new(&g10k, &(), &collapse_inputs, None)
+            .expect("inputs match");
         while !engine.step() {}
         engine.trace().rounds
     }));
@@ -302,11 +365,17 @@ fn main() {
     // Batched multi-instance throughput: 32 × 256-node instances, one pool.
     let graphs: Vec<Graph> = (0..32).map(|i| family::random_regular(256, 4, 100 + i)).collect();
     let batch_inputs = halting_inputs(256, |v| v % 12 + 1);
-    let jobs: Vec<Job<'_, HaltingGossip, PortNumbering>> =
-        graphs.iter().map(|g| Job::new(g, &(), &batch_inputs, 64)).collect();
     for (threads, name) in [(1usize, "pn_batch_x32_n256_t1"), (4, "pn_batch_x32_n256_t4")] {
         samples.push(time_engine(name, || {
-            let runs = BatchRunner::new(threads).run(&jobs);
+            let runs = BatchRunner::new(threads).map(&graphs, |g, scratch| {
+                run_engine_scratch::<HaltingGossip, PortNumbering>(
+                    g,
+                    &(),
+                    &batch_inputs,
+                    64,
+                    scratch,
+                )
+            });
             runs.iter().map(|r| r.as_ref().unwrap().trace.rounds).sum()
         }));
     }
@@ -408,7 +477,6 @@ fn main() {
             &(),
             &rt_inputs,
             12,
-            1,
             &mut EngineScratch::new(),
             &mut sums,
         )
@@ -537,36 +605,20 @@ fn main() {
         }
     }
 
-    // Parallel speedup ratios (median t1 ns / median t4 ns; > 1 means
-    // threads help). The CI guard (`--assert-parallel`) keys off these.
-    let ns_of = |name: &str| {
-        samples.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("{name}")).ns.median
-    };
+    // Paired parallel speedup ratios (per-pair t1 ns / tN ns; > 1 means
+    // threads help). The CI guard (`--assert-parallel`) keys off their
+    // medians.
+    let pn = paired_speedup::<HaltingGossip, PortNumbering>;
     let speedups = [
-        (
-            "pn_steady_n10k_d8_t2_vs_t1",
-            ns_of("pn_steady_n10k_d8_t1") / ns_of("pn_steady_n10k_d8_t2"),
-        ),
-        (
-            "pn_steady_n10k_d8_t4_vs_t1",
-            ns_of("pn_steady_n10k_d8_t1") / ns_of("pn_steady_n10k_d8_t4"),
-        ),
-        (
-            "pn_steady_n50k_d8_t2_vs_t1",
-            ns_of("pn_steady_n50k_d8_t1") / ns_of("pn_steady_n50k_d8_t2"),
-        ),
-        (
-            "pn_steady_n50k_d8_t4_vs_t1",
-            ns_of("pn_steady_n50k_d8_t1") / ns_of("pn_steady_n50k_d8_t4"),
-        ),
+        ("pn_steady_n10k_d8_t2_vs_t1", pn(&g10k, &(), &steady_inputs, 2)),
+        ("pn_steady_n10k_d8_t4_vs_t1", pn(&g10k, &(), &steady_inputs, 4)),
+        ("pn_steady_n50k_d8_t2_vs_t1", pn(&g50k, &(), &steady_inputs_50k, 2)),
+        ("pn_steady_n50k_d8_t4_vs_t1", pn(&g50k, &(), &steady_inputs_50k, 4)),
         (
             "bcast_steady_n10k_t4_vs_t1",
-            ns_of("bcast_steady_n10k_t1") / ns_of("bcast_steady_n10k_t4"),
+            paired_speedup::<HaltingBcastGossip, Broadcast>(&g10k, &(), &steady_inputs, 4),
         ),
-        (
-            "pn_steady_star_n10k_t4_vs_t1",
-            ns_of("pn_steady_star_n10k_t1") / ns_of("pn_steady_star_n10k_t4"),
-        ),
+        ("pn_steady_star_n10k_t4_vs_t1", pn(&gstar, &(), &star_inputs, 4)),
     ];
 
     // Speedups mean nothing on one hardware thread: t1 and t4 share it.
@@ -574,7 +626,7 @@ fn main() {
     let informative = hardware_threads > 1;
     // Hand-rolled JSON (no serde in the offline workspace).
     let mut json = format!(
-        "{{\n  \"schema\": \"anonet-bench-engine/12\",\n  \"hardware_threads\": {hardware_threads},\n  \
+        "{{\n  \"schema\": \"anonet-bench-engine/13\",\n  \"hardware_threads\": {hardware_threads},\n  \
          \"rustc\": \"{}\",\n  \"git_rev\": \"{}\",\n  \"workloads\": [\n",
         env!("ANONET_BENCH_RUSTC_VERSION"),
         env!("ANONET_BENCH_GIT_REV")
@@ -638,9 +690,11 @@ fn main() {
     json.push_str("  ],\n  \"speedups\": [\n");
     for (i, (name, x)) in speedups.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"speedup_x\": {:.3}, \"informative\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"pairs\": {ENGINE_REPS}, \"speedup_x\": {:.3}, \"speedup_q1\": {:.3}, \"speedup_q3\": {:.3}, \"informative\": {}}}{}\n",
             name,
-            x,
+            x.median,
+            x.q1,
+            x.q3,
             informative,
             if i + 1 < speedups.len() { "," } else { "" }
         ));
@@ -653,17 +707,22 @@ fn main() {
 
     if assert_parallel {
         let mut ok = true;
-        for (name, x) in speedups {
+        for (name, q) in speedups {
+            let x = q.median;
             if !informative {
                 eprintln!(
                     "assert-parallel: skipped {name} = {x:.3}: one hardware thread, so the \
                      ratio is uninformative"
                 );
             } else if x < 0.9 {
-                eprintln!("ASSERT-PARALLEL FAILED: {name} = {x:.3} < 0.9 (threads made it slower)");
+                eprintln!(
+                    "ASSERT-PARALLEL FAILED: {name} = {x:.3} [{:.3}, {:.3}] < 0.9 (threads made \
+                     it slower)",
+                    q.q1, q.q3
+                );
                 ok = false;
             } else {
-                println!("assert-parallel: {name} = {x:.3} >= 0.9");
+                println!("assert-parallel: {name} = {x:.3} [{:.3}, {:.3}] >= 0.9", q.q1, q.q3);
             }
         }
         if !ok {

@@ -18,6 +18,32 @@ impl<V: PackingValue> EdgePacking<V> {
         EdgePacking { y: vec![V::zero(); g.m()] }
     }
 
+    /// Folds per-node, per-port edge values into one value per edge:
+    /// `ports` yields, for every node `v` in id order, `v`'s copy of `y` on
+    /// each of its ports. The run of a distributed edge-packing algorithm
+    /// leaves exactly this behind.
+    ///
+    /// # Panics
+    /// Panics if the two endpoint copies of some `y(e)` disagree.
+    pub fn from_ports<'a>(g: &Graph, ports: impl IntoIterator<Item = &'a [V]>) -> Self
+    where
+        V: 'a,
+    {
+        let mut y = vec![V::zero(); g.m()];
+        for (v, vals) in ports.into_iter().enumerate() {
+            for (p, val) in vals.iter().enumerate() {
+                let a = g.arc(v, p);
+                let e = g.edge_of(a);
+                if v < g.head(a) {
+                    y[e] = val.clone();
+                } else {
+                    assert_eq!(&y[e], val, "endpoint copies of y(e) disagree (edge {e})");
+                }
+            }
+        }
+        EdgePacking { y }
+    }
+
     /// `y[v] = Σ_{e ∋ v} y(e)`.
     pub fn load(&self, g: &Graph, v: usize) -> V {
         let mut acc = V::zero();

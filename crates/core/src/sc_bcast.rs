@@ -729,7 +729,6 @@ pub fn run_fractional_packing_scratch<V: PackingValue>(
         &cfg,
         &sc_inputs(inst.inst),
         cfg.total_rounds(),
-        1,
         scratch,
     )?;
     Ok(assemble_sc_run(inst.inst, res))

@@ -482,7 +482,6 @@ pub fn run_vc_broadcast_scratch<V: PackingValue>(
         &cfg,
         inst.weights,
         cfg.total_rounds(),
-        1,
         scratch,
     )?;
     Ok(assemble_vc_bcast_run(res))
@@ -681,7 +680,7 @@ mod tests {
         let g = anonet_gen::family::petersen();
         let w: Vec<u64> = (0..10).map(|i| i % 3 + 1).collect();
         let cfg = VcBcastConfig::new(g.max_degree(), 3);
-        let mut engine = BcastEngine::<VcBcastNode<BigRat>>::new(&g, &cfg, &w, 1).unwrap();
+        let mut engine = BcastEngine::<VcBcastNode<BigRat>>::new(&g, &cfg, &w, None).unwrap();
         let mut equal_pairs = 0;
         for _ in 0..40 {
             engine.step();

@@ -635,18 +635,8 @@ pub fn fold_vc_outputs<V: PackingValue>(
     g: &Graph,
     outputs: &[VcOutput<V>],
 ) -> (Vec<bool>, EdgePacking<V>) {
-    let mut y = vec![V::zero(); g.m()];
-    for (v, out) in outputs.iter().enumerate() {
-        for (p, val) in out.y.iter().enumerate() {
-            let e = g.edge_of(g.arc(v, p));
-            if v < g.head(g.arc(v, p)) {
-                y[e] = val.clone();
-            } else {
-                assert_eq!(&y[e], val, "endpoint copies of y(e) disagree (edge {e})");
-            }
-        }
-    }
-    (outputs.iter().map(|o| o.in_cover).collect(), EdgePacking { y })
+    let packing = EdgePacking::from_ports(g, outputs.iter().map(|o| &o.y[..]));
+    (outputs.iter().map(|o| o.in_cover).collect(), packing)
 }
 
 /// Folds per-node outputs into the per-edge packing and the cover.
@@ -713,7 +703,6 @@ pub fn run_edge_packing_scratch<V: PackingValue>(
         &cfg,
         inst.weights,
         cfg.total_rounds(),
-        1,
         scratch,
     )?;
     Ok(assemble_vc_run(inst.graph, res))

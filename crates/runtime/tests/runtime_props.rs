@@ -120,9 +120,9 @@ proptest! {
         let limit = spread + 2;
         let res = run_async_pn::<StaggerHash>(&g, &spread, &inputs, limit, &NetworkConfig::ideal())
             .unwrap();
-        // `8` deliberately overshoots small CI boxes: the engine keeps the
-        // partition granularity and caps its pooled worker width, and the
-        // oracle must stay bit-identical either way.
+        // `8` deliberately overshoots small CI boxes: `run_engine` caps the
+        // pool width at the machine's available parallelism, and the oracle
+        // must stay bit-identical either way.
         for threads in [1usize, 2, 4, 8] {
             let sync = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, threads)
                 .unwrap();

@@ -148,8 +148,8 @@ where
         cfg: &'g SelfStabConfig<A::Config>,
         inputs: &[A::Input],
     ) -> Self {
-        let engine =
-            PnEngine::<SelfStabNode<A>>::new(graph, cfg, inputs, 1).expect("input length matches");
+        let engine = PnEngine::<SelfStabNode<A>>::new(graph, cfg, inputs, None)
+            .expect("input length matches");
         SelfStabHarness { engine }
     }
 

@@ -11,7 +11,7 @@
 //!
 //! Every entry point is the same generic pipeline: decode each canonical
 //! blob, fan the instances out over the worker's persistent pool
-//! (`anonet_sim::pool::map_with`, one engine scratch per pool worker), run
+//! (`anonet_sim::BatchRunner::map`, one engine scratch per pool worker), run
 //! the solver's `solve_one`, record the trace, and encode the body. A
 //! solver therefore supplies only its canonical decoder (`canon::decode_vc`
 //! or `canon::decode_sc`) and a `solve_one(&inst, mode, &mut scratch)` that
@@ -60,8 +60,7 @@ use anonet_core::vc_pn::{
     fold_vc_outputs, run_edge_packing_scratch, EdgePackingNode, VcConfig, VcInstance,
 };
 use anonet_runtime::{run_async_pn, scenario, AsyncTrace, NetworkConfig};
-use anonet_sim::pool as sim_pool;
-use anonet_sim::{Broadcast, EngineScratch, PortNumbering, SimError, Trace};
+use anonet_sim::{BatchRunner, Broadcast, EngineScratch, PortNumbering, SimError, Trace};
 use std::fmt::Display;
 
 /// A solver's stable wire identifier — the byte after the message header in
@@ -310,16 +309,13 @@ fn pipeline<I, E: Display, S: Default>(
     solve_one: fn(&I, ExecMode, &mut S) -> Solution,
 ) -> Vec<InstanceOutcome> {
     let blobs: Vec<&[u8]> = missing.iter().map(|&i| req.instances[i].as_slice()).collect();
-    // Cached per service worker at the machine-derived width, so varying
-    // batch sizes do not respawn it; width 1 runs inline.
-    let width = sim_pool::clamp_width(sim_pool::resolve_threads(shared.cfg.threads_per_job));
-    sim_pool::with_local_pool(width, |pool| {
-        sim_pool::map_with(Some(pool), blobs, S::default, |scratch, _, blob| {
-            let inst = decode(blob).map_err(|e| e.to_string())?;
-            let (cover, cert, trace) = solve_one(&inst, req.mode, scratch)?;
-            shared.telemetry.record_solve_trace(trace.rounds, trace.bits);
-            Ok((false, wire::encode_solved_body(&cover, &cert, &trace)))
-        })
+    // The pool is cached per service worker at the machine-derived width,
+    // so varying batch sizes do not respawn it; width 1 runs inline.
+    BatchRunner::new(shared.cfg.threads_per_job).map(&blobs, |blob, scratch| {
+        let inst = decode(blob).map_err(|e| e.to_string())?;
+        let (cover, cert, trace) = solve_one(&inst, req.mode, scratch)?;
+        shared.telemetry.record_solve_trace(trace.rounds, trace.bits);
+        Ok((false, wire::encode_solved_body(&cover, &cert, &trace)))
     })
 }
 

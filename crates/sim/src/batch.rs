@@ -1,57 +1,19 @@
-//! Batched multi-instance execution: run many independent (graph, config,
-//! inputs) instances across **one** pool of worker threads.
+//! Batched multi-instance execution: map one function over many independent
+//! instances across **one** pool of worker threads.
 //!
 //! The paper's algorithms finish in rounds that depend only on local
 //! parameters (Δ, W), never on n — so the interesting workloads are *many*
-//! instances, not one giant one. This module is the "serve many requests"
-//! entry point the bench binaries, the figure/table experiments, and
-//! `anonet-core`'s `_many` runners funnel through: the workers of this OS
-//! thread's persistent [`RoundPool`](crate::pool::RoundPool) (shared with
-//! the engine machinery via [`pool::with_local_pool`], so repeated batches
-//! reuse the spawned threads instead of nesting fresh scoped spawns) pull
-//! jobs through [`pool::map_with`] and run each instance on a
-//! single-threaded engine: all parallelism is across instances, where it is
-//! embarrassingly effective, and each worker recycles one [`EngineScratch`]
-//! across its jobs (the `map_with` per-worker state).
+//! instances, not one giant one. [`BatchRunner::map`] is the entry point
+//! that `anonet-core`'s `_many` runners, the bench binaries and the
+//! service's solve pipeline funnel through: the workers of this OS thread's
+//! persistent [`RoundPool`](crate::pool::RoundPool) (lent by
+//! [`pool::with_threads`], so repeated batches reuse the spawned threads)
+//! pull the items through [`pool::map_with`], and each worker recycles one
+//! state — typically an [`EngineScratch`](crate::engine::EngineScratch)
+//! driving single-threaded engines — across the items it pulls. All
+//! parallelism is across instances, where it is embarrassingly effective.
 
-use crate::delivery::{Broadcast, Delivery, PortNumbering};
-use crate::engine::{run_engine_scratch, EngineScratch, RunResult, SimError};
-use crate::graph::Graph;
 use crate::pool;
-use std::marker::PhantomData;
-
-/// One (graph, config, inputs) instance of a batch, under delivery model `D`.
-///
-/// Use the [`PnJob`] / [`BcastJob`] aliases to name the two models.
-pub struct Job<'a, A, D: Delivery<A>> {
-    /// Communication graph.
-    pub graph: &'a Graph,
-    /// Global configuration for this instance.
-    pub cfg: &'a D::Config,
-    /// Per-node inputs, indexed by node id.
-    pub inputs: &'a [D::Input],
-    /// Round limit for this instance.
-    pub max_rounds: u64,
-    _model: PhantomData<fn() -> (A, D)>,
-}
-
-impl<'a, A, D: Delivery<A>> Job<'a, A, D> {
-    /// Describes one instance.
-    pub fn new(
-        graph: &'a Graph,
-        cfg: &'a D::Config,
-        inputs: &'a [D::Input],
-        max_rounds: u64,
-    ) -> Self {
-        Job { graph, cfg, inputs, max_rounds, _model: PhantomData }
-    }
-}
-
-/// A port-numbering batch job.
-pub type PnJob<'a, A> = Job<'a, A, PortNumbering>;
-
-/// A broadcast batch job.
-pub type BcastJob<'a, A> = Job<'a, A, Broadcast>;
 
 /// Executes batches of independent instances on a fixed-size worker pool.
 #[derive(Clone, Copy, Debug)]
@@ -67,53 +29,37 @@ impl BatchRunner {
         BatchRunner { threads }
     }
 
-    /// Runs every job to completion; `results[i]` corresponds to `jobs[i]`.
-    ///
-    /// Jobs are pulled off a shared counter, so stragglers do not serialise
-    /// the pool; each instance runs on a single-threaded engine.
-    pub fn run<A: Send + Sync, D: Delivery<A>>(
-        &self,
-        jobs: &[Job<'_, A, D>],
-    ) -> Vec<Result<RunResult<D::Output>, SimError>> {
-        self.map(jobs, |job, scratch: &mut EngineScratch<A, D>| {
-            run_engine_scratch::<A, D>(job.graph, job.cfg, job.inputs, job.max_rounds, 1, scratch)
-        })
-    }
-
     /// Maps `f` over `items` on this runner's pool; `results[i]` corresponds
-    /// to `items[i]`. Each worker builds one `S` — typically an
-    /// [`EngineScratch`] — and recycles it across the items it pulls, so
-    /// every engine after a worker's first reuses the previous one's
-    /// allocations. The per-instance runners of `anonet-core` fan out
-    /// through here.
+    /// to `items[i]`. Items are pulled one at a time, so stragglers do not
+    /// serialise the pool. Each worker builds one `S` — typically an
+    /// [`EngineScratch`](crate::engine::EngineScratch) — and recycles it
+    /// across the items it pulls, so every engine after a worker's first
+    /// reuses the previous one's allocations.
     pub fn map<T: Sync, S: Default, R: Send>(
         &self,
         items: &[T],
         f: impl Fn(&T, &mut S) -> R + Sync,
     ) -> Vec<R> {
-        let run = |pool: Option<&mut pool::RoundPool>| {
+        // The pool is cached at the machine-derived width, *not*
+        // min(width, items): coupling it to the batch size would respawn the
+        // threads whenever consecutive batches differ in size, while an
+        // excess worker merely finds the items gone. A batch of at most one
+        // item needs no pool at all.
+        let threads = if items.len() <= 1 { 1 } else { self.threads };
+        pool::with_threads(threads, |pool| {
             pool::map_with(pool, items.iter().collect(), S::default, |scratch, _, item| {
                 f(item, scratch)
             })
-        };
-        let width = pool::clamp_width(pool::resolve_threads(self.threads));
-        if width <= 1 || items.len() <= 1 {
-            return run(None);
-        }
-        // Fan out over this thread's persistent round pool — spawned once
-        // per OS thread and reused across batches. The pool is cached at the
-        // machine-derived width, *not* min(width, items): coupling it to the
-        // batch size would respawn the threads whenever consecutive batches
-        // differ in size, while an excess worker merely exits on its first
-        // pull.
-        pool::with_local_pool(width, |p| run(Some(p)))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_pn;
+    use crate::delivery::PortNumbering;
+    use crate::engine::{run_engine_scratch, run_pn, EngineScratch, RunResult, SimError};
+    use crate::graph::Graph;
     use crate::model::PnAlgorithm;
 
     /// Gossip the running maximum of inputs; halt at the config round.
@@ -144,6 +90,16 @@ mod tests {
         }
     }
 
+    /// One instance: graph, inputs, gossip budget, round limit.
+    type Job<'a> = (&'a Graph, &'a [u64], u64, u64);
+
+    fn run_job(
+        &(g, inputs, budget, limit): &Job<'_>,
+        scratch: &mut EngineScratch<MaxGossip, PortNumbering>,
+    ) -> Result<RunResult<u64>, SimError> {
+        run_engine_scratch::<MaxGossip, PortNumbering>(g, &budget, inputs, limit, scratch)
+    }
+
     fn cycle(n: usize) -> Graph {
         let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
         Graph::from_edges(n, &edges).unwrap()
@@ -158,10 +114,10 @@ mod tests {
             .map(|(i, g)| (0..g.n() as u64).map(|v| v * (i as u64 + 1)).collect())
             .collect();
         let cfg = 3u64;
-        let jobs: Vec<PnJob<'_, MaxGossip>> =
-            graphs.iter().zip(&input_sets).map(|(g, inp)| Job::new(g, &cfg, inp, 10)).collect();
+        let jobs: Vec<Job<'_>> =
+            graphs.iter().zip(&input_sets).map(|(g, inp)| (g, &inp[..], cfg, 10)).collect();
         for threads in [1usize, 2, 4, 8] {
-            let batch = BatchRunner::new(threads).run(&jobs);
+            let batch = BatchRunner::new(threads).map(&jobs, run_job);
             assert_eq!(batch.len(), jobs.len());
             for ((g, inp), res) in graphs.iter().zip(&input_sets).zip(batch) {
                 let solo = run_pn::<MaxGossip>(g, &cfg, inp, 10).unwrap();
@@ -179,11 +135,11 @@ mod tests {
         let inputs_ok: Vec<u64> = (0..4).collect();
         let inputs_slow: Vec<u64> = (0..6).collect();
         let (fast, slow) = (1u64, 50u64);
-        let jobs: Vec<PnJob<'_, MaxGossip>> = vec![
-            Job::new(&g_ok, &fast, &inputs_ok, 10),
-            Job::new(&g_slow, &slow, &inputs_slow, 10), // hits the round limit
+        let jobs: Vec<Job<'_>> = vec![
+            (&g_ok, &inputs_ok, fast, 10),
+            (&g_slow, &inputs_slow, slow, 10), // hits the round limit
         ];
-        let res = BatchRunner::new(2).run(&jobs);
+        let res = BatchRunner::new(2).map(&jobs, run_job);
         assert!(res[0].is_ok());
         assert_eq!(
             res[1].as_ref().unwrap_err(),
@@ -193,8 +149,8 @@ mod tests {
 
     #[test]
     fn empty_batch() {
-        let jobs: Vec<PnJob<'_, MaxGossip>> = Vec::new();
-        assert!(BatchRunner::new(4).run(&jobs).is_empty());
+        let jobs: Vec<Job<'_>> = Vec::new();
+        assert!(BatchRunner::new(4).map(&jobs, run_job).is_empty());
     }
 
     #[test]
@@ -206,11 +162,11 @@ mod tests {
         let input_sets: Vec<Vec<u64>> =
             graphs.iter().map(|g| (0..g.n() as u64).map(|v| v * 3 + 1).collect()).collect();
         let cfg = 2u64;
-        let jobs: Vec<PnJob<'_, MaxGossip>> =
-            graphs.iter().zip(&input_sets).map(|(g, inp)| Job::new(g, &cfg, inp, 10)).collect();
+        let jobs: Vec<Job<'_>> =
+            graphs.iter().zip(&input_sets).map(|(g, inp)| (g, &inp[..], cfg, 10)).collect();
         let runner = BatchRunner::new(0);
         for repeat in 0..3 {
-            let batch = runner.run(&jobs);
+            let batch = runner.map(&jobs, run_job);
             for ((g, inp), res) in graphs.iter().zip(&input_sets).zip(batch) {
                 let solo = run_pn::<MaxGossip>(g, &cfg, inp, 10).unwrap();
                 let res = res.unwrap();

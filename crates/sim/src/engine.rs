@@ -9,17 +9,17 @@
 //! is monotone, so the per-range message buffers are disjoint `&mut`
 //! slices — Rayon-style data parallelism with no locks).
 //!
-//! **Pool lifecycle**: the pool is spawned once, in
-//! [`Engine::new`] / [`Engine::with_scratch`] (never inside
-//! [`Engine::step`] — per-round thread spawns were the multithreaded
-//! slowdown), parked between rounds, reused across rounds, and handed back
-//! through [`Engine::finish_scratch`] so it also survives across engine
-//! constructions that share an [`EngineScratch`]. `threads: 0` means auto;
-//! the spawned worker width is capped at the machine's available
-//! parallelism (see [`crate::pool`]).
+//! **Pool lifecycle**: the caller owns the pool. [`Engine::new`] /
+//! [`Engine::with_scratch`] borrow it for the engine's lifetime and split
+//! every round into one part per pool worker; `None` runs one part on the
+//! calling thread. No thread is ever spawned here, let alone per round
+//! (per-round thread spawns were the multithreaded slowdown). [`run_engine`]
+//! maps a user-facing thread count to this thread's cached pool (see
+//! [`crate::pool`] for the `0` = auto rule and the cap at the machine's
+//! available parallelism).
 //!
-//! **Partition invariants**: the sweep list is split into at most
-//! `threads` contiguous ranges balanced by **slot/arc weight**
+//! **Partition invariants**: the sweep list is split into at most one
+//! range per pool worker, contiguous and balanced by **slot/arc weight**
 //! (`degree + 1` per node), not node count — on a skewed-degree graph
 //! (star, power-law) equal node counts would hand nearly all arcs to one
 //! part and serialise the round behind it. Parts are recomputed only when
@@ -27,7 +27,7 @@
 //! span and hence, by slot-span monotonicity, a contiguous disjoint slot
 //! span. The refresh refills the recycled partition vectors in place.
 //! Partitioning never affects results: outputs and [`Trace`] are
-//! bit-identical for every thread count (property-tested).
+//! bit-identical for every pool width (property-tested).
 //!
 //! There is exactly **one** engine, [`Engine`], generic over a
 //! [`Delivery`] model; [`PnEngine`] and [`BcastEngine`] are thin typed
@@ -64,13 +64,15 @@
 //!
 //! Each phase is **one sweep**: every part, however densely the sweep list
 //! covers its node span, walks its range of `sweep` with the same loop, and
-//! one lazy `split_spans` chain hands each part its list range and its
-//! disjoint `&mut` chunks of the buffers. With a single part (every service
-//! solve runs on one thread) that one item runs inline: there is no task
-//! list, and a steady round allocates nothing (the receive phase's
-//! incoming-reference list reuses storage parked in its part's arena;
-//! `tests/round_allocs.rs` counts the allocations). With more parts the
-//! items are collected and fanned out over the pool.
+//! one lazy `split_spans` chain, zipped with the part arenas, hands each
+//! part its list range and its disjoint `&mut` chunks of the buffers. The
+//! pool's workers pull the parts straight off that chain
+//! ([`pool::for_each_with`]); a single part (every service solve runs on
+//! one thread) runs inline. Either way there is no task list, and a warm
+//! round allocates nothing: each part writes its send totals into its arena
+//! (folded in part order after the phase), and the receive phase's
+//! incoming-reference list reuses storage parked in the arena
+//! (`tests/round_allocs.rs` counts the allocations, pooled runs included).
 //!
 //! The send sweep writes each swept node's slots once (default-fill fused
 //! with `send` while the lines are L1-hot; a uniform send writes one node
@@ -108,7 +110,7 @@
 //! (halted nodes keep sending empty default messages every round; property
 //! tests assert equality with a naive reference that sweeps every node).
 //!
-//! Determinism: for any thread count the engine produces bit-identical
+//! Determinism: for any pool width the engine produces bit-identical
 //! outputs and traces (tested), because phases are barriers and no node
 //! reads another node's *current*-round state.
 
@@ -272,10 +274,6 @@ pub struct EngineScratch<A, D: Delivery<A>> {
     parts: Vec<Range<usize>>,
     node_spans: Vec<Range<usize>>,
     buf_spans: Vec<Range<usize>>,
-    /// The persistent round-worker pool, parked here between engine
-    /// constructions so its threads are spawned once per scratch, not once
-    /// per run (let alone once per round).
-    pool: Option<RoundPool>,
 }
 
 impl<A, D: Delivery<A>> Default for EngineScratch<A, D> {
@@ -293,18 +291,19 @@ impl<A, D: Delivery<A>> Default for EngineScratch<A, D> {
             parts: Vec::new(),
             node_spans: Vec::new(),
             buf_spans: Vec::new(),
-            pool: None,
         }
     }
 }
 
-/// Per-part persistent scratch for the receive phase: the part's
-/// newly-halted list, its [`GatherScratch`] rank/count tables and the
-/// storage of its incoming-reference list. One per partition, recycled
-/// across rounds and engine constructions, so the receive sweep owns
-/// reusable storage without any cross-part sharing.
+/// Per-part persistent scratch: the part's send totals, its newly-halted
+/// list, its [`GatherScratch`] rank/count tables and the storage of its
+/// incoming-reference list. One per partition, recycled across rounds and
+/// engine constructions, so each sweep writes its results without any
+/// cross-part sharing.
 #[derive(Debug, Default)]
 struct PartArena {
+    /// What this part's send sweep returned this round (see [`send_part`]).
+    sent: (u64, u64, usize),
     newly: Vec<u32>,
     gs: GatherScratch,
     /// The incoming-reference list's allocation, parked empty between
@@ -388,25 +387,6 @@ fn split_spans<T>(
         cursor = span.end;
         head
     })
-}
-
-/// Runs `f` on every part's task and folds the results, in part order, with
-/// `merge`. At most one part runs inline, so a one-part round builds no
-/// task list and allocates nothing; more parts are collected and fanned out
-/// over the persistent pool — no threads are spawned here.
-fn for_parts<T: Send, R: Send>(
-    pool: Option<&mut RoundPool>,
-    parts: usize,
-    tasks: impl Iterator<Item = T>,
-    init: R,
-    merge: impl FnMut(R, R) -> R,
-    f: impl Fn(T) -> R + Sync,
-) -> R {
-    if parts <= 1 {
-        tasks.map(f).fold(init, merge)
-    } else {
-        pool::map_with(pool, tasks.collect(), || (), |_, _, t| f(t)).into_iter().fold(init, merge)
-    }
 }
 
 /// The send sweep of one part: sends every node of `list` (sorted node ids
@@ -515,18 +495,16 @@ fn receive_part<'b, A, D: Delivery<A>>(
 pub struct Engine<'a, A, D: Delivery<A>> {
     graph: &'a Graph,
     cfg: &'a D::Config,
-    /// Every recyclable vector and the persistent phase workers (spawned at
-    /// construction when the effective width exceeds 1 — never inside
-    /// [`Engine::step`]).
+    /// Every recyclable vector.
     s: EngineScratch<A, D>,
+    /// The borrowed round pool: one part per worker; `None` runs one part
+    /// on the calling thread.
+    pool: Option<&'a mut RoundPool>,
     /// Rounds in which the canon table was (re)built — the smoke counter
     /// that proves the counting canonicalisation path runs.
     canon_rounds: u64,
     halted: usize,
     trace: Trace,
-    /// Partition granularity of the sweep list (1 when the worker width is
-    /// 1, see [`Engine::with_scratch`]).
-    threads: usize,
     /// Cached per-round `Trace` bits (total, max) of all halted nodes.
     halted_bits: (u64, u64),
     /// `approx_bits` of `D::Msg::default()`, computed once.
@@ -546,19 +524,17 @@ pub struct Engine<'a, A, D: Delivery<A>> {
 }
 
 impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
-    /// Initialises every node. `inputs` is indexed by node id; `threads` is
-    /// the worker thread count for the parallel phase path (1 = sequential,
-    /// `0` = **auto**: the machine's available parallelism). A count beyond
-    /// the hardware keeps its value as the *partition* granularity — work
-    /// splitting stays deterministic on any box — but the spawned worker
-    /// width is capped at available parallelism (logged once per process).
+    /// Initialises every node. `inputs` is indexed by node id. Each round
+    /// is split into one part per worker of `pool`, which the engine
+    /// borrows for its lifetime; `None` runs every round as one part on the
+    /// calling thread. Outputs and [`Trace`] do not depend on the pool.
     pub fn new(
         graph: &'a Graph,
         cfg: &'a D::Config,
         inputs: &[D::Input],
-        threads: usize,
+        pool: Option<&'a mut RoundPool>,
     ) -> Result<Self, SimError> {
-        Self::with_scratch(graph, cfg, inputs, threads, &mut EngineScratch::new())
+        Self::with_scratch(graph, cfg, inputs, pool, &mut EngineScratch::new())
     }
 
     /// Initialises every node, recycling the allocations held by `scratch`
@@ -568,7 +544,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         graph: &'a Graph,
         cfg: &'a D::Config,
         inputs: &[D::Input],
-        threads: usize,
+        pool: Option<&'a mut RoundPool>,
         scratch: &mut EngineScratch<A, D>,
     ) -> Result<Self, SimError> {
         let n = graph.n();
@@ -589,27 +565,14 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         s.nodes.resize_with(node_len, D::Msg::default);
         s.uniform.resize(node_len, false);
         s.sweep.extend(0..n as u32);
-        // `threads: 0` = auto; the worker width is capped at the machine's
-        // available parallelism while the partition granularity keeps the
-        // requested value (see `pool` module docs) — unless the capped
-        // width is 1, where extra parts would be pure per-round overhead
-        // with no worker to hand them to, so the engine collapses to one
-        // part and runs exactly like `threads: 1`. The pool parked in the
-        // scratch is reused when its width still matches; otherwise the
-        // workers are (re)spawned here, once — never per round.
-        let resolved = pool::resolve_threads(threads);
-        let width = pool::clamp_width(resolved);
-        if width > 1 && !matches!(&s.pool, Some(p) if p.width() == width) {
-            s.pool = Some(RoundPool::new(width));
-        }
         Ok(Engine {
             graph,
             cfg,
             s,
+            pool,
             canon_rounds: 0,
             halted: 0,
             trace: Trace::default(),
-            threads: if width > 1 { resolved } else { 1 },
             halted_bits: (0, 0),
             default_bits: D::Msg::default().approx_bits(),
             spans_dirty: true,
@@ -678,13 +641,9 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
     /// the hubs.
     fn refresh_partition(&mut self) {
         let g = self.graph;
+        let width = self.pool.as_ref().map_or(1, |p| p.width());
         let EngineScratch { sweep, parts, node_spans, buf_spans, arenas, .. } = &mut self.s;
-        partition_weighted(
-            sweep.len(),
-            self.threads,
-            |i| g.degree(sweep[i] as usize) as u64 + 1,
-            parts,
-        );
+        partition_weighted(sweep.len(), width, |i| g.degree(sweep[i] as usize) as u64 + 1, parts);
         node_spans.clear();
         node_spans
             .extend(parts.iter().map(|r| sweep[r.start] as usize..sweep[r.end - 1] as usize + 1));
@@ -732,7 +691,6 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
             parts,
             node_spans,
             buf_spans,
-            pool,
         } = &mut self.s;
         let swept: &[u32] = sweep;
         // A part's span of node slots: its node span when the delivery
@@ -741,27 +699,27 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
 
         // Phase 1: send, fused with the accounting of variable-width
         // messages over the same sweep; also counts the uniform senders.
-        let (total, max, uniform_senders) = {
+        {
             let states: &[A] = states;
-            let tasks = parts
+            let parts = parts
                 .iter()
                 .zip(node_spans.iter())
                 .zip(buf_spans.iter())
                 .zip(split_spans(buf, buf_spans.iter().cloned()))
                 .zip(split_spans(nodes, node_spans.iter().map(node_slot_span)))
                 .zip(split_spans(uniform, node_spans.iter().map(node_slot_span)))
-                .map(|(((((list, span), slots), chunk), node_chunk), flags)| {
-                    (&swept[list.clone()], span.start, slots.start, chunk, node_chunk, flags)
-                });
-            let merge =
-                |a: (u64, u64, usize), b: (u64, u64, usize)| (a.0 + b.0, a.1.max(b.1), a.2 + b.2);
-            for_parts(pool.as_mut(), parts.len(), tasks, (0, 0, 0), merge, |task| {
-                let (list, first, base, chunk, node_chunk, flags) = task;
-                send_part::<A, D>(
+                .zip(arenas.iter_mut());
+            pool::for_each_with(self.pool.as_deref_mut(), parts, Default::default, |(), part| {
+                let ((((((list, span), slots), chunk), node_chunk), flags), arena) = part;
+                let (list, first, base) = (&swept[list.clone()], span.start, slots.start);
+                arena.sent = send_part::<A, D>(
                     g, cfg, round, states, list, first, base, chunk, node_chunk, flags,
-                )
-            })
-        };
+                );
+            });
+        }
+        let (total, max, uniform_senders) = arenas[..parts.len()]
+            .iter()
+            .fold((0, 0, 0), |(t, m, u), a| (t + a.sent.0, m.max(a.sent.1), u + a.sent.2));
         // Captured for the observer before the post-receive halt bookkeeping
         // below grows `halted_bits`: this is exactly what the round adds to
         // `Trace::total_bits`.
@@ -802,28 +760,19 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
             };
             let outbox = Outbox { slots: buf, nodes, senders };
             let canon: &CanonTable = canon;
-            let tasks = parts
+            let parts = parts
                 .iter()
                 .zip(node_spans.iter())
                 .zip(split_spans(states, node_spans.iter().cloned()))
                 .zip(split_spans(outputs, node_spans.iter().cloned()))
-                .zip(arenas.iter_mut())
-                .map(|((((list, span), sc), oc), arena)| {
-                    (&swept[list.clone()], span.start, sc, oc, arena)
-                });
-            for_parts(
-                pool.as_mut(),
-                parts.len(),
-                tasks,
-                (),
-                |(), ()| (),
-                |task| {
-                    let (list, first, states, outputs, arena) = task;
-                    receive_part::<A, D>(
-                        g, cfg, round, &outbox, canon, list, first, states, outputs, arena,
-                    )
-                },
-            );
+                .zip(arenas.iter_mut());
+            pool::for_each_with(self.pool.as_deref_mut(), parts, Default::default, |(), part| {
+                let ((((list, span), states), outputs), arena) = part;
+                let (list, first) = (&swept[list.clone()], span.start);
+                receive_part::<A, D>(
+                    g, cfg, round, &outbox, canon, list, first, states, outputs, arena,
+                );
+            });
         }
         // Merge the per-part newly-halted lists (part order keeps the merge
         // sorted) into the engine's recycled list.
@@ -889,11 +838,9 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         }
     }
 
-    /// Consumes the engine, handing **every** internal allocation and the
-    /// parked worker pool back to `scratch`, cleared, and returning the
-    /// outputs if all nodes have halted (`None` otherwise — allocations are
-    /// recycled either way). The next construction through `scratch`
-    /// reuses the spawned threads instead of respawning them.
+    /// Consumes the engine, handing **every** internal allocation back to
+    /// `scratch`, cleared, and returning the outputs if all nodes have
+    /// halted (`None` otherwise — allocations are recycled either way).
     pub fn finish_scratch(
         mut self,
         scratch: &mut EngineScratch<A, D>,
@@ -916,6 +863,25 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         *scratch = self.s;
         result
     }
+
+    /// Steps until every node has halted, at most `max_rounds` rounds in
+    /// all, then hands the allocations back to `scratch` (see
+    /// [`Engine::finish_scratch`]) — the stepping loop behind every
+    /// `run_engine*` entry point.
+    pub fn run(
+        mut self,
+        max_rounds: u64,
+        scratch: &mut EngineScratch<A, D>,
+    ) -> Result<RunResult<D::Output>, SimError> {
+        while self.round() < max_rounds {
+            if self.step() {
+                return Ok(self.finish_scratch(scratch).expect("all halted"));
+            }
+        }
+        let (halted, n) = (self.halted, self.graph.n());
+        self.finish_scratch(scratch);
+        Err(SimError::RoundLimit { limit: max_rounds, halted, n })
+    }
 }
 
 /// An in-flight port-numbering-model execution: the generic [`Engine`]
@@ -927,8 +893,10 @@ pub type PnEngine<'a, A> = Engine<'a, A, PortNumbering>;
 /// as a canonically sorted multiset.
 pub type BcastEngine<'a, A> = Engine<'a, A, Broadcast>;
 
-/// Runs an algorithm to completion under delivery model `D` on `threads`
-/// threads (see [`Engine::new`]) — the generic core behind [`run_pn`] /
+/// Runs an algorithm to completion under delivery model `D` on this
+/// thread's cached pool at the width `threads` resolves to (`0` = auto,
+/// capped at the machine's available parallelism; see
+/// [`pool::with_threads`]) — the generic core behind [`run_pn`] /
 /// [`run_bcast`].
 pub fn run_engine<A: Send + Sync, D: Delivery<A>>(
     graph: &Graph,
@@ -937,22 +905,23 @@ pub fn run_engine<A: Send + Sync, D: Delivery<A>>(
     max_rounds: u64,
     threads: usize,
 ) -> Result<RunResult<D::Output>, SimError> {
-    run_engine_scratch::<A, D>(graph, cfg, inputs, max_rounds, threads, &mut EngineScratch::new())
+    pool::with_threads(threads, |pool| {
+        Engine::<A, D>::new(graph, cfg, inputs, pool)?.run(max_rounds, &mut EngineScratch::new())
+    })
 }
 
-/// [`run_engine`] with allocation reuse: the engine's internal vectors are
-/// taken from and returned to `scratch`, so repeated short runs through the
-/// same scratch allocate nothing once warm. Results are bit-identical to
-/// [`run_engine`].
+/// A one-part [`run_engine`] with allocation reuse: the engine's internal
+/// vectors are taken from and returned to `scratch`, so repeated short runs
+/// through the same scratch allocate nothing once warm. Results are
+/// bit-identical to [`run_engine`].
 pub fn run_engine_scratch<A: Send + Sync, D: Delivery<A>>(
     graph: &Graph,
     cfg: &D::Config,
     inputs: &[D::Input],
     max_rounds: u64,
-    threads: usize,
     scratch: &mut EngineScratch<A, D>,
 ) -> Result<RunResult<D::Output>, SimError> {
-    run_to_completion::<A, D>(graph, cfg, inputs, max_rounds, threads, scratch, None)
+    Engine::<A, D>::with_scratch(graph, cfg, inputs, None, scratch)?.run(max_rounds, scratch)
 }
 
 /// [`run_engine_scratch`] with a [`RoundObserver`] attached for the whole
@@ -963,33 +932,12 @@ pub fn run_engine_observed<A: Send + Sync, D: Delivery<A>>(
     cfg: &D::Config,
     inputs: &[D::Input],
     max_rounds: u64,
-    threads: usize,
     scratch: &mut EngineScratch<A, D>,
     observer: &mut dyn RoundObserver,
 ) -> Result<RunResult<D::Output>, SimError> {
-    run_to_completion::<A, D>(graph, cfg, inputs, max_rounds, threads, scratch, Some(observer))
-}
-
-/// The one stepping loop behind the `run_engine*` entry points.
-fn run_to_completion<'a, A: Send + Sync, D: Delivery<A>>(
-    graph: &'a Graph,
-    cfg: &'a D::Config,
-    inputs: &[D::Input],
-    max_rounds: u64,
-    threads: usize,
-    scratch: &mut EngineScratch<A, D>,
-    observer: Option<&'a mut dyn RoundObserver>,
-) -> Result<RunResult<D::Output>, SimError> {
-    let mut engine = Engine::<A, D>::with_scratch(graph, cfg, inputs, threads, scratch)?;
-    engine.observer = observer;
-    for _ in 0..max_rounds {
-        if engine.step() {
-            return Ok(engine.finish_scratch(scratch).expect("all halted"));
-        }
-    }
-    let halted = engine.halted();
-    engine.finish_scratch(scratch);
-    Err(SimError::RoundLimit { limit: max_rounds, halted, n: graph.n() })
+    let mut engine = Engine::<A, D>::with_scratch(graph, cfg, inputs, None, scratch)?;
+    engine.set_observer(observer);
+    engine.run(max_rounds, scratch)
 }
 
 /// Runs a port-numbering algorithm to completion on one thread.
@@ -1084,7 +1032,11 @@ mod tests {
         let inputs = vec![(); n];
         let seq = run_pn::<MaxDegreeProbe>(&g, &7, &inputs, 100).unwrap();
         for t in [2, 3, 8] {
-            let par = run_engine::<MaxDegreeProbe, PortNumbering>(&g, &7, &inputs, 100, t).unwrap();
+            let mut pool = RoundPool::new(t);
+            let par = PnEngine::<MaxDegreeProbe>::new(&g, &7, &inputs, Some(&mut pool))
+                .unwrap()
+                .run(100, &mut EngineScratch::new())
+                .unwrap();
             assert_eq!(par.outputs, seq.outputs, "threads={t}");
             assert_eq!(par.trace, seq.trace, "threads={t}");
         }
@@ -1125,7 +1077,7 @@ mod tests {
         let g = star(4);
         // Leaves halt at round 1, the hub at round 3.
         let inputs = vec![3u64, 1, 1, 1, 1];
-        let mut engine = PnEngine::<Staggered>::new(&g, &(), &inputs, 1).unwrap();
+        let mut engine = PnEngine::<Staggered>::new(&g, &(), &inputs, None).unwrap();
         assert_eq!(engine.frontier_len(), 5);
         engine.step();
         assert_eq!(engine.frontier_len(), 1); // only the hub remains
@@ -1163,7 +1115,6 @@ mod tests {
             &(),
             &inputs,
             20,
-            1,
             &mut EngineScratch::new(),
             &mut tally,
         )
@@ -1243,11 +1194,11 @@ mod tests {
         // build per broadcast round); a silent fallback to per-node sorting
         // would leave the counter at zero.
         let g = star(40);
-        let mut engine = BcastEngine::<DegreeCensus>::new(&g, &(), &[(); 41], 1).unwrap();
+        let mut engine = BcastEngine::<DegreeCensus>::new(&g, &(), &[(); 41], None).unwrap();
         engine.step();
         assert_eq!(engine.canon_rounds(), 1);
 
-        let mut pn = PnEngine::<MaxDegreeProbe>::new(&g, &2, &[(); 41], 1).unwrap();
+        let mut pn = PnEngine::<MaxDegreeProbe>::new(&g, &2, &[(); 41], None).unwrap();
         pn.step();
         assert_eq!(pn.canon_rounds(), 0, "port numbering never builds the table");
     }
@@ -1258,7 +1209,11 @@ mod tests {
         let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
         let g = Graph::from_edges(n, &edges).unwrap();
         let seq = run_bcast::<DegreeCensus>(&g, &(), &vec![(); n], 5).unwrap();
-        let par = run_engine::<DegreeCensus, Broadcast>(&g, &(), &vec![(); n], 5, 4).unwrap();
+        let mut pool = RoundPool::new(4);
+        let par = BcastEngine::<DegreeCensus>::new(&g, &(), &vec![(); n], Some(&mut pool))
+            .unwrap()
+            .run(5, &mut EngineScratch::new())
+            .unwrap();
         assert_eq!(seq.outputs, par.outputs);
         assert_eq!(seq.trace, par.trace);
     }
@@ -1378,27 +1333,15 @@ mod tests {
             let g = Graph::from_edges(n, &edges).unwrap();
             let inputs: Vec<u64> = (0..n as u64).map(|v| v % 7 + 1).collect();
             let fresh = run_engine::<Staggered, PortNumbering>(&g, &(), &inputs, 20, 1).unwrap();
-            let reused = run_engine_scratch::<Staggered, PortNumbering>(
-                &g,
-                &(),
-                &inputs,
-                20,
-                1,
-                &mut scratch,
-            )
-            .unwrap();
+            let reused =
+                run_engine_scratch::<Staggered, PortNumbering>(&g, &(), &inputs, 20, &mut scratch)
+                    .unwrap();
             assert_eq!(reused.outputs, fresh.outputs, "n={n}");
             assert_eq!(reused.trace, fresh.trace, "n={n}");
             // Error path recycles too and reports identically.
-            let err = run_engine_scratch::<Staggered, PortNumbering>(
-                &g,
-                &(),
-                &inputs,
-                3,
-                1,
-                &mut scratch,
-            )
-            .unwrap_err();
+            let err =
+                run_engine_scratch::<Staggered, PortNumbering>(&g, &(), &inputs, 3, &mut scratch)
+                    .unwrap_err();
             assert!(matches!(err, SimError::RoundLimit { limit: 3, .. }), "n={n}");
         }
     }
@@ -1416,7 +1359,7 @@ mod tests {
         // messages: one per arc per round, 64 bits each.
         let g = star(3);
         let inputs = vec![1u64; 4];
-        let mut a = PnEngine::<Staggered>::new(&g, &(), &inputs, 1).unwrap();
+        let mut a = PnEngine::<Staggered>::new(&g, &(), &inputs, None).unwrap();
         for _ in 0..4 {
             a.step();
         }
@@ -1430,7 +1373,7 @@ mod tests {
         // round still delivers every node's default broadcast along each
         // incident arc.
         let g = star(3);
-        let mut a = BcastEngine::<DegreeCensus>::new(&g, &(), &[(); 4], 1).unwrap();
+        let mut a = BcastEngine::<DegreeCensus>::new(&g, &(), &[(); 4], None).unwrap();
         assert!(a.step());
         for _ in 0..3 {
             a.step();

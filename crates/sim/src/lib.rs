@@ -14,11 +14,11 @@
 //!   [`delivery::PortNumbering`] and [`delivery::Broadcast`];
 //! * [`engine::Engine`] — the **single** generic round core. [`PnEngine`]
 //!   and [`BcastEngine`] are thin typed façades (type aliases) over it, so
-//!   the send/receive phase scaffolding, scoped-thread partitioning,
+//!   the send/receive phase scaffolding, partitioning,
 //!   instrumentation and the fault-injection hooks exist exactly once;
-//! * [`batch::BatchRunner`] — batched multi-instance execution: many
-//!   independent (graph, config, inputs) instances across one worker pool —
-//!   the "serve many requests" entry point;
+//! * [`batch::BatchRunner`] — batched multi-instance execution: one
+//!   function mapped over many independent instances across one worker
+//!   pool — the "serve many requests" entry point;
 //! * [`cover`] — k-fold covering lifts, turning the §7 symmetry theorems into
 //!   executable invariants.
 //!
@@ -31,16 +31,17 @@
 //! The **`Trace` semantics are the model's**: message and bit counts follow
 //! the all-nodes-send accounting (halted nodes keep sending empty default
 //! messages), and property tests assert bit-identical outputs and traces,
-//! across thread counts, against a naive reference that sweeps every node.
+//! across pool widths, against a naive reference that sweeps every node.
 //!
 //! The parallel path fans contiguous node ranges — balanced by arc weight,
 //! so skewed-degree graphs don't serialise behind one part — over a
-//! **persistent** [`pool::RoundPool`] spawned once per engine (or once per
-//! [`EngineScratch`], which parks it between runs) and parked on a barrier
-//! between rounds; the monotone `Delivery::slot_span` keeps each range's
-//! message slots a disjoint `&mut` slice, and results are bit-identical to
-//! the sequential path. Thread counts resolve through [`pool`]: `0` = auto,
-//! and the spawned worker width is capped at the machine's available
+//! **persistent** [`pool::RoundPool`] that the caller owns and the engine
+//! borrows, one part per worker, parked on a condvar gate between rounds;
+//! the monotone `Delivery::slot_span` keeps each range's message slots a
+//! disjoint `&mut` slice, and results are bit-identical to the sequential
+//! path. Batches and rounds share one fan-out loop,
+//! [`pool::for_each_with`]. Thread counts resolve through [`pool`]: `0` =
+//! auto, and the worker width is capped at the machine's available
 //! parallelism.
 //!
 //! The crate contains exactly one `unsafe` block: the lifetime erasure that
@@ -59,7 +60,7 @@ pub mod graph;
 pub mod model;
 pub mod pool;
 
-pub use batch::{BatchRunner, BcastJob, Job, PnJob};
+pub use batch::BatchRunner;
 pub use bipartite::{SetCoverError, SetCoverInstance};
 pub use delivery::{
     Broadcast, CanonTable, Delivery, GatherScratch, Outbox, PortNumbering, Senders, WordHasher,

@@ -1,5 +1,5 @@
-//! A persistent **round-worker pool**: the fix for the multithreaded engine
-//! slowdown.
+//! A persistent **round-worker pool** and the one fan-out loop that every
+//! parallel caller runs on it.
 //!
 //! The engine's two round phases used to fan out over `std::thread::scope`,
 //! paying an OS thread spawn + join per worker **twice per round** — tens of
@@ -8,36 +8,47 @@
 //! workers exactly once and parks them on a condvar gate between uses, so
 //! the per-round cost drops from thread creation to two condvar handoffs.
 //!
+//! ## One pull loop
+//!
+//! [`for_each_with`] is the only fan-out: the pool's workers pull items from
+//! one shared, `Mutex`-guarded iterator until it runs dry, each building its
+//! per-worker state once, on its first item. The engine hands it the lazy
+//! chain of its parts' `&mut` buffer chunks, so a multi-part round neither
+//! collects a task list nor allocates anything else; [`map_with`] (and
+//! [`RoundPool::map`] on top of it) is a thin in-order adapter that zips
+//! each task with its own result slot. With no pool, a width-1 pool or at
+//! most one item, the loop runs inline on the caller.
+//!
 //! ## Lifecycle
 //!
 //! * [`RoundPool::new`]`(width)` spawns `width - 1` OS threads; the calling
 //!   thread is worker 0. A pool of width 1 spawns nothing and runs jobs
-//!   inline.
+//!   inline. `new` never clamps its width.
 //! * [`RoundPool::run`] executes one *job* — `f(worker_index)` on every
 //!   worker concurrently — and returns when all of them have finished.
-//!   [`RoundPool::map`] layers task-pulling fan-out on top.
-//! * The engine keeps its pool inside [`EngineScratch`]
-//!   (`Engine::with_scratch` takes it out, `Engine::finish_scratch` puts it
-//!   back), so one pool survives across rounds **and** across engine
-//!   constructions. [`with_local_pool`] offers the same reuse per OS thread
-//!   for callers without a scratch (the batch runner, the service layer).
+//! * The caller owns the pool and lends it out: an engine borrows it for
+//!   its lifetime (`Engine::new(.., Some(&mut pool))`) and splits every
+//!   round into one part per worker, and a batch borrows it for one
+//!   [`map_with`]. [`with_local_pool`] caches one pool per OS thread, so
+//!   the batch runner, `run_engine` and the service layer spawn their
+//!   workers once per thread, not once per call.
 //! * Dropping the pool releases the workers and joins them.
 //!
 //! ## Thread-count policy
 //!
-//! [`resolve_threads`] maps the user-facing count to a partition granularity
-//! (`0` = auto = the machine's available parallelism) and [`clamp_width`]
-//! caps the number of OS workers actually spawned at
+//! A user-facing thread count becomes a pool width in two steps:
+//! [`resolve_threads`] maps `0` (auto) to the machine's available
+//! parallelism, and [`clamp_width`] caps the result at
 //! [`std::thread::available_parallelism`], logging once per process when a
-//! request is lowered. Requests beyond the hardware keep their *partition*
-//! count (work splitting stays deterministic and testable on any box) but
-//! never oversubscribe the machine with parked threads — worker `w` simply
-//! pulls several parts per round.
+//! request is lowered — parked workers beyond the cores only add scheduler
+//! pressure. [`with_threads`] applies both and lends this thread's pool.
+//! A caller that wants exactly `k` workers on any box (the engine's
+//! multi-part tests) builds `RoundPool::new(k)` itself.
 //!
 //! ## Safety
 //!
 //! Handing a borrowing closure to persistent threads requires erasing its
-//! lifetime — the one `unsafe` block in this crate (see [`ErasedJob`]). It
+//! lifetime — the one `unsafe` block in this crate (see `ErasedJob`). It
 //! is sound because of the gate protocol in [`RoundPool::run`]: the job
 //! pointer is published (under the state mutex) when the generation counter
 //! advances, workers dereference it only before decrementing the
@@ -50,7 +61,6 @@
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
 use std::thread::JoinHandle;
 
@@ -218,7 +228,7 @@ impl RoundPool {
         }
     }
 
-    /// Fans `tasks` out over the workers (shared-counter pulling, so a slow
+    /// Fans `tasks` out over the workers (pulled one at a time, so a slow
     /// task does not serialise the rest behind a fixed assignment) and
     /// returns the results **in task order**. Equivalent to
     /// `tasks.map(f)` run sequentially — bit-identical results, tested.
@@ -278,57 +288,60 @@ fn worker_loop(idx: usize, shared: &Shared) {
     }
 }
 
-/// [`RoundPool::map`] with an optional pool and per-worker state: `None`
-/// (or a width-1 pool, or a single task) degrades to a plain sequential loop
-/// with identical results. This keeps the task-construction code of pooled
-/// and sequential callers literally the same, so the sequential path
-/// exercises the exact zip/merge logic the pooled path runs.
+/// The one fan-out loop: every worker of `pool` pulls items from the shared
+/// iterator until it is exhausted and calls `f` on each, with per-worker
+/// state that `init` builds on the worker's first item (so `init` runs at
+/// most `width` times), letting a caller recycle allocations such as an
+/// [`EngineScratch`](crate::engine::EngineScratch) across items. Items are
+/// pulled in iterator order, one at a time under the lock; `f` runs outside
+/// it. Results must not depend on which worker ran an item.
 ///
-/// Each worker builds its state with `init` on its first task and hands it
-/// to every task it pulls after that (so `init` runs at most `width` times),
-/// letting a caller recycle allocations such as an
-/// [`EngineScratch`](crate::engine::EngineScratch) across tasks. Results
-/// must not depend on which worker ran a task; pass `|| ()` when there is
-/// no state.
+/// `None`, a width-1 pool, or an iterator that can yield at most one item
+/// runs the loop inline on the caller. The loop allocates nothing itself.
+pub fn for_each_with<I: Iterator + Send, S>(
+    pool: Option<&mut RoundPool>,
+    items: I,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, I::Item) + Sync,
+) {
+    match pool {
+        Some(pool) if pool.width() > 1 && items.size_hint().1.map_or(true, |n| n > 1) => {
+            let items = Mutex::new(items);
+            pool.run(&|_worker| {
+                let mut state = None;
+                loop {
+                    // The guard is a temporary: `f` runs with the lock free.
+                    let Some(item) = items.lock().expect("pool items poisoned").next() else {
+                        break;
+                    };
+                    f(state.get_or_insert_with(&init), item);
+                }
+            });
+        }
+        _ => {
+            let mut state = init();
+            items.for_each(|item| f(&mut state, item));
+        }
+    }
+}
+
+/// [`for_each_with`] collecting `f(state, index, task)` **in task order**:
+/// each task carries its own result slot. Equivalent to a sequential map —
+/// bit-identical results, tested.
 pub fn map_with<S, T: Send, R: Send>(
     pool: Option<&mut RoundPool>,
     tasks: Vec<T>,
     init: impl Fn() -> S + Sync,
     f: impl Fn(&mut S, usize, T) -> R + Sync,
 ) -> Vec<R> {
-    match pool {
-        Some(pool) if pool.width() > 1 && tasks.len() > 1 => {
-            let slots: Vec<Mutex<(Option<T>, Option<R>)>> =
-                tasks.into_iter().map(|t| Mutex::new((Some(t), None))).collect();
-            let next = AtomicUsize::new(0);
-            pool.run(&|_worker| {
-                let mut state = None;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots.len() {
-                        break;
-                    }
-                    // Uncontended: each slot is claimed by exactly one worker.
-                    let mut slot = slots[i].lock().expect("task slot poisoned");
-                    let task = slot.0.take().expect("task claimed once");
-                    slot.1 = Some(f(state.get_or_insert_with(&init), i, task));
-                }
-            });
-            slots
-                .into_iter()
-                .map(|m| m.into_inner().expect("task slot poisoned").1.expect("every task ran"))
-                .collect()
-        }
-        _ => {
-            let mut state = init();
-            tasks.into_iter().enumerate().map(|(i, t)| f(&mut state, i, t)).collect()
-        }
-    }
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(tasks.len()).collect();
+    let tasks = tasks.into_iter().enumerate().zip(&mut slots);
+    for_each_with(pool, tasks, init, |state, ((i, task), slot)| *slot = Some(f(state, i, task)));
+    slots.into_iter().map(|r| r.expect("every task ran")).collect()
 }
 
 thread_local! {
-    /// One reusable pool per OS thread, for callers without an
-    /// [`EngineScratch`](crate::engine::EngineScratch) to park a pool in.
+    /// One reusable pool per OS thread (see [`with_local_pool`]).
     static LOCAL_POOL: RefCell<Option<RoundPool>> = const { RefCell::new(None) };
 }
 
@@ -359,6 +372,16 @@ pub fn with_local_pool<R>(width: usize, f: impl FnOnce(&mut RoundPool) -> R) -> 
     f(guard.0.as_mut().expect("pool present until drop"))
 }
 
+/// Lends `f` this thread's cached pool at the width a user-facing thread
+/// count resolves to ([`resolve_threads`], then [`clamp_width`]), or `None`
+/// when that width is 1.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce(Option<&mut RoundPool>) -> R) -> R {
+    match clamp_width(resolve_threads(threads)) {
+        1 => f(None),
+        width => with_local_pool(width, |pool| f(Some(pool))),
+    }
+}
+
 /// The machine's available parallelism (cached; 1 when unknown).
 pub fn hardware_threads() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
@@ -366,8 +389,8 @@ pub fn hardware_threads() -> usize {
 }
 
 /// Resolves a user-facing thread count: `0` means **auto** (the machine's
-/// available parallelism); any explicit count is kept as the partition
-/// granularity. Pair with [`clamp_width`] for the OS-worker width.
+/// available parallelism); any explicit count is kept. Pair with
+/// [`clamp_width`] for the pool width.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         hardware_threads()
@@ -379,19 +402,15 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Caps a resolved thread count at the machine's available parallelism —
 /// spawning more parked workers than cores only adds scheduler pressure.
 /// Logs once per process when a request is lowered, so oversubscribed
-/// configurations are no longer silent.
-///
-/// Setting `ANONET_ALLOW_OVERSUBSCRIBE=1` disables the cap — a deliberate
-/// escape hatch so correctness suites exercise real multi-worker pools even
-/// on single-core boxes (width never affects results, only scheduling).
+/// configurations are never silent.
 pub fn clamp_width(resolved: usize) -> usize {
     let hw = hardware_threads();
-    if resolved > hw && !oversubscribe_allowed() {
+    if resolved > hw {
         static WARN: Once = Once::new();
         WARN.call_once(|| {
             eprintln!(
                 "anonet-sim: {resolved} threads requested, capping the worker pool at the \
-                 available parallelism ({hw}); partitioning keeps the requested granularity"
+                 available parallelism ({hw})"
             );
         });
         hw
@@ -400,16 +419,10 @@ pub fn clamp_width(resolved: usize) -> usize {
     }
 }
 
-/// Read per call (not cached): tests set the variable at startup and must
-/// not race a first-caller cache.
-fn oversubscribe_allowed() -> bool {
-    std::env::var("ANONET_ALLOW_OVERSUBSCRIBE").is_ok_and(|v| v == "1")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn map_matches_sequential_for_every_width() {
@@ -536,11 +549,7 @@ mod tests {
         assert_eq!(resolve_threads(0), hw);
         assert_eq!(resolve_threads(3), 3);
         assert_eq!(clamp_width(1), 1);
-        // The cap assertion only holds without the documented escape hatch
-        // (developers are told to run suites with it on small boxes).
-        if !oversubscribe_allowed() {
-            assert_eq!(clamp_width(hw + 7), hw);
-        }
+        assert_eq!(clamp_width(hw + 7), hw);
         assert_eq!(clamp_width(0), 1); // degenerate input still yields a worker
     }
 }

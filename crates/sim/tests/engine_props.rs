@@ -1,7 +1,7 @@
 //! Property tests for the simulator: the unified engine, which sweeps only
 //! the not-yet-halted frontier, is bit-identical — outputs *and* traces — to
 //! a naive seed-semantics reference that sweeps every node every round,
-//! across thread counts for both delivery models (on random graphs and on
+//! across pool widths for both delivery models (on random graphs and on
 //! graphs with isolated nodes) and for algorithms that
 //! mix uniform and per-port sends; every adopter's uniform send agrees with
 //! its per-port send; broadcast is sender-oblivious under arbitrary port
@@ -15,18 +15,30 @@ use anonet_bigmath::BigRat;
 use anonet_core::vc_pn::{EdgePackingNode, VcConfig};
 use anonet_sim::cover::{check_lift_outputs, lift};
 use anonet_sim::{
-    run_bcast, run_engine, run_engine_scratch, run_pn, BcastAlgorithm, Broadcast, EngineScratch,
-    Graph, MessageSize, PnAlgorithm, PnEngine, PortNumbering, RunResult, Trace,
+    run_bcast, run_pn, BcastAlgorithm, Broadcast, Delivery, Engine, EngineScratch, Graph,
+    MessageSize, PnAlgorithm, PnEngine, PortNumbering, RoundPool, RunResult, SimError, Trace,
 };
 use proptest::prelude::*;
 use std::fmt::Debug;
 
-/// These suites must exercise the *real* pooled multi-part path even on a
-/// single-core runner, where the worker-width cap would otherwise collapse
-/// every multi-threaded case to the sequential engine: disable the cap
-/// (width never affects results, only scheduling — which is the point).
-fn allow_oversubscribe() {
-    std::env::set_var("ANONET_ALLOW_OVERSUBSCRIBE", "1");
+/// One pool per part count the multi-part checks run at. `RoundPool::new`
+/// never clamps, so each pool splits every round into that many parts and
+/// runs them on that many real workers, even on a one-core box.
+fn pools() -> [RoundPool; 4] {
+    [1, 2, 4, 8].map(RoundPool::new)
+}
+
+/// Runs `A` under `D` to completion on `pool`, one part per worker, through
+/// `scratch`.
+fn run_on<A: Send + Sync, D: Delivery<A>>(
+    g: &Graph,
+    cfg: &D::Config,
+    inputs: &[D::Input],
+    limit: u64,
+    pool: &mut RoundPool,
+    scratch: &mut EngineScratch<A, D>,
+) -> Result<RunResult<D::Output>, SimError> {
+    Engine::<A, D>::with_scratch(g, cfg, inputs, Some(pool), scratch)?.run(limit, scratch)
 }
 
 /// A PN test algorithm with non-trivial state: iterated neighbourhood
@@ -316,9 +328,8 @@ fn reference_bcast<A: BcastAlgorithm>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Tentpole acceptance: the unified engine — any thread count (`0` =
-    /// auto), fresh or **reused scratch** (the reused path also parks and
-    /// revives the persistent round pool) — is bit-identical (outputs and
+    /// Tentpole acceptance: the unified engine — on 1, 2, 4 and 8 parts,
+    /// fresh or with **reused scratch** — is bit-identical (outputs and
     /// Trace) to the seed-semantics reference, in the port-numbering model,
     /// on a random graph and on the [`isolated_graphs`].
     #[test]
@@ -328,20 +339,20 @@ proptest! {
         seed in any::<u64>(),
         spread in 1u64..7,
     ) {
-        allow_oversubscribe();
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let limit = spread + 2;
+        let mut pools = pools();
         for g in std::iter::once(seeded_gnp(n, p, seed)).chain(isolated_graphs(n)) {
             let base = reference_pn::<StaggerHash>(&g, &spread, &inputs, limit);
             let mut scratch = EngineScratch::new();
-            for threads in [0usize, 1, 2, 4, 8] {
-                let res =
-                    run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, threads)
-                        .unwrap();
+            for pool in &mut pools {
+                let threads = pool.width();
+                let res = run_on::<StaggerHash, PortNumbering>(
+                    &g, &spread, &inputs, limit, pool, &mut EngineScratch::new()).unwrap();
                 prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
                 prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
-                let reused = run_engine_scratch::<StaggerHash, PortNumbering>(
-                    &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
+                let reused = run_on::<StaggerHash, PortNumbering>(
+                    &g, &spread, &inputs, limit, pool, &mut scratch).unwrap();
                 prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
                 prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
             }
@@ -350,8 +361,8 @@ proptest! {
 
     /// Uniform sends: an algorithm whose nodes mix uniform and per-port
     /// rounds is bit-identical to the reference, which only ever calls the
-    /// per-port `send` — with fixed-width and variable-width messages, at
-    /// every thread count, fresh and with reused scratch.
+    /// per-port `send` — with fixed-width and variable-width messages, on
+    /// every part count, fresh and with reused scratch.
     #[test]
     fn pn_mixed_uniform_sends_bit_identical_to_reference(
         n in 2usize..40,
@@ -359,7 +370,6 @@ proptest! {
         seed in any::<u64>(),
         spread in 1u64..7,
     ) {
-        allow_oversubscribe();
         let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let limit = spread + 2;
@@ -375,20 +385,20 @@ proptest! {
         seed in any::<u64>(),
         spread in 1u64..6,
     ) {
-        allow_oversubscribe();
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul((seed >> 1) | 1)).collect();
         let limit = spread + 2;
+        let mut pools = pools();
         for g in std::iter::once(seeded_gnp(n, p, seed)).chain(isolated_graphs(n)) {
             let base = reference_bcast::<StaggerCensus>(&g, &spread, &inputs, limit);
             let mut scratch = EngineScratch::new();
-            for threads in [0usize, 1, 2, 4, 8] {
-                let res =
-                    run_engine::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, threads)
-                        .unwrap();
+            for pool in &mut pools {
+                let threads = pool.width();
+                let res = run_on::<StaggerCensus, Broadcast>(
+                    &g, &spread, &inputs, limit, pool, &mut EngineScratch::new()).unwrap();
                 prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
                 prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
-                let reused = run_engine_scratch::<StaggerCensus, Broadcast>(
-                    &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
+                let reused = run_on::<StaggerCensus, Broadcast>(
+                    &g, &spread, &inputs, limit, pool, &mut scratch).unwrap();
                 prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
                 prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
             }
@@ -399,7 +409,7 @@ proptest! {
     /// backbone, i.e. a power-law-flavoured degree profile — are exactly the
     /// shape whose arcs the old node-count partition crammed into one part.
     /// The arc-weight partition must keep outputs and Trace bit-identical to
-    /// the reference for every thread count and scratch reuse (this case would have caught an imbalance-fix bug; the balance
+    /// the reference for every part count and scratch reuse (this case would have caught an imbalance-fix bug; the balance
     /// itself is asserted by the `partition_weighted` unit tests).
     #[test]
     fn pn_engine_bit_identical_on_skewed_degrees(
@@ -409,15 +419,15 @@ proptest! {
     ) {
         let mut edges: Vec<(usize, usize)> = (1..n).map(|v| (0, v)).collect();
         edges.extend((2..n).map(|v| (v, v / 2))); // v/2 >= 1, never a star duplicate
-        allow_oversubscribe();
         let g = Graph::from_edges(n, &edges).unwrap();
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let limit = spread + 2;
         let base = reference_pn::<StaggerHash>(&g, &spread, &inputs, limit);
         let mut scratch = EngineScratch::new();
-        for threads in [1usize, 2, 4, 8] {
-            let res = run_engine_scratch::<StaggerHash, PortNumbering>(
-                &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
+        for pool in &mut pools() {
+            let threads = pool.width();
+            let res = run_on::<StaggerHash, PortNumbering>(
+                &g, &spread, &inputs, limit, pool, &mut scratch).unwrap();
             prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
             prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
         }
@@ -433,15 +443,15 @@ proptest! {
     ) {
         let mut edges: Vec<(usize, usize)> = (1..n).map(|v| (0, v)).collect();
         edges.extend((2..n).map(|v| (v, v / 2))); // v/2 >= 1, never a star duplicate
-        allow_oversubscribe();
         let g = Graph::from_edges(n, &edges).unwrap();
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul((seed >> 1) | 1)).collect();
         let limit = spread + 2;
         let base = reference_bcast::<StaggerCensus>(&g, &spread, &inputs, limit);
         let mut scratch = EngineScratch::new();
-        for threads in [1usize, 2, 4, 8] {
-            let res = run_engine_scratch::<StaggerCensus, Broadcast>(
-                &g, &spread, &inputs, limit, threads, &mut scratch).unwrap();
+        for pool in &mut pools() {
+            let threads = pool.width();
+            let res = run_on::<StaggerCensus, Broadcast>(
+                &g, &spread, &inputs, limit, pool, &mut scratch).unwrap();
             prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
             prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
         }
@@ -455,12 +465,12 @@ proptest! {
         rounds in 1u64..6,
         threads in 2usize..9,
     ) {
-        allow_oversubscribe();
         let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let a = run_pn::<ViewHash>(&g, &rounds, &inputs, rounds + 1).unwrap();
-        let b = run_engine::<ViewHash, PortNumbering>(&g, &rounds, &inputs, rounds + 1, threads)
-            .unwrap();
+        let mut pool = RoundPool::new(threads);
+        let b = run_on::<ViewHash, PortNumbering>(
+            &g, &rounds, &inputs, rounds + 1, &mut pool, &mut EngineScratch::new()).unwrap();
         prop_assert_eq!(&a.outputs, &b.outputs);
         prop_assert_eq!(&a.trace, &b.trace);
     }
@@ -542,8 +552,8 @@ proptest! {
     }
 }
 
-/// [`MixedHash`] with message type `M` at threads {0, 1, 2, 4, 8}, fresh
-/// and with reused scratch, against the per-arc reference.
+/// [`MixedHash`] with message type `M` on 1, 2, 4 and 8 parts, fresh and
+/// with reused scratch, against the per-arc reference.
 fn check_mixed<M: MixMsg>(
     g: &Graph,
     spread: u64,
@@ -552,20 +562,22 @@ fn check_mixed<M: MixMsg>(
 ) -> Result<(), TestCaseError> {
     let base = reference_pn::<MixedHash<M>>(g, &spread, inputs, limit);
     let mut scratch = EngineScratch::new();
-    for threads in [0usize, 1, 2, 4, 8] {
-        let res =
-            run_engine::<MixedHash<M>, PortNumbering>(g, &spread, inputs, limit, threads).unwrap();
-        prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
-        prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
-        let reused = run_engine_scratch::<MixedHash<M>, PortNumbering>(
+    for pool in &mut pools() {
+        let threads = pool.width();
+        let res = run_on::<MixedHash<M>, PortNumbering>(
             g,
             &spread,
             inputs,
             limit,
-            threads,
-            &mut scratch,
+            pool,
+            &mut EngineScratch::new(),
         )
         .unwrap();
+        prop_assert_eq!(&res.outputs, &base.outputs, "t={}", threads);
+        prop_assert_eq!(&res.trace, &base.trace, "t={}", threads);
+        let reused =
+            run_on::<MixedHash<M>, PortNumbering>(g, &spread, inputs, limit, pool, &mut scratch)
+                .unwrap();
         prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={}", threads);
         prop_assert_eq!(&reused.trace, &base.trace, "scratch t={}", threads);
     }
@@ -587,7 +599,7 @@ fn uniform_sends_agree<A: PnAlgorithm>(
 where
     A::Msg: PartialEq + Debug,
 {
-    let mut engine = PnEngine::<A>::new(g, cfg, inputs, 1).unwrap();
+    let mut engine = PnEngine::<A>::new(g, cfg, inputs, None).unwrap();
     let (mut uniform, mut per_port) = (0, 0);
     while engine.round() < limit {
         let round = engine.round() + 1;

@@ -1,32 +1,44 @@
 //! A warm engine run allocates nothing: once an [`EngineScratch`] has seen
-//! an instance, running the same instance through it again on one thread
-//! makes no heap allocation from [`Engine::with_scratch`] through the last
-//! [`Engine::step`]. That covers the construction's refill of the recycled
-//! vectors, the one-part sweeps (which build no task list), the partition
-//! refresh of every round in which nodes halt, and the broadcast rank
-//! table.
+//! an instance, running the same instance through it again makes no heap
+//! allocation from [`Engine::with_scratch`] through the last
+//! [`Engine::step`] — on one part, and on two parts fanned out over a
+//! 2-worker [`RoundPool`]. That covers the construction's refill of the
+//! recycled vectors, the sweeps of every part (which build no task list,
+//! pooled or not), the partition refresh of every round in which nodes
+//! halt, and the broadcast rank table.
 //!
-//! Allocations are counted by a `System`-forwarding global allocator into a
-//! thread-local counter, so tests running in parallel on other threads do
-//! not disturb the count.
+//! Allocations are counted by a `System`-forwarding global allocator. A
+//! one-part run is counted in a thread-local counter, so tests running in
+//! parallel on other threads do not disturb the count. A pooled run also
+//! executes on the pool's worker, so it is counted process-wide, on every
+//! thread *enlisted* into the count: the test thread and, through one
+//! [`RoundPool::run`], each of the pool's workers. Only one test enlists
+//! threads, so the process-wide counter is its alone.
 
 use anonet_sim::{
     BcastAlgorithm, Broadcast, Delivery, Engine, EngineScratch, Graph, PnAlgorithm, PortNumbering,
+    RoundPool,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ENLISTED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Forwards to [`System`], counting every allocation on the calling thread
-/// (`realloc` and `alloc_zeroed` go through `alloc` by default).
+/// Allocations made on enlisted threads, process-wide.
+static ENLISTED_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Forwards to [`System`], counting every allocation on the calling thread,
+/// and on enlisted threads also process-wide (`realloc` and `alloc_zeroed`
+/// go through `alloc` by default).
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell`, which never allocates.
+// upholds the `GlobalAlloc` contract; the counters are const-initialised
+// thread-local `Cell`s and a static atomic, which never allocate.
 // lint: allow(unsafe-audit) — a counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: forwarded to `System.alloc` with the caller's layout.
@@ -35,6 +47,9 @@ unsafe impl GlobalAlloc for Counting {
         // `try_with`: a thread's own teardown may allocate after its
         // thread-locals are gone.
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        if ENLISTED.try_with(Cell::get).unwrap_or(false) {
+            ENLISTED_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         System.alloc(layout)
     }
 
@@ -154,16 +169,21 @@ fn graph() -> Graph {
     Graph::from_edges(n + 1, &edges).unwrap()
 }
 
-/// Runs the instance twice through one scratch on one thread and returns
-/// the allocations the second run made from construction through its last
-/// round.
-fn warm_run_allocs<A: Send + Sync, D: Delivery<A, Input = u64, Config = ()>>(g: &Graph) -> u64 {
+/// Runs the instance twice through one scratch, on `pool` when given (one
+/// part otherwise), and returns what `allocs` counted during the second
+/// run, from construction through its last round.
+fn warm_run_allocs<A: Send + Sync, D: Delivery<A, Input = u64, Config = ()>>(
+    g: &Graph,
+    mut pool: Option<&mut RoundPool>,
+    allocs: fn() -> u64,
+) -> u64 {
     let inputs: Vec<u64> = (0..g.n() as u64).collect();
     let mut scratch = EngineScratch::<A, D>::new();
     let mut counted = u64::MAX;
     for _ in 0..2 {
         let before = allocs();
-        let mut engine = Engine::<A, D>::with_scratch(g, &(), &inputs, 1, &mut scratch).unwrap();
+        let pool = pool.as_deref_mut();
+        let mut engine = Engine::<A, D>::with_scratch(g, &(), &inputs, pool, &mut scratch).unwrap();
         while !engine.step() {
             assert!(engine.round() < 10, "every node halts by round 5");
         }
@@ -172,6 +192,10 @@ fn warm_run_allocs<A: Send + Sync, D: Delivery<A, Input = u64, Config = ()>>(g: 
         assert!(engine.finish_scratch(&mut scratch).is_some());
     }
     counted
+}
+
+fn enlisted_allocs() -> u64 {
+    ENLISTED_ALLOCS.load(Ordering::Relaxed)
 }
 
 #[test]
@@ -184,15 +208,31 @@ fn counter_sees_allocations() {
 
 #[test]
 fn warm_uniform_pn_run_allocates_nothing() {
-    assert_eq!(warm_run_allocs::<UniformHash, PortNumbering>(&graph()), 0);
+    assert_eq!(warm_run_allocs::<UniformHash, PortNumbering>(&graph(), None, allocs), 0);
 }
 
 #[test]
 fn warm_per_port_pn_run_allocates_nothing() {
-    assert_eq!(warm_run_allocs::<PortHash, PortNumbering>(&graph()), 0);
+    assert_eq!(warm_run_allocs::<PortHash, PortNumbering>(&graph(), None, allocs), 0);
 }
 
 #[test]
 fn warm_broadcast_run_allocates_nothing() {
-    assert_eq!(warm_run_allocs::<Census, Broadcast>(&graph()), 0);
+    assert_eq!(warm_run_allocs::<Census, Broadcast>(&graph(), None, allocs), 0);
+}
+
+#[test]
+fn warm_two_worker_runs_allocate_nothing() {
+    let mut pool = RoundPool::new(2);
+    // Enlist the test thread (worker 0) and the pool's spawned worker, and
+    // check that the counter sees an allocation on each of them.
+    pool.run(&|_| ENLISTED.with(|e| e.set(true)));
+    let before = enlisted_allocs();
+    pool.run(&|_| drop(std::hint::black_box(Box::new(0u64))));
+    assert_eq!(enlisted_allocs() - before, 2, "both workers are counted");
+    let (g, count) = (graph(), enlisted_allocs);
+    let pool = &mut pool;
+    assert_eq!(warm_run_allocs::<UniformHash, PortNumbering>(&g, Some(pool), count), 0);
+    assert_eq!(warm_run_allocs::<PortHash, PortNumbering>(&g, Some(pool), count), 0);
+    assert_eq!(warm_run_allocs::<Census, Broadcast>(&g, Some(pool), count), 0);
 }
