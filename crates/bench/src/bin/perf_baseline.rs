@@ -61,7 +61,9 @@ use anonet_core::vc_bcast::run_vc_broadcast;
 use anonet_core::vc_pn::run_edge_packing_with;
 use anonet_gen::{family, setcover, Rng, WeightSpec};
 use anonet_runtime::{run_async_pn, DelayModel, NetworkConfig};
-use anonet_service::loadgen::{drive, synthesize, DriveConfig, FamilyKind, LoopMode, WorkloadSpec};
+use anonet_service::loadgen::{
+    drive, synthesize, DriveConfig, FamilyKind, LoopMode, WorkloadSpec, PIPELINE_DEPTH,
+};
 use anonet_service::{ConnModel, Server, ServiceConfig, SolverId};
 use anonet_sim::pool::clamp_width;
 use anonet_sim::{
@@ -568,14 +570,14 @@ fn main() {
             .expect("bind reactor loopback");
             let cfg = DriveConfig {
                 addr: server.local_addr().to_string(),
-                concurrency: 1,
+                conns,
+                depth: PIPELINE_DEPTH,
                 requests: conns,
                 batch: 1,
                 mode: LoopMode::Closed,
                 no_cache: false,
                 scenario: None,
                 connect_timeout: Duration::from_secs(10),
-                conns,
             };
             let report = drive(SolverId::VC_PN, &blobs, &cfg).expect("conns drive");
             assert_eq!(

@@ -6,6 +6,8 @@
 //!
 //! Regenerate with:
 //! `cargo run --release -p anonet-bench --bin solver_portfolio [-- out.json]`
+//! (at the repository root, that rewrites the committed
+//! `BENCH_portfolio.json`, which `tests/golden.rs` pins byte for byte).
 //!
 //! Every reply's Bar-Yehuda–Even certificate is re-checked client-side
 //! (`den·w(C) ≤ num·Σy`, exact rational arithmetic), and where the exact

@@ -12,9 +12,15 @@
 //!
 //! `solver_portfolio` names the JSON file it writes in its stdout, so it
 //! runs with no argument, writing its default `BENCH_portfolio.json` into
-//! the working directory — here a temporary one.
+//! the working directory — here a temporary one. That file must match the
+//! `BENCH_portfolio.json` committed at the repository root, which is
+//! regenerated by running the bin there:
+//!
+//! ```text
+//! cargo run --release -p anonet-bench --bin solver_portfolio
+//! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Runs `exe` (in `dir` when given) and compares its stdout with the golden
@@ -32,11 +38,19 @@ fn check(bin: &str, exe: &str, dir: Option<&PathBuf>) {
         String::from_utf8_lossy(&out.stderr)
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden").join(format!("{bin}.txt"));
-    let want = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    if out.stdout == want {
+    let regen =
+        format!("cargo run --release -p anonet-bench --bin {bin} > crates/bench/golden/{bin}.txt");
+    assert_same(&format!("{bin}: stdout"), &out.stdout, &path, &regen);
+}
+
+/// Panics unless `got` equals the file at `path` byte for byte, naming the
+/// first differing line and the command `regen` that rewrites the file.
+fn assert_same(what: &str, got: &[u8], path: &Path, regen: &str) {
+    let want = std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    if got == want {
         return;
     }
-    let (got, want) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&want));
+    let (got, want) = (String::from_utf8_lossy(got), String::from_utf8_lossy(&want));
     let (mut got_lines, mut want_lines) = (got.lines(), want.lines());
     let mut line = 1;
     let (g, w) = loop {
@@ -47,9 +61,8 @@ fn check(bin: &str, exe: &str, dir: Option<&PathBuf>) {
         }
     };
     panic!(
-        "{bin}: stdout differs from {} at line {line}\n  golden: {}\n  actual: {}\n\
-         If the change is intended, regenerate the file by running the bin:\n  \
-         cargo run --release -p anonet-bench --bin {bin} > crates/bench/golden/{bin}.txt",
+        "{what} differs from {} at line {line}\n  golden: {}\n  actual: {}\n\
+         If the change is intended, regenerate the file:\n  {regen}",
         path.display(),
         w.unwrap_or("(end of output)"),
         g.unwrap_or("(end of output)"),
@@ -84,5 +97,13 @@ fn solver_portfolio() {
     let dir = std::env::temp_dir().join(format!("anonet-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create a scratch directory");
     check("solver_portfolio", env!("CARGO_BIN_EXE_solver_portfolio"), Some(&dir));
+    let json = std::fs::read(dir.join("BENCH_portfolio.json")).expect("read the written JSON");
     std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_portfolio.json");
+    assert_same(
+        "solver_portfolio: BENCH_portfolio.json",
+        &json,
+        &committed,
+        "cargo run --release -p anonet-bench --bin solver_portfolio  # at the repository root",
+    );
 }

@@ -151,12 +151,12 @@ impl Config {
             ]),
             determinism_exempt: s(&["crates/obs/src/clock.rs"]),
             // `RoundPool` (the engine's only parallelism), the service's
-            // accept/worker spawns, loadgen's scoped client threads, and
-            // the one thread the reactor event loop runs on.
+            // accept/worker spawns, and the one thread the reactor event
+            // loop runs on. loadgen multiplexes its connections on the
+            // caller's thread and spawns none.
             thread_files: s(&[
                 "crates/sim/src/pool.rs",
                 "crates/service/src/server.rs",
-                "crates/service/src/loadgen.rs",
                 "crates/service/src/reactor.rs",
             ]),
             // PR 4's hardening: service shared-state mutexes recover from
@@ -473,7 +473,8 @@ fn determinism(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
 /// PR 5 exists because ad-hoc `thread::scope` fan-out made `threads: 4`
 /// 1.8× *slower* than sequential. All engine parallelism routes through
 /// `sim::pool::RoundPool`; only the pool itself, the service accept/worker
-/// loops, and loadgen's client threads may touch `std::thread` spawning.
+/// loops and the reactor's event-loop thread may touch `std::thread`
+/// spawning.
 fn thread_discipline(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
     if cfg.thread_files.iter().any(|f| f == ctx.rel) {
         return;

@@ -3,10 +3,20 @@
 //! offered rate, and latency percentiles over solved requests — or do a
 //! single verified round-trip with `--once`.
 //!
+//! One driver thread multiplexes every connection. `--concurrency C`
+//! opens C connections with one request in flight each (the classic
+//! closed loop); `--conns N` opens N connections with
+//! `PIPELINE_DEPTH` requests in flight each. Give at most one of the two
+//! (the default is `--concurrency 2`). `--open RATE` sends on a fixed
+//! schedule of RATE requests/s over either, latency measured from each
+//! request's due time; without it the loop is closed.
+//!
 //! ```sh
 //! loadgen --addr 127.0.0.1:7411 --solver vc-pn --family regular \
 //!         --n 64 --degree 4 --instances 16 --requests 128 \
 //!         --concurrency 4 --assert-certified
+//! loadgen --addr 127.0.0.1:7411 --solver vc-pn --requests 400 \
+//!         --conns 8 --open 200 --assert-certified
 //! loadgen --addr 127.0.0.1:7411 --portfolio --requests 60 --assert-certified
 //! loadgen --addr 127.0.0.1:7411 --once --assert-certified
 //! loadgen --addr 127.0.0.1:7411 --stats
@@ -14,7 +24,7 @@
 
 use anonet_gen::WeightSpec;
 use anonet_service::loadgen::{
-    drive, drive_mixed, synthesize, DriveConfig, FamilyKind, LoopMode, WorkloadSpec,
+    drive, drive_mixed, synthesize, DriveConfig, FamilyKind, LoopMode, WorkloadSpec, PIPELINE_DEPTH,
 };
 use anonet_service::portfolio;
 use anonet_service::{Client, InstanceResult, SolveRequest, SolveResponse, SolverId};
@@ -28,6 +38,12 @@ fn usage() -> ! {
          \x20             [--conns N] [--open RATE] [--weights unit|uniform:W|loguniform:W]\n\
          \x20             [--seed S] [--no-cache] [--assert-certified] [--once] [--stats]\n\
          \x20             [--metrics-json] [--server-metrics] [--debug-dump]\n\
+         \n\
+         --concurrency C: C connections, 1 request in flight each (default 2)\n\
+         --conns N:       N connections, {PIPELINE_DEPTH} requests in flight each\n\
+         \x20                (give at most one of --concurrency and --conns)\n\
+         --open RATE:     send RATE requests/s on a fixed schedule, latency\n\
+         \x20                from each request's due time (default: closed loop)\n\
          \n\
          solvers: {}",
         portfolio::solvers()
@@ -94,6 +110,7 @@ fn main() {
     let (mut once, mut stats_only, mut assert_certified) = (false, false, false);
     let (mut metrics_json, mut server_metrics, mut debug_dump) = (false, false, false);
     let mut mixed_portfolio = false;
+    let (mut concurrency, mut conns) = (None, None);
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let f = flag.as_str();
@@ -120,8 +137,8 @@ fn main() {
             "--seed" => spec.seed = parse(f, &mut args),
             "--requests" => cfg.requests = parse(f, &mut args),
             "--batch" => cfg.batch = parse(f, &mut args),
-            "--concurrency" => cfg.concurrency = parse(f, &mut args),
-            "--conns" => cfg.conns = parse(f, &mut args),
+            "--concurrency" => concurrency = Some(parse(f, &mut args)),
+            "--conns" => conns = Some(parse(f, &mut args)),
             "--open" => cfg.mode = LoopMode::Open { rate: parse(f, &mut args) },
             "--no-cache" => cfg.no_cache = true,
             "--assert-certified" => assert_certified = true,
@@ -139,6 +156,15 @@ fn main() {
 
     if spec.instances == 0 || cfg.batch == 0 {
         fail("--instances and --batch must be at least 1");
+    }
+    (cfg.conns, cfg.depth) = match (concurrency, conns) {
+        (Some(_), Some(_)) => fail("--concurrency and --conns exclude each other: give one"),
+        (Some(c), None) => (c, 1),
+        (None, Some(n)) => (n, PIPELINE_DEPTH),
+        (None, None) => (cfg.conns, cfg.depth),
+    };
+    if cfg.conns == 0 {
+        fail("--concurrency and --conns must be at least 1");
     }
     if let LoopMode::Open { rate } = cfg.mode {
         if !rate.is_finite() || rate <= 0.0 {

@@ -30,14 +30,7 @@ impl Client {
     /// Connects, retrying until `timeout` elapses — for racing a freshly
     /// spawned server process (CI smoke jobs).
     pub fn connect_retry(addr: impl ToSocketAddrs + Copy, timeout: Duration) -> io::Result<Client> {
-        let start = Instant::now();
-        loop {
-            match Client::connect(addr) {
-                Ok(c) => return Ok(c),
-                Err(e) if start.elapsed() >= timeout => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(25)),
-            }
-        }
+        Ok(Client { stream: connect_retry(addr, timeout)? })
     }
 
     /// Sends `payload` and decodes the reply, which must be a `want` frame.
@@ -76,6 +69,25 @@ impl Client {
             MSG_DEBUG_DUMP_RESPONSE,
             wire::decode_debug_dump_response,
         )
+    }
+}
+
+/// Opens a `TCP_NODELAY` stream, retrying every 25 ms until `timeout`
+/// elapses.
+pub(crate) fn connect_retry(
+    addr: impl ToSocketAddrs + Copy,
+    timeout: Duration,
+) -> io::Result<TcpStream> {
+    let start = Instant::now();
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                return Ok(stream);
+            }
+            Err(e) if start.elapsed() >= timeout => return Err(e),
+            Err(_) => std::thread::sleep(Duration::from_millis(25)),
+        }
     }
 }
 

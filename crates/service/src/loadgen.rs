@@ -3,25 +3,43 @@
 //! requests/s) and **offered rate** (all round-trips/s) separately, plus
 //! latency percentiles over solved requests only.
 //!
-//! * **Closed loop**: `concurrency` connections each issue the next request
-//!   the moment the previous response lands — measures capacity.
-//! * **Open loop**: requests are released on a fixed schedule (`rate`
-//!   requests/second across the pool) and latency is measured from the
-//!   *scheduled* release time, so queueing delay is charged to the server
-//!   (no coordinated omission).
+//! One driver thread multiplexes [`DriveConfig::conns`] persistent
+//! nonblocking connections over epoll — the client-side twin of the
+//! server's reactor model, cheap enough to hold 10k connections from one
+//! process. Each connection keeps up to [`DriveConfig::depth`] requests in
+//! flight, and a request goes out, once due, on the next connection with a
+//! free slot.
+//!
+//! * **Closed loop**: every request is due at once, so each reply frees a
+//!   slot for the next request — this measures capacity. At depth 1 it is
+//!   the classic closed loop of `conns` clients. Latency runs from the
+//!   instant a request is enqueued on its connection. A `Busy` reply holds
+//!   that connection's next send for the reply's `retry_after_ms`.
+//! * **Open loop**: request `i` is due at `start + i / rate`, and latency
+//!   runs from that due time, so time spent waiting for a free slot is
+//!   charged to the request as well as queueing at the server (no
+//!   coordinated omission). The driver sleeps in `epoll_wait`, whose
+//!   timeout is in whole milliseconds, so a request may leave up to 1 ms
+//!   after it is due, and that lateness counts too. There is no backoff: a
+//!   pause would shift every later due time.
 //!
 //! Requests cycle through a pool of `instances` distinct canonical blobs;
 //! choosing `requests > instances` exercises the server's result cache.
 
-use crate::client::Client;
+use crate::client::{connect_retry, decode_reply};
 use crate::portfolio::{InstanceKind, SolverId};
-use crate::wire::{InstanceResult, Scenario, SolveRequest, SolveResponse};
+use crate::wire::{self, InstanceResult, Scenario, SolveRequest, SolveResponse};
 use anonet_core::canon;
 use anonet_gen::{family, setcover, WeightSpec};
+use anonet_net::epoll::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use anonet_net::{FrameFsm, WriteQueue};
 use anonet_obs::{Histo, HistoSnapshot, MetricValue, Snapshot};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::iter::repeat;
+use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 /// Graph family a workload draws from.
@@ -113,9 +131,11 @@ pub fn synthesize(spec: &WorkloadSpec) -> Vec<Vec<u8>> {
 /// Arrival discipline.
 #[derive(Clone, Copy, Debug)]
 pub enum LoopMode {
-    /// Back-to-back requests per connection.
+    /// Each reply frees its slot for the next request; latency runs from
+    /// enqueue.
     Closed,
-    /// Fixed-rate schedule (requests per second across the whole pool).
+    /// Fixed-rate schedule (requests per second across all connections);
+    /// latency runs from each request's due time.
     Open {
         /// Target request rate per second.
         rate: f64,
@@ -127,9 +147,13 @@ pub enum LoopMode {
 pub struct DriveConfig {
     /// Server address (`host:port`).
     pub addr: String,
-    /// Client connections (threads).
-    pub concurrency: usize,
-    /// Total requests to issue.
+    /// Connections, all multiplexed on the one driver thread.
+    pub conns: usize,
+    /// Requests each connection keeps in flight (pipelined). `1` is the
+    /// classic closed loop (`loadgen --concurrency`); `loadgen --conns`
+    /// uses [`PIPELINE_DEPTH`].
+    pub depth: usize,
+    /// Total requests to issue (at least one per connection).
     pub requests: usize,
     /// Instances per request (batched when > 1).
     pub batch: usize,
@@ -141,27 +165,20 @@ pub struct DriveConfig {
     pub scenario: Option<(Scenario, u64)>,
     /// Give up on connecting after this long.
     pub connect_timeout: Duration,
-    /// Persistent-connection count for the epoll-multiplexed mode
-    /// (`--conns`). `0` keeps the classic thread-per-client pool;
-    /// `N > 0` opens `N` nonblocking connections on **one** driver thread,
-    /// each pipelining up to [`PIPELINE_DEPTH`] requests — the client-side
-    /// twin of the server's reactor model, cheap enough to hold 10k
-    /// connections open from a single process.
-    pub conns: usize,
 }
 
 impl Default for DriveConfig {
     fn default() -> Self {
         DriveConfig {
             addr: "127.0.0.1:7411".into(),
-            concurrency: 2,
+            conns: 2,
+            depth: 1,
             requests: 64,
             batch: 1,
             mode: LoopMode::Closed,
             no_cache: false,
             scenario: None,
             connect_timeout: Duration::from_secs(5),
-            conns: 0,
         }
     }
 }
@@ -178,10 +195,10 @@ pub struct Report {
     /// ([`Report::dropped_requests`] of them).
     pub errors: u64,
     /// Connections that closed or failed before all of their requests were
-    /// answered (connection-pool driver only).
+    /// answered.
     pub dropped_conns: u64,
-    /// Requests left unanswered on those connections; included in
-    /// [`Report::errors`].
+    /// Requests left unanswered on those connections, or never sent because
+    /// every connection had dropped; included in [`Report::errors`].
     pub dropped_requests: u64,
     /// Solved instances served from the server's cache (`from_cache` flag).
     pub cached_instances: u64,
@@ -308,368 +325,283 @@ pub fn drive(solver: SolverId, blobs: &[Vec<u8>], cfg: &DriveConfig) -> io::Resu
     drive_mixed(&[(solver, blobs.to_vec())], cfg)
 }
 
+/// Requests one connection keeps in flight in the CLI's `--conns` mode.
+/// Small enough that latency measures the server, deep enough that the wire
+/// never goes idle between a reply and the next request.
+pub const PIPELINE_DEPTH: usize = 4;
+
+/// Request `i` of a drive: round-robin over the solver pools, then
+/// `cfg.batch` consecutive entries of that solver's own pool (a request
+/// carries exactly one solver).
+fn request(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig, i: usize) -> SolveRequest {
+    let (solver, blobs) = &pools[i % pools.len()];
+    let instances =
+        (0..cfg.batch).map(|j| blobs[(i * cfg.batch + j) % blobs.len()].clone()).collect();
+    let mut req = SolveRequest::new(*solver, instances);
+    if let Some((sc, seed)) = cfg.scenario {
+        req = req.with_scenario(sc, seed);
+    }
+    if cfg.no_cache {
+        req = req.no_cache();
+    }
+    req
+}
+
+/// The `depth` slots of each of `conns` connections, ordered so that the
+/// first `first` (at least `conns`, at most `conns · depth`) spread evenly
+/// with each connection's adjacent, and the rest follow round-robin.
+fn slot_order(first: usize, conns: usize, depth: usize) -> VecDeque<usize> {
+    let share = |c: usize| first / conns + usize::from(c < first % conns);
+    (0..conns)
+        .flat_map(|c| repeat(c).take(share(c)))
+        .chain((0..depth).flat_map(|l| (0..conns).filter(move |&c| share(c) <= l)))
+        .collect()
+}
+
+/// Tallies one reply frame into `report`, recording the latency from
+/// `origin` if every instance was solved. Returns the backoff a `Busy`
+/// reply asks for.
+fn settle_reply(
+    frame: &[u8],
+    origin: Instant,
+    report: &mut Report,
+    latencies: &Histo,
+) -> Option<Duration> {
+    match decode_reply(frame, wire::MSG_SOLVE_RESPONSE, wire::decode_solve_response) {
+        Ok(SolveResponse::Ok(results)) => {
+            for res in &results {
+                if let InstanceResult::Solved(sv) = res {
+                    report.solved_instances += 1;
+                    report.cached_instances += u64::from(sv.from_cache);
+                    let certified = canon::certificate_bound_holds(&sv.certificate);
+                    report.certified_instances += u64::from(certified);
+                }
+            }
+            if results.iter().any(|res| matches!(res, InstanceResult::Error(_))) {
+                report.errors += 1;
+            } else {
+                // Only solved round-trips enter the percentiles; Busy/error
+                // replies would drag p99 toward the (cheap) rejection path
+                // instead of the solve path.
+                report.ok += 1;
+                let us = origin.elapsed().as_micros();
+                latencies.record(u64::try_from(us).unwrap_or(u64::MAX));
+            }
+        }
+        Ok(SolveResponse::Busy { retry_after_ms, .. }) => {
+            report.busy += 1;
+            return Some(Duration::from_millis(u64::from(retry_after_ms)));
+        }
+        Ok(_) | Err(_) => report.errors += 1,
+    }
+    None
+}
+
+const BASE_INTEREST: u32 = EPOLLIN | EPOLLRDHUP;
+
+/// One nonblocking driver connection.
+struct Conn {
+    sock: TcpStream,
+    fsm: FrameFsm,
+    wq: WriteQueue,
+    /// Latency origins of the in-flight requests, oldest first (pipelined
+    /// replies come back in order).
+    origins: VecDeque<Instant>,
+    /// Closed loop: no send before this instant (a `Busy` reply's backoff).
+    not_before: Instant,
+    interest: u32,
+    dead: bool,
+}
+
+impl Conn {
+    /// Writes what the socket takes, and asks for `EPOLLOUT` while bytes
+    /// remain queued.
+    fn flush(&mut self, ep: &Epoll, token: usize) -> io::Result<()> {
+        while !self.wq.is_empty() {
+            match self.wq.write_to(&mut (&self.sock)) {
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let want = BASE_INTEREST | if self.wq.is_empty() { 0 } else { EPOLLOUT };
+        if want != self.interest {
+            ep.modify(self.sock.as_raw_fd(), want, token as u64)?;
+            self.interest = want;
+        }
+        Ok(())
+    }
+
+    /// Feeds every byte the socket holds to the framer. False on EOF, a
+    /// read error or a malformed frame.
+    fn fill(&mut self) -> bool {
+        let mut buf = [0u8; 64 * 1024];
+        loop {
+            match io::Read::read(&mut (&self.sock), &mut buf) {
+                Ok(0) => return false,
+                Ok(got) => {
+                    if self.fsm.feed(&buf[..got]).is_err() {
+                        return false;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+    }
+}
+
 /// Drives a **mixed-portfolio** workload: request `i` round-robins the
 /// per-solver pools (solver `pools[i % pools.len()]`, instances batched
 /// from that solver's own blob pool), so one run exercises several
 /// registered solvers' dispatch paths, per-solver telemetry counters, and
 /// the solver byte in the result-cache key.
+///
+/// The run opens `cfg.conns` connections on this thread and sends request
+/// `i`, once it is due, on the next connection with a free slot of the
+/// `cfg.depth` it may keep in flight. Every connection issues at least one
+/// request: asking for 10k conns but fewer requests silently means one
+/// request per connection.
 pub fn drive_mixed(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Result<Report> {
     assert!(!pools.is_empty(), "empty solver pool list");
     assert!(pools.iter().all(|(_, blobs)| !blobs.is_empty()), "empty instance pool");
-    if let LoopMode::Open { rate } = cfg.mode {
-        assert!(rate.is_finite() && rate > 0.0, "open-loop rate must be positive");
-    }
-    if cfg.conns > 0 {
-        return drive_conns(pools, cfg);
-    }
-    let next = AtomicUsize::new(0);
-    let agg: Mutex<Report> = Mutex::new(Report::default());
-    let start = Instant::now();
-    let threads = cfg.concurrency.max(1);
-    let mut first_err: Option<io::Error> = None;
-    std::thread::scope(|s| -> io::Result<()> {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let agg = &agg;
-                s.spawn(move || -> io::Result<()> {
-                    let mut client = Client::connect_retry(cfg.addr.as_str(), cfg.connect_timeout)?;
-                    let mut local = Report::default();
-                    let latencies = Histo::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cfg.requests {
-                            break;
-                        }
-                        // Round-robin the solver pools, then batch
-                        // `cfg.batch` consecutive entries of that solver's
-                        // own pool (a request carries exactly one solver).
-                        let (solver, blobs) = &pools[i % pools.len()];
-                        let instances: Vec<Vec<u8>> = (0..cfg.batch)
-                            .map(|j| blobs[(i * cfg.batch + j) % blobs.len()].clone())
-                            .collect();
-                        let mut req = SolveRequest::new(*solver, instances);
-                        if let Some((sc, seed)) = cfg.scenario {
-                            req = req.with_scenario(sc, seed);
-                        }
-                        if cfg.no_cache {
-                            req = req.no_cache();
-                        }
-                        let scheduled = match cfg.mode {
-                            LoopMode::Closed => Instant::now(),
-                            LoopMode::Open { rate } => {
-                                let at = start + Duration::from_secs_f64(i as f64 / rate);
-                                if let Some(wait) = at.checked_duration_since(Instant::now()) {
-                                    std::thread::sleep(wait);
-                                }
-                                at
-                            }
-                        };
-                        let resp = client.solve(&req)?;
-                        let rtt = scheduled.elapsed();
-                        match resp {
-                            SolveResponse::Ok(results) => {
-                                let mut any_err = false;
-                                for res in &results {
-                                    match res {
-                                        InstanceResult::Solved(sv) => {
-                                            local.solved_instances += 1;
-                                            local.cached_instances += u64::from(sv.from_cache);
-                                            let certified =
-                                                canon::certificate_bound_holds(&sv.certificate);
-                                            local.certified_instances += u64::from(certified);
-                                        }
-                                        InstanceResult::Error(_) => any_err = true,
-                                    }
-                                }
-                                if any_err {
-                                    local.errors += 1;
-                                } else {
-                                    local.ok += 1;
-                                    // Only solved round-trips enter the
-                                    // percentiles; Busy/error replies would
-                                    // drag p99 toward the (cheap) rejection
-                                    // path instead of the solve path.
-                                    let us = rtt.as_micros();
-                                    latencies.record(u64::try_from(us).unwrap_or(u64::MAX));
-                                }
-                            }
-                            SolveResponse::Busy { retry_after_ms, .. } => {
-                                local.busy += 1;
-                                // Closed loop: honour the backoff hint. Open
-                                // loop: the schedule paces requests, and a
-                                // sleep here would shift every later
-                                // scheduled instant — re-introducing the
-                                // coordinated omission the open loop avoids.
-                                if matches!(cfg.mode, LoopMode::Closed) {
-                                    std::thread::sleep(Duration::from_millis(
-                                        retry_after_ms as u64,
-                                    ));
-                                }
-                            }
-                            SolveResponse::Malformed(_) | SolveResponse::Unsupported(_) => {
-                                local.errors += 1;
-                            }
-                        }
-                    }
-                    // lint: allow(lock-hygiene) — scope-local aggregation, not service state: if a worker panicked the scope join below propagates it before the report is read, so recovery would hide the failure
-                    let mut agg = agg.lock().expect("report poisoned");
-                    agg.ok += local.ok;
-                    agg.busy += local.busy;
-                    agg.errors += local.errors;
-                    agg.cached_instances += local.cached_instances;
-                    agg.solved_instances += local.solved_instances;
-                    agg.certified_instances += local.certified_instances;
-                    // Merge order across threads doesn't matter: snapshot
-                    // merge is associative and commutative.
-                    agg.latency_us.merge(&latencies.snapshot());
-                    Ok(())
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Err(e) = h.join().expect("loadgen thread panicked") {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-        Ok(())
-    })?;
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    let mut report = agg.into_inner().expect("report poisoned");
-    report.elapsed = start.elapsed();
-    Ok(report)
-}
+    assert!(cfg.conns > 0 && cfg.depth > 0, "conns and depth must be at least 1");
+    let rate = match cfg.mode {
+        LoopMode::Closed => None,
+        LoopMode::Open { rate } => Some(rate),
+    };
+    assert!(rate.map_or(true, |r| r.is_finite() && r > 0.0), "open-loop rate must be positive");
+    let requests = cfg.requests.max(cfg.conns);
 
-/// Requests one connection keeps in flight in the `--conns` pipelined mode.
-/// Small enough that latency measures the server, deep enough that the wire
-/// never goes idle between a reply and the next request.
-pub const PIPELINE_DEPTH: usize = 4;
-
-/// Connects with retry, like `Client::connect_retry`, but yielding the bare
-/// socket for nonblocking use.
-fn connect_raw(addr: &str, timeout: Duration) -> io::Result<std::net::TcpStream> {
-    let start = Instant::now();
-    loop {
-        match std::net::TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) if start.elapsed() >= timeout => return Err(e),
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
-        }
-    }
-}
-
-/// The epoll-multiplexed driver behind [`DriveConfig::conns`]: `conns`
-/// persistent nonblocking connections on one thread, each pipelining up to
-/// [`PIPELINE_DEPTH`] requests. Latency is measured from the instant a
-/// request enters the connection's write queue to the instant its reply
-/// frame completes, so client-side pipelining delay is charged to the
-/// request (no coordinated omission on the client's own queue). Every
-/// connection issues at least one request: asking for 10k conns but fewer
-/// requests silently means one request per connection.
-fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Result<Report> {
-    use anonet_net::epoll::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-    use anonet_net::{FrameFsm, WriteQueue};
-    use std::collections::VecDeque;
-    use std::os::fd::AsRawFd;
-
-    let conns = cfg.conns;
-    let requests = cfg.requests.max(conns);
-
-    // Pre-encode the request payloads the pool cycles through — encoding is
-    // identical to the threaded driver's per-request construction: request
-    // `i` round-robins the solver pools and batches within its own pool.
-    // Cycle length covers every (solver, pool offset) combination.
-    let longest = pools.iter().map(|(_, blobs)| blobs.len()).max().unwrap_or(1);
-    let payloads: Vec<Vec<u8>> = (0..longest * pools.len())
-        .map(|i| {
-            let (solver, blobs) = &pools[i % pools.len()];
-            let instances: Vec<Vec<u8>> =
-                (0..cfg.batch).map(|j| blobs[(i * cfg.batch + j) % blobs.len()].clone()).collect();
-            let mut req = SolveRequest::new(*solver, instances);
-            if let Some((sc, seed)) = cfg.scenario {
-                req = req.with_scenario(sc, seed);
-            }
-            if cfg.no_cache {
-                req = req.no_cache();
-            }
-            crate::wire::encode_solve_request(&req)
-        })
-        .collect();
-
-    struct Conn {
-        sock: std::net::TcpStream,
-        fsm: FrameFsm,
-        wq: WriteQueue,
-        /// Requests this connection must complete.
-        assigned: usize,
-        sent: usize,
-        recvd: usize,
-        /// Enqueue instants of in-flight requests, FIFO (pipelined replies
-        /// come back in order).
-        sent_at: VecDeque<Instant>,
-        interest: u32,
-        done: bool,
-    }
-
-    const BASE_INTEREST: u32 = EPOLLIN | EPOLLRDHUP;
     let ep = Epoll::new()?;
-    let mut cs: Vec<Conn> = Vec::with_capacity(conns);
-    for i in 0..conns {
-        let sock = connect_raw(cfg.addr.as_str(), cfg.connect_timeout)?;
-        sock.set_nodelay(true)?;
+    let mut cs: Vec<Conn> = Vec::with_capacity(cfg.conns);
+    for i in 0..cfg.conns {
+        let sock = connect_retry(cfg.addr.as_str(), cfg.connect_timeout)?;
         sock.set_nonblocking(true)?;
         ep.add(sock.as_raw_fd(), BASE_INTEREST, i as u64)?;
-        let assigned = requests / conns + usize::from(i < requests % conns);
         cs.push(Conn {
             sock,
-            fsm: FrameFsm::new(crate::wire::MAX_FRAME),
+            fsm: FrameFsm::new(wire::MAX_FRAME),
             wq: WriteQueue::new(),
-            assigned,
-            sent: 0,
-            recvd: 0,
-            sent_at: VecDeque::new(),
+            origins: VecDeque::new(),
+            not_before: Instant::now(),
             interest: BASE_INTEREST,
-            done: false,
+            dead: false,
         });
     }
+    // One entry per free pipeline slot, in the order requests take them.
+    // A closed loop's first pass sends at once: its slots come first, spread
+    // evenly and adjacent per connection, so each writes its share in one
+    // go. An open loop's requests come one at a time: round-robin. Either
+    // way every connection issues a request. A slot whose connection is
+    // backing off waits in `held`, keyed by the instant it may send again.
+    let first = requests.min(cfg.conns.saturating_mul(if rate.is_some() { 1 } else { cfg.depth }));
+    let mut free = slot_order(first, cfg.conns, cfg.depth);
+    let mut held: BinaryHeap<Reverse<(Instant, usize)>> = BinaryHeap::new();
 
     let mut report = Report::default();
     let latencies = Histo::new();
     let start = Instant::now();
-    let mut issued = 0usize;
-    let mut open = conns;
-
-    // Tallies one decoded reply frame into the report, mirroring the
-    // threaded driver's per-response accounting (Busy backoff excepted:
-    // pipelined connections never sleep).
-    let settle_reply = |frame: &[u8], queued_at: Instant, report: &mut Report| {
-        let resp = crate::client::decode_reply(
-            frame,
-            crate::wire::MSG_SOLVE_RESPONSE,
-            crate::wire::decode_solve_response,
-        );
-        match resp {
-            Ok(SolveResponse::Ok(results)) => {
-                let mut any_err = false;
-                for res in &results {
-                    match res {
-                        InstanceResult::Solved(sv) => {
-                            report.solved_instances += 1;
-                            report.cached_instances += u64::from(sv.from_cache);
-                            let certified = canon::certificate_bound_holds(&sv.certificate);
-                            report.certified_instances += u64::from(certified);
-                        }
-                        InstanceResult::Error(_) => any_err = true,
-                    }
-                }
-                if any_err {
-                    report.errors += 1;
-                } else {
-                    report.ok += 1;
-                    let us = queued_at.elapsed().as_micros();
-                    latencies.record(u64::try_from(us).unwrap_or(u64::MAX));
-                }
-            }
-            Ok(SolveResponse::Busy { .. }) => report.busy += 1,
-            Ok(_) | Err(_) => report.errors += 1,
-        }
-    };
-
+    let due = |i: usize| rate.map_or(start, |r| start + Duration::from_secs_f64(i as f64 / r));
+    // Requests sent, and requests answered or charged as lost.
+    let (mut issued, mut settled) = (0usize, 0usize);
+    let mut open = cfg.conns;
     let mut evbuf = vec![EpollEvent::default(); 512];
-    while open > 0 {
-        // Seed/refill write queues: each live connection keeps up to
-        // PIPELINE_DEPTH requests in flight.
-        for (i, c) in cs.iter_mut().enumerate() {
-            if c.done {
+    while settled < requests {
+        let now = Instant::now();
+        while let Some(&Reverse((at, idx))) = held.peek() {
+            if at > now {
+                break;
+            }
+            held.pop();
+            free.push_back(idx);
+        }
+        // A connection's adjacent requests are written in one go; a hard
+        // write error surfaces as EPOLLERR/EOF below.
+        let mut writing: Option<usize> = None;
+        while issued < requests && due(issued) <= now {
+            let Some(idx) = free.pop_front() else { break };
+            let c = &cs[idx];
+            if c.dead {
                 continue;
             }
-            while c.sent < c.assigned && c.sent - c.recvd < PIPELINE_DEPTH {
-                c.wq.push_frame(payloads[issued % payloads.len()].clone());
-                c.sent_at.push_back(Instant::now());
-                c.sent += 1;
-                issued += 1;
+            if c.not_before > now {
+                held.push(Reverse((c.not_before, idx)));
+                continue;
             }
-            while !c.wq.is_empty() {
-                match c.wq.write_to(&mut (&c.sock)) {
-                    Ok(_) => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => break, // surfaces as EPOLLERR/EOF below
-                }
+            if let Some(w) = writing.filter(|&w| w != idx) {
+                let _ = cs[w].flush(&ep, w);
             }
-            let want = BASE_INTEREST | if c.wq.is_empty() { 0 } else { EPOLLOUT };
-            if want != c.interest {
-                // The fd may already be gone on a hard error; the readiness
-                // sweep below settles the connection either way.
-                if ep.modify(c.sock.as_raw_fd(), want, i as u64).is_ok() {
-                    c.interest = want;
-                }
-            }
+            writing = Some(idx);
+            let payload = wire::encode_solve_request(&request(pools, cfg, issued));
+            let c = &mut cs[idx];
+            // Closed loop: latency from enqueue. Open loop: from the due
+            // time, so waiting for a free slot is charged to the request
+            // (no coordinated omission).
+            c.origins.push_back(rate.map_or_else(Instant::now, |_| due(issued)));
+            c.wq.push_frame(payload);
+            issued += 1;
+        }
+        if let Some(w) = writing {
+            let _ = cs[w].flush(&ep, w);
+        }
+        if open == 0 {
+            // Every connection is gone: the requests never sent are lost.
+            let lost = (requests - settled) as u64;
+            report.dropped_requests += lost;
+            report.errors += lost;
+            break;
         }
 
-        let n = ep.wait(&mut evbuf, 1_000)?;
+        // Sleep until the next due request (if a slot is free for it), the
+        // next backoff expiry, or readiness.
+        let next_due = (issued < requests && !free.is_empty()).then(|| due(issued));
+        let wake = held.peek().map(|Reverse((at, _))| *at).into_iter().chain(next_due).min();
+        let timeout_ms = wake.map_or(1_000, |at| {
+            at.saturating_duration_since(Instant::now()).as_micros().div_ceil(1_000).min(1_000)
+        });
+        let n = ep.wait(&mut evbuf, timeout_ms as i32)?;
         for ev in &evbuf[..n] {
             let (events, idx) = ({ ev.events }, { ev.data } as usize);
             let Some(c) = cs.get_mut(idx) else { continue };
-            if c.done {
+            if c.dead {
                 continue;
             }
             let mut dead = events & (EPOLLERR | EPOLLHUP) != 0;
             if events & (EPOLLIN | EPOLLRDHUP) != 0 {
-                let mut buf = [0u8; 64 * 1024];
-                loop {
-                    match io::Read::read(&mut (&c.sock), &mut buf) {
-                        Ok(0) => {
-                            dead = true;
-                            break;
-                        }
-                        Ok(got) => {
-                            if c.fsm.feed(&buf[..got]).is_err() {
-                                dead = true;
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
+                dead |= !c.fill();
                 while let Some(frame) = c.fsm.next_frame() {
-                    let queued_at = c.sent_at.pop_front().unwrap_or_else(Instant::now);
-                    settle_reply(&frame, queued_at, &mut report);
-                    c.recvd += 1;
+                    // A reply with no request in flight breaks the protocol.
+                    let Some(origin) = c.origins.pop_front() else {
+                        dead = true;
+                        break;
+                    };
+                    let backoff = settle_reply(&frame, origin, &mut report, &latencies);
+                    // The open loop's schedule paces requests: a backoff
+                    // there would shift every later due time.
+                    if let (Some(pause), None) = (backoff, rate) {
+                        c.not_before = Instant::now() + pause;
+                    }
+                    settled += 1;
+                    free.push_back(idx);
                 }
             }
             if events & EPOLLOUT != 0 {
-                while !c.wq.is_empty() {
-                    match c.wq.write_to(&mut (&c.sock)) {
-                        Ok(_) => {}
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
+                dead |= c.flush(&ep, idx).is_err();
             }
-            if c.recvd >= c.assigned || dead {
+            if dead {
                 // A connection dropped mid-run charges its unanswered
                 // requests as errors instead of hanging the drive, counted
                 // apart from error replies.
-                let lost = (c.assigned - c.recvd) as u64;
+                let lost = c.origins.len();
                 report.dropped_conns += u64::from(lost > 0);
-                report.dropped_requests += lost;
-                report.errors += lost;
+                report.dropped_requests += lost as u64;
+                report.errors += lost as u64;
+                settled += lost;
                 let _ = ep.delete(c.sock.as_raw_fd());
-                c.done = true;
+                c.dead = true;
                 open -= 1;
             }
         }
@@ -683,6 +615,21 @@ fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slot_order_spreads_the_first_pass_then_round_robins() {
+        // A closed loop's first pass: 10 requests on 4 connections.
+        let order: Vec<usize> = slot_order(10, 4, 4).into();
+        assert_eq!(order, [0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 2, 3, 0, 1, 2, 3]);
+        // An open loop: one request per connection, then round-robin.
+        let order: Vec<usize> = slot_order(3, 3, 2).into();
+        assert_eq!(order, [0, 1, 2, 0, 1, 2]);
+        // Every slot is listed once, whatever the first pass takes.
+        for first in 5..=15 {
+            let order = slot_order(first, 5, 3);
+            assert!((0..5).all(|c| order.iter().filter(|&&o| o == c).count() == 3), "{first}");
+        }
+    }
 
     #[test]
     fn synthesize_handles_degenerate_regular_parameters() {

@@ -614,21 +614,17 @@ pub fn encode_solve_response(resp: &SolveResponse) -> Vec<u8> {
     let mut w = header(MSG_SOLVE_RESPONSE);
     match resp {
         SolveResponse::Ok(results) => {
-            w.put_u8(0);
-            w.put_u32(results.len() as u32);
+            let mut ok = OkResponse::new(results.len());
             for res in results {
                 match res {
-                    InstanceResult::Error(msg) => {
-                        w.put_u8(0);
-                        w.put_blob(msg.as_bytes());
-                    }
-                    InstanceResult::Solved(s) => {
-                        w.put_u8(1);
-                        w.put_u8(u8::from(s.from_cache));
-                        w.put_bytes(&encode_solved_body(&s.cover, &s.certificate, &s.trace));
-                    }
+                    InstanceResult::Error(msg) => ok.push_error(msg),
+                    InstanceResult::Solved(s) => ok.push_solved(
+                        s.from_cache,
+                        &encode_solved_body(&s.cover, &s.certificate, &s.trace),
+                    ),
                 }
             }
+            return ok.finish();
         }
         SolveResponse::Busy { retry_after_ms, queue_len } => {
             w.put_u8(1);
@@ -1077,16 +1073,23 @@ mod tests {
         let cert =
             Certificate { cover_weight: 10, dual_value: BigRat::from_frac(21, 4), factor: 2 };
         let trace = WireTrace { rounds: 7, messages: 10, bits: 80, ..WireTrace::default() };
+        let cover = vec![true, false, true, true, false, false, false, false, true];
         let resp = SolveResponse::Ok(vec![
             InstanceResult::Solved(Solved {
                 from_cache: true,
-                cover: vec![true, false, true, true, false, false, false, false, true],
+                cover: cover.clone(),
                 certificate: cert.clone(),
                 trace: trace.clone(),
             }),
             InstanceResult::Error("nope".into()),
         ]);
         let payload = encode_solve_response(&resp);
+        // The same bytes as the server's pre-encoded-body path.
+        let raw = encode_solve_response_raw(&[
+            Ok((true, encode_solved_body(&cover, &cert, &trace))),
+            Err("nope".into()),
+        ]);
+        assert_eq!(payload, raw);
         let mut r = ByteReader::new(&payload);
         assert_eq!(read_header(&mut r).unwrap(), MSG_SOLVE_RESPONSE);
         match decode_solve_response(&mut r).unwrap() {

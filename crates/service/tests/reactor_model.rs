@@ -340,7 +340,9 @@ fn loadgen_conns_mode_drives_the_reactor() {
     // The epoll-multiplexed loadgen against the reactor server: every
     // request solved and certified across 32 persistent pipelined
     // connections on one driver thread.
-    use anonet_service::loadgen::{drive, synthesize, DriveConfig, FamilyKind, WorkloadSpec};
+    use anonet_service::loadgen::{
+        drive, synthesize, DriveConfig, FamilyKind, WorkloadSpec, PIPELINE_DEPTH,
+    };
     let server = start(
         ConnModel::Reactor,
         ServiceConfig { workers: 2, max_conns: 64, queue_cap: 256, ..Default::default() },
@@ -359,6 +361,7 @@ fn loadgen_conns_mode_drives_the_reactor() {
         addr: server.local_addr().to_string(),
         requests: 96,
         conns: 32,
+        depth: PIPELINE_DEPTH,
         ..DriveConfig::default()
     };
     let report = drive(SolverId::VC_PN, &blobs, &cfg).expect("conns drive");
@@ -368,5 +371,98 @@ fn loadgen_conns_mode_drives_the_reactor() {
     assert_eq!(report.certified_instances, report.solved_instances);
     assert!(report.solved_instances > 0);
     assert!(report.latency_us.count == 96);
+    server.shutdown();
+}
+
+/// A small regular-graph pool for the loadgen driver tests.
+fn loadgen_blobs() -> Vec<Vec<u8>> {
+    use anonet_service::loadgen::{synthesize, FamilyKind, WorkloadSpec};
+    synthesize(&WorkloadSpec {
+        solver: SolverId::VC_PN,
+        family: FamilyKind::Regular,
+        n: 24,
+        degree: 3,
+        instances: 4,
+        weights: WeightSpec::Uniform(16),
+        seed: 11,
+    })
+}
+
+#[test]
+fn loadgen_open_loop_keeps_its_schedule_under_both_models() {
+    // 40 requests due 2.5 ms apart over 8 multiplexed connections: the run
+    // cannot end before the last one is due, and every reply is solved and
+    // certified.
+    use anonet_service::loadgen::{drive, DriveConfig, LoopMode, PIPELINE_DEPTH};
+    let blobs = loadgen_blobs();
+    let (requests, rate) = (40, 400.0);
+    for model in [ConnModel::Threads, ConnModel::Reactor] {
+        let server = start(model, ServiceConfig { workers: 2, ..Default::default() });
+        let cfg = DriveConfig {
+            addr: server.local_addr().to_string(),
+            conns: 8,
+            depth: PIPELINE_DEPTH,
+            requests,
+            mode: LoopMode::Open { rate },
+            ..DriveConfig::default()
+        };
+        let report = drive(SolverId::VC_PN, &blobs, &cfg).expect("open-loop drive");
+        assert_eq!(report.ok, requests as u64, "{model:?}: {}", report.render());
+        assert_eq!(report.certified_instances, report.solved_instances, "{model:?}");
+        assert_eq!(report.latency_us.count, report.ok, "{model:?}");
+        let last_due = Duration::from_secs_f64((requests - 1) as f64 / rate);
+        assert!(
+            report.elapsed >= last_due,
+            "{model:?}: finished in {:?}, before the last request was due at {last_due:?}",
+            report.elapsed
+        );
+        server.shutdown();
+    }
+}
+
+#[test]
+fn loadgen_closed_loop_at_depth_one_drives_the_threads_model() {
+    // `loadgen --concurrency 4`: four connections, one request in flight
+    // each, against one server thread per connection.
+    use anonet_service::loadgen::{drive, DriveConfig};
+    let blobs = loadgen_blobs();
+    let server = start(ConnModel::Threads, ServiceConfig { workers: 2, ..Default::default() });
+    let cfg = DriveConfig {
+        addr: server.local_addr().to_string(),
+        conns: 4,
+        depth: 1,
+        requests: 32,
+        ..DriveConfig::default()
+    };
+    let report = drive(SolverId::VC_PN, &blobs, &cfg).expect("closed-loop drive");
+    assert_eq!((report.ok, report.busy, report.errors), (32, 0, 0), "{}", report.render());
+    assert_eq!(report.certified_instances, report.solved_instances);
+    assert_eq!(report.solved_instances, 32);
+    assert_eq!(report.latency_us.count, 32);
+    server.shutdown();
+}
+
+#[test]
+fn loadgen_closed_loop_holds_a_busy_connection_for_its_backoff() {
+    // No queue slot: every request that needs a worker is answered Busy
+    // with a 30 ms retry hint, which holds the one connection's next send.
+    use anonet_service::loadgen::{drive, DriveConfig};
+    let blobs = loadgen_blobs();
+    let server = start(
+        ConnModel::Reactor,
+        ServiceConfig { workers: 0, queue_cap: 0, retry_after_ms: 30, ..Default::default() },
+    );
+    let cfg = DriveConfig {
+        addr: server.local_addr().to_string(),
+        conns: 1,
+        depth: 1,
+        requests: 3,
+        no_cache: true,
+        ..DriveConfig::default()
+    };
+    let report = drive(SolverId::VC_PN, &blobs, &cfg).expect("busy drive");
+    assert_eq!((report.ok, report.busy, report.errors), (0, 3, 0), "{}", report.render());
+    assert_eq!(report.latency_us.count, 0);
+    assert!(report.elapsed >= Duration::from_millis(60), "two backoffs, got {:?}", report.elapsed);
     server.shutdown();
 }
