@@ -38,5 +38,5 @@ pub use bchs::{run_bchs, run_bchs_scratch};
 pub use central::{bar_yehuda_even, greedy_edge_packing, greedy_maximal_matching};
 pub use id_forest::run_id_edge_packing;
 pub use kvy_eps::{run_kvy, run_kvy_scratch};
-pub use ps3::{half_matching_packing, run_ps3, run_ps3_scratch, run_ps3_with};
+pub use ps3::{half_matching_packing, run_ps3, run_ps3_scratch};
 pub use rand_matching::run_rand_matching;

@@ -164,18 +164,15 @@ pub fn half_matching_packing<V: PackingValue>(g: &Graph, roles: &[PsOutput]) -> 
     EdgePacking { y }
 }
 
-/// Runs the Polishchuk–Suomela 3-approximation (unweighted).
+/// Runs the Polishchuk–Suomela 3-approximation (unweighted), deriving Δ
+/// from the graph.
 pub fn run_ps3(g: &Graph) -> Result<PsRun, SimError> {
-    run_ps3_with(g, g.max_degree())
+    run_ps3_scratch(g, g.max_degree(), &mut EngineScratch::new())
 }
 
-/// Runs with an explicit global Δ.
-pub fn run_ps3_with(g: &Graph, delta: usize) -> Result<PsRun, SimError> {
-    run_ps3_scratch(g, delta, &mut EngineScratch::new())
-}
-
-/// [`run_ps3_with`] reusing engine allocations across calls — the
-/// repeated-short-run entry point (results bit-identical to [`run_ps3`]).
+/// Runs the Polishchuk–Suomela 3-approximation with an explicit global Δ,
+/// taking the engine's allocations from and returning them to `scratch` —
+/// the one body every PS entry point runs.
 pub fn run_ps3_scratch(
     g: &Graph,
     delta: usize,
@@ -247,8 +244,9 @@ mod tests {
 
     #[test]
     fn rounds_independent_of_n() {
-        let a = run_ps3_with(&family::cycle(10), 2).unwrap().trace.rounds;
-        let b = run_ps3_with(&family::cycle(1000), 2).unwrap().trace.rounds;
+        let mut scratch = EngineScratch::new();
+        let a = run_ps3_scratch(&family::cycle(10), 2, &mut scratch).unwrap().trace.rounds;
+        let b = run_ps3_scratch(&family::cycle(1000), 2, &mut scratch).unwrap().trace.rounds;
         assert_eq!(a, b);
     }
 }

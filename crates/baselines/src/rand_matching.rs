@@ -9,7 +9,7 @@
 //! deterministic algorithms avoid.
 
 use anonet_gen::Rng;
-use anonet_sim::{Graph, MessageSize, PnAlgorithm, PnEngine, SimError, Trace};
+use anonet_sim::{run_pn, Graph, MessageSize, PnAlgorithm, SimError, Trace};
 
 /// Wire messages.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -132,17 +132,7 @@ pub struct RmRun {
 pub fn run_rand_matching(g: &Graph, seed: u64, max_rounds: u64) -> Result<RmRun, SimError> {
     let mut master = Rng::new(seed);
     let inputs: Vec<u64> = (0..g.n()).map(|_| master.next_u64()).collect();
-    let mut engine = PnEngine::<RmNode>::new(g, &(), &inputs, None)?;
-    for _ in 0..max_rounds {
-        if engine.step() {
-            break;
-        }
-    }
-    let res = engine.finish().map_err(|e| SimError::RoundLimit {
-        limit: max_rounds,
-        halted: e.halted(),
-        n: g.n(),
-    })?;
+    let res = run_pn::<RmNode>(g, &(), &inputs, max_rounds)?;
     Ok(RmRun { cover: res.outputs, trace: res.trace })
 }
 

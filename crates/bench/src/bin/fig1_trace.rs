@@ -13,7 +13,7 @@
 
 use anonet_bigmath::BigRat;
 use anonet_core::sc_bcast::{ScConfig, ScNode};
-use anonet_sim::{BcastEngine, SetCoverInstance};
+use anonet_sim::{BcastEngine, EngineScratch, SetCoverInstance};
 
 fn main() {
     // Reconstruction: s1 = {u1, u2}, s2 = {u1, u3, u4}, s3 = {u3, u5},
@@ -59,7 +59,7 @@ fn main() {
 
     // Finish the run.
     while !engine.step() {}
-    let res = engine.finish().ok().expect("halted");
+    let res = engine.finish_scratch(&mut EngineScratch::new()).expect("halted");
     println!("\n-- final --");
     let cover: Vec<usize> = (0..inst.n_subsets)
         .filter(|&s| {

@@ -6,8 +6,9 @@
 
 use anonet_bench::{f3, md_table};
 use anonet_bigmath::BigRat;
-use anonet_core::sc_bcast::{run_fractional_packing_with, ScConfig};
+use anonet_core::sc_bcast::{run_fractional_packing_scratch, ScConfig, ScInstance};
 use anonet_gen::{setcover, WeightSpec};
+use anonet_sim::EngineScratch;
 
 fn main() {
     fk_sweep();
@@ -17,9 +18,11 @@ fn main() {
 fn fk_sweep() {
     let w_bound = 1u64 << 8;
     let mut rows = Vec::new();
+    let mut scratch = EngineScratch::new();
     for (f, k) in [(1usize, 2usize), (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 5)] {
         let inst = setcover::random_bounded(30, 20, f, k, WeightSpec::Uniform(w_bound), 17);
-        let run = run_fractional_packing_with::<BigRat>(&inst, f, k, w_bound, 1).unwrap();
+        let bounds = ScInstance::with_bounds(&inst, f, k, w_bound);
+        let run = run_fractional_packing_scratch::<BigRat>(&bounds, &mut scratch).unwrap();
         assert!(run.packing.is_maximal(&inst));
         let cfg = ScConfig::new(f, k, w_bound);
         let d = (k - 1) * f;
@@ -42,9 +45,11 @@ fn fk_sweep() {
 fn w_sweep() {
     let (f, k) = (2usize, 3usize);
     let mut rows = Vec::new();
+    let mut scratch = EngineScratch::new();
     for w_bound in [1u64, 1 << 8, 1 << 32, u64::MAX] {
         let inst = setcover::random_bounded(24, 16, f, k, WeightSpec::Uniform(w_bound), 23);
-        let run = run_fractional_packing_with::<BigRat>(&inst, f, k, w_bound, 1).unwrap();
+        let bounds = ScInstance::with_bounds(&inst, f, k, w_bound);
+        let run = run_fractional_packing_scratch::<BigRat>(&bounds, &mut scratch).unwrap();
         assert!(run.packing.is_maximal(&inst));
         let cfg = ScConfig::new(f, k, w_bound);
         rows.push(vec![

@@ -58,7 +58,7 @@ use anonet_bigmath::{AutoRat, PackingValue};
 use anonet_core::canon;
 use anonet_core::sc_bcast::{run_fractional_packing, run_fractional_packing_scratch, ScInstance};
 use anonet_core::vc_bcast::run_vc_broadcast;
-use anonet_core::vc_pn::run_edge_packing_with;
+use anonet_core::vc_pn::{run_edge_packing_scratch, VcInstance};
 use anonet_gen::{family, setcover, Rng, WeightSpec};
 use anonet_runtime::{run_async_pn, DelayModel, NetworkConfig};
 use anonet_service::loadgen::{
@@ -67,8 +67,8 @@ use anonet_service::loadgen::{
 use anonet_service::{ConnModel, Server, ServiceConfig, SolverId};
 use anonet_sim::pool::clamp_width;
 use anonet_sim::{
-    run_engine_observed, run_engine_scratch, run_pn, BatchRunner, BcastEngine, Broadcast, Delivery,
-    Engine, EngineScratch, Graph, NoopObserver, PnEngine, PortNumbering, RoundObserver, RoundPool,
+    run_engine_scratch, run_pn, BatchRunner, BcastEngine, Broadcast, Delivery, Engine,
+    EngineScratch, Graph, NoopObserver, PnEngine, PortNumbering, RoundObserver, RoundPool,
     RoundStats,
 };
 use std::time::{Duration, Instant};
@@ -429,10 +429,12 @@ fn main() {
             run_vc_broadcast::<AutoRat>(&petersen, &petersen_w).expect("§5 run");
         }),
         time_solver("vc_pn_n256_d3", 21, || {
-            run_edge_packing_with::<AutoRat>(&g256, &w256, 3, 1 << 16, 1).expect("§3 run");
+            let inst = VcInstance::with_bounds(&g256, &w256, 3, 1 << 16);
+            run_edge_packing_scratch::<AutoRat>(&inst, &mut EngineScratch::new()).expect("§3 run");
         }),
         time_solver("vc_pn_n256_d4", 21, || {
-            run_edge_packing_with::<AutoRat>(&g256_d4, &w256_d4, 4, 1024, 1).expect("§3 run");
+            let inst = VcInstance::with_bounds(&g256_d4, &w256_d4, 4, 1024);
+            run_edge_packing_scratch::<AutoRat>(&inst, &mut EngineScratch::new()).expect("§3 run");
         }),
         time_solver("vc_id_forest_n64_d4", 21, || {
             run_id_edge_packing::<AutoRat>(&g64, &w64, &ids64, 64).expect("id-forest run");
@@ -474,15 +476,10 @@ fn main() {
             }
         }
         let mut sums = Sums { rounds: 0, bits: 0, slots: 0 };
-        let res = run_engine_observed::<HaltingGossip, PortNumbering>(
-            &g1k,
-            &(),
-            &rt_inputs,
-            12,
-            &mut EngineScratch::new(),
-            &mut sums,
-        )
-        .expect("observed run");
+        let mut engine =
+            PnEngine::<HaltingGossip>::new(&g1k, &(), &rt_inputs, None).expect("observed run");
+        engine.set_observer(&mut sums);
+        let res = engine.run(12, &mut EngineScratch::new()).expect("observed run");
         assert_eq!(sums.rounds, res.trace.rounds, "observer must see every round");
         assert_eq!(sums.bits, res.trace.total_bits, "observed bits must match Trace accounting");
         assert_eq!(

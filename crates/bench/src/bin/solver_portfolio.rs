@@ -19,7 +19,10 @@ use anonet_core::vc_pn::VcInstance;
 use anonet_exact::{min_weight_set_cover, min_weight_vertex_cover};
 use anonet_gen::{family, setcover, WeightSpec};
 use anonet_service::portfolio::{self, InstanceKind};
-use anonet_service::{client, Client, InstanceResult, Server, ServiceConfig, SolveResponse};
+use anonet_service::{
+    client, Client, InstanceResult, Server, ServiceConfig, SolveRequest, SolveResponse,
+    SolverDescriptor,
+};
 use anonet_sim::{Graph, SetCoverInstance};
 
 /// One (solver × family) measurement.
@@ -59,6 +62,56 @@ fn sc_families() -> Vec<(String, SetCoverInstance)> {
     ]
 }
 
+/// Solves a one-instance request, re-checks the served certificate
+/// client-side, asserts `w(C) ≤ factor × OPT` against the exact optimum
+/// `opt` and fills the row. The factor is the registry's; set cover's is the
+/// instance's own f, carried by the certificate (`factor_num == 0`).
+fn measure(
+    c: &mut Client,
+    desc: &SolverDescriptor,
+    fam: &str,
+    n: usize,
+    req: &SolveRequest,
+    opt: u64,
+) -> Row {
+    let solved = match c.solve(req).expect("solve") {
+        SolveResponse::Ok(results) => match results.into_iter().next() {
+            Some(InstanceResult::Solved(s)) => s,
+            other => panic!("{}/{fam}: unexpected result {other:?}", desc.name),
+        },
+        other => panic!("{}/{fam}: unexpected response {other:?}", desc.name),
+    };
+    assert!(
+        certificate_bound_holds(&solved.certificate),
+        "{}/{fam}: served certificate failed the client-side re-check",
+        desc.name
+    );
+    let w = solved.certificate.cover_weight;
+    let (num, den) = match desc.factor_num {
+        0 => (solved.certificate.factor, 1),
+        num => (num, desc.factor_den),
+    };
+    // The factor is a theorem; a violation here means the served solver is
+    // not the advertised one.
+    assert!(
+        (w as u128) * (den as u128) <= (num as u128) * (opt as u128),
+        "{}/{fam}: w(C) = {w} exceeds {num}/{den} × OPT = {opt}",
+        desc.name
+    );
+    Row {
+        solver: desc.name,
+        wire_id: desc.id.to_u8(),
+        family: fam.to_string(),
+        n,
+        rounds: solved.trace.rounds,
+        bits: solved.trace.bits,
+        cover_weight: w,
+        certified_ratio: solved.certificate.certified_ratio(),
+        opt,
+        true_ratio: w as f64 / opt.max(1) as f64,
+    }
+}
+
 fn main() {
     let mut out_path = "BENCH_portfolio.json".to_string();
     for arg in std::env::args().skip(1) {
@@ -95,84 +148,15 @@ fn main() {
                         vec![1u64; g.n()]
                     };
                     let req = client::vc_request(desc.id, &[VcInstance::new(g, &weights)]);
-                    let resp = c.solve(&req).expect("solve");
-                    let solved = match resp {
-                        SolveResponse::Ok(results) => match results.into_iter().next() {
-                            Some(InstanceResult::Solved(s)) => s,
-                            other => panic!("{}/{fam}: unexpected result {other:?}", desc.name),
-                        },
-                        other => panic!("{}/{fam}: unexpected response {other:?}", desc.name),
-                    };
-                    assert!(
-                        certificate_bound_holds(&solved.certificate),
-                        "{}/{fam}: served certificate failed the client-side re-check",
-                        desc.name
-                    );
                     let opt = min_weight_vertex_cover(g, &weights).weight;
-                    let w = solved.certificate.cover_weight;
-                    let true_ratio = w as f64 / opt.max(1) as f64;
-                    // The advertised factor is a theorem; a violation here
-                    // means the served solver is not the advertised one.
-                    assert!(
-                        (w as u128) * (desc.factor_den as u128)
-                            <= (desc.factor_num as u128) * (opt as u128),
-                        "{}/{fam}: w(C) = {w} exceeds {}/{} × OPT = {opt}",
-                        desc.name,
-                        desc.factor_num,
-                        desc.factor_den
-                    );
-                    rows.push(Row {
-                        solver: desc.name,
-                        wire_id: desc.id.to_u8(),
-                        family: fam.clone(),
-                        n: g.n(),
-                        rounds: solved.trace.rounds,
-                        bits: solved.trace.bits,
-                        cover_weight: w,
-                        certified_ratio: solved.certificate.certified_ratio(),
-                        opt,
-                        true_ratio,
-                    });
+                    rows.push(measure(&mut c, desc, fam, g.n(), &req, opt));
                 }
             }
             InstanceKind::SetCover => {
                 for (fam, inst) in &sc {
                     let req = client::sc_request(&[inst]);
-                    let resp = c.solve(&req).expect("solve");
-                    let solved = match resp {
-                        SolveResponse::Ok(results) => match results.into_iter().next() {
-                            Some(InstanceResult::Solved(s)) => s,
-                            other => panic!("{}/{fam}: unexpected result {other:?}", desc.name),
-                        },
-                        other => panic!("{}/{fam}: unexpected response {other:?}", desc.name),
-                    };
-                    assert!(
-                        certificate_bound_holds(&solved.certificate),
-                        "{}/{fam}: served certificate failed the client-side re-check",
-                        desc.name
-                    );
                     let opt = min_weight_set_cover(inst).weight;
-                    let w = solved.certificate.cover_weight;
-                    // Set cover's factor is the instance's own f, carried by
-                    // the certificate rather than the registry row.
-                    assert!(
-                        (w as u128) <= (solved.certificate.factor as u128) * (opt as u128),
-                        "{}/{fam}: w(C) = {w} exceeds f = {} × OPT = {opt}",
-                        desc.name,
-                        solved.certificate.factor
-                    );
-                    rows.push(Row {
-                        solver: desc.name,
-                        wire_id: desc.id.to_u8(),
-                        family: fam.clone(),
-                        n: inst.n_subsets,
-                        rounds: solved.trace.rounds,
-                        bits: solved.trace.bits,
-                        cover_weight: w,
-                        certified_ratio: solved.certificate.certified_ratio(),
-                        opt,
-                        true_ratio: w as f64 / opt.max(1) as f64,
-                    });
+                    rows.push(measure(&mut c, desc, fam, inst.n_subsets, &req, opt));
                 }
             }
         }

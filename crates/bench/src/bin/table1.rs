@@ -6,12 +6,13 @@
 //!
 //! Regenerate with: `cargo run --release -p anonet-bench --bin table1`
 
-use anonet_baselines::{run_id_edge_packing, run_kvy, run_ps3_with, run_rand_matching};
+use anonet_baselines::{run_id_edge_packing, run_kvy, run_ps3_scratch, run_rand_matching};
 use anonet_bench::{cover_size, cover_weight, f3, md_table, mean};
 use anonet_bigmath::BigRat;
-use anonet_core::vc_pn::run_edge_packing_with;
+use anonet_core::vc_pn::{run_edge_packing_scratch, VcInstance};
 use anonet_exact::min_weight_vertex_cover;
 use anonet_gen::{family, WeightSpec};
+use anonet_sim::EngineScratch;
 
 fn main() {
     rounds_vs_n();
@@ -29,7 +30,9 @@ fn rounds_vs_n() {
     let mut row = vec!["this work §3 (PN, det., 2-approx)".to_string()];
     for &n in &ns {
         let g = family::random_regular(n, d, 42);
-        let r = run_edge_packing_with::<BigRat>(&g, &vec![1; n], d, 1, 1).unwrap();
+        let unit = vec![1; n];
+        let inst = VcInstance::with_bounds(&g, &unit, d, 1);
+        let r = run_edge_packing_scratch::<BigRat>(&inst, &mut EngineScratch::new()).unwrap();
         row.push(r.trace.rounds.to_string());
     }
     rows.push(row);
@@ -37,7 +40,7 @@ fn rounds_vs_n() {
     let mut row = vec!["PS 3-approx [30] (PN, det., 3-approx)".to_string()];
     for &n in &ns {
         let g = family::random_regular(n, d, 42);
-        let r = run_ps3_with(&g, d).unwrap();
+        let r = run_ps3_scratch(&g, d, &mut EngineScratch::new()).unwrap();
         row.push(r.trace.rounds.to_string());
     }
     rows.push(row);
@@ -89,7 +92,8 @@ fn quality_weighted() {
         let w = WeightSpec::Uniform(100).draw_many(20, seed + 1000);
         let opt = min_weight_vertex_cover(&g, &w).weight.max(1);
 
-        let r = run_edge_packing_with::<BigRat>(&g, &w, g.max_degree().max(1), 100, 1).unwrap();
+        let inst = VcInstance::with_bounds(&g, &w, g.max_degree().max(1), 100);
+        let r = run_edge_packing_scratch::<BigRat>(&inst, &mut EngineScratch::new()).unwrap();
         this_work.push(cover_weight(&r.cover, &w) as f64 / opt as f64);
 
         let ids: Vec<u64> = (1..=20).collect();
@@ -139,7 +143,8 @@ fn feature_matrix() {
     // produce valid covers without ids; id-forest *requires* the id input.
     let g = family::petersen();
     let w = WeightSpec::Uniform(9).draw_many(10, 4);
-    let a = run_edge_packing_with::<BigRat>(&g, &w, 3, 9, 1).unwrap();
+    let inst = VcInstance::with_bounds(&g, &w, 3, 9);
+    let a = run_edge_packing_scratch::<BigRat>(&inst, &mut EngineScratch::new()).unwrap();
     assert!(a.packing.is_maximal(&g, &w));
 
     let rows = vec![
@@ -157,8 +162,11 @@ fn feature_matrix() {
         &rows,
     );
 
+    let unit = VcInstance::with_bounds(&g, &[1; 10], 3, 1);
     println!(
         "\nCover sizes on Petersen (unweighted reference): §3 = {}, exact = 6",
-        cover_size(&run_edge_packing_with::<BigRat>(&g, &[1; 10], 3, 1, 1).unwrap().cover)
+        cover_size(
+            &run_edge_packing_scratch::<BigRat>(&unit, &mut EngineScratch::new()).unwrap().cover
+        )
     );
 }

@@ -33,4 +33,4 @@ pub mod vc_bcast;
 pub mod vc_pn;
 
 pub use packing::{EdgePacking, FractionalPacking};
-pub use vc_pn::{run_edge_packing, run_edge_packing_with, VcConfig, VcRun};
+pub use vc_pn::{run_edge_packing, VcConfig, VcRun};

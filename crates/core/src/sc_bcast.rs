@@ -27,8 +27,8 @@ use crate::encode::{cv_step, cv_step_root, CvSchedule, SeqEncoder};
 use crate::packing::FractionalPacking;
 use anonet_bigmath::{PackingValue, UBig};
 use anonet_sim::{
-    run_engine, run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineScratch,
-    MessageSize, RunResult, SetCoverInstance, SimError, Trace,
+    run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineScratch, MessageSize,
+    SetCoverInstance, SimError, Trace,
 };
 use std::sync::Arc;
 
@@ -627,53 +627,6 @@ pub struct ScRun<V> {
     pub trace: Trace,
 }
 
-/// Runs the §4 algorithm with explicit global bounds (f, k, W).
-pub fn run_fractional_packing_with<V: PackingValue>(
-    inst: &SetCoverInstance,
-    f: usize,
-    k: usize,
-    max_weight: u64,
-    threads: usize,
-) -> Result<ScRun<V>, SimError> {
-    let cfg = ScConfig::new(f, k, max_weight);
-    let res: RunResult<ScOutput<V>> = run_engine::<ScNode<V>, Broadcast>(
-        &inst.graph,
-        &cfg,
-        &sc_inputs(inst),
-        cfg.total_rounds(),
-        threads,
-    )?;
-    Ok(assemble_sc_run(inst, res))
-}
-
-/// Per-node §4 inputs: a subset's weight, `None` for an element.
-fn sc_inputs(inst: &SetCoverInstance) -> Vec<Option<u64>> {
-    (0..inst.graph.n()).map(|v| inst.is_subset(v).then(|| inst.weights[v])).collect()
-}
-
-/// Runs the §4 algorithm deriving (f, k, W) from the instance.
-pub fn run_fractional_packing<V: PackingValue>(
-    inst: &SetCoverInstance,
-) -> Result<ScRun<V>, SimError> {
-    run_fractional_packing_with(inst, inst.f().max(1), inst.k().max(1), inst.max_weight().max(1), 1)
-}
-
-/// Folds per-node outputs into the packing and the cover.
-fn assemble_sc_run<V: PackingValue>(
-    inst: &SetCoverInstance,
-    res: RunResult<ScOutput<V>>,
-) -> ScRun<V> {
-    let mut y = vec![V::zero(); inst.n_elements()];
-    let mut cover = vec![false; inst.n_subsets];
-    for (v, out) in res.outputs.iter().enumerate() {
-        match out {
-            ScOutput::Subset { in_cover } => cover[v] = *in_cover,
-            ScOutput::Element { y: yu, .. } => y[v - inst.n_subsets] = yu.clone(),
-        }
-    }
-    ScRun { packing: FractionalPacking { y }, cover, trace: res.trace }
-}
-
 /// One §4 instance of a batched run with explicit global bounds (f, k, W) —
 /// the bounds every anonymous node is told, which fix the round schedule.
 #[derive(Clone, Copy, Debug)]
@@ -706,8 +659,9 @@ impl<'a> ScInstance<'a> {
 }
 
 /// Runs the §4 algorithm on many independent instances with explicit
-/// per-instance bounds across one pool of `threads` workers. `results[i]`
-/// corresponds to `instances[i]`.
+/// per-instance bounds across one pool of `threads` workers, each instance
+/// through [`run_fractional_packing_scratch`]. `results[i]` corresponds to
+/// `instances[i]`.
 pub fn run_fractional_packing_many_with<V: PackingValue>(
     instances: &[ScInstance<'_>],
     threads: usize,
@@ -715,32 +669,42 @@ pub fn run_fractional_packing_many_with<V: PackingValue>(
     BatchRunner::new(threads).map(instances, run_fractional_packing_scratch)
 }
 
-/// One §4 instance on a single-threaded engine whose allocations are taken
-/// from and returned to `scratch` — the per-instance entry point for callers
-/// that fan out themselves. Bit-identical to the same instance's result
-/// from [`run_fractional_packing_many_with`].
+/// Runs the §4 algorithm on one instance under its global bounds
+/// (f, k, W), as one part on the calling thread, taking the engine's
+/// allocations from and returning them to `scratch` — the one body every §4
+/// entry point (the batch, the service's pipeline,
+/// [`run_fractional_packing`]) runs. Per-node outputs fold into the packing
+/// and the cover.
 pub fn run_fractional_packing_scratch<V: PackingValue>(
     inst: &ScInstance<'_>,
     scratch: &mut EngineScratch<ScNode<V>, Broadcast>,
 ) -> Result<ScRun<V>, SimError> {
+    let sc = inst.inst;
     let cfg = ScConfig::new(inst.f, inst.k, inst.max_weight);
+    // Per-node inputs: a subset's weight, `None` for an element.
+    let inputs: Vec<Option<u64>> =
+        (0..sc.graph.n()).map(|v| sc.is_subset(v).then(|| sc.weights[v])).collect();
     let res = run_engine_scratch::<ScNode<V>, Broadcast>(
-        &inst.inst.graph,
+        &sc.graph,
         &cfg,
-        &sc_inputs(inst.inst),
+        &inputs,
         cfg.total_rounds(),
         scratch,
     )?;
-    Ok(assemble_sc_run(inst.inst, res))
+    let mut y = vec![V::zero(); sc.n_elements()];
+    let mut cover = vec![false; sc.n_subsets];
+    for (v, out) in res.outputs.iter().enumerate() {
+        match out {
+            ScOutput::Subset { in_cover } => cover[v] = *in_cover,
+            ScOutput::Element { y: yu, .. } => y[v - sc.n_subsets] = yu.clone(),
+        }
+    }
+    Ok(ScRun { packing: FractionalPacking { y }, cover, trace: res.trace })
 }
 
-/// Runs the §4 algorithm on many independent instances (bounds derived per
-/// instance) across one pool of `threads` workers. `results[i]` corresponds
-/// to `instances[i]`.
-pub fn run_fractional_packing_many<V: PackingValue>(
-    instances: &[SetCoverInstance],
-    threads: usize,
-) -> Vec<Result<ScRun<V>, SimError>> {
-    let refs: Vec<ScInstance<'_>> = instances.iter().map(ScInstance::new).collect();
-    run_fractional_packing_many_with(&refs, threads)
+/// Runs the §4 algorithm deriving (f, k, W) from the instance.
+pub fn run_fractional_packing<V: PackingValue>(
+    inst: &SetCoverInstance,
+) -> Result<ScRun<V>, SimError> {
+    run_fractional_packing_scratch(&ScInstance::new(inst), &mut EngineScratch::new())
 }

@@ -71,8 +71,8 @@ use crate::sc_bcast::{ScConfig, ScMsg, ScNode, ScOutput};
 use crate::vc_pn::VcInstance;
 use anonet_bigmath::PackingValue;
 use anonet_sim::{
-    run_engine, run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineScratch, Graph,
-    MessageSize, RunResult, SimError, Trace, WordHasher,
+    run_engine_scratch, BatchRunner, BcastAlgorithm, Broadcast, EngineScratch, Graph, MessageSize,
+    SimError, Trace, WordHasher,
 };
 use std::any::Any;
 use std::cmp::Ordering;
@@ -429,38 +429,10 @@ pub struct VcBcastRun<V> {
     pub trace: Trace,
 }
 
-/// Runs the §5 broadcast-model vertex cover with explicit bounds (Δ, W).
-pub fn run_vc_broadcast_with<V: PackingValue>(
-    g: &Graph,
-    weights: &[u64],
-    delta: usize,
-    max_weight: u64,
-    threads: usize,
-) -> Result<VcBcastRun<V>, SimError> {
-    let cfg = VcBcastConfig::new(delta, max_weight);
-    let res: RunResult<VcBcastOutput<V>> =
-        run_engine::<VcBcastNode<V>, Broadcast>(g, &cfg, weights, cfg.total_rounds(), threads)?;
-    Ok(assemble_vc_bcast_run(res))
-}
-
-/// Folds per-node outputs into the cover and the dual value.
-fn assemble_vc_bcast_run<V: PackingValue>(res: RunResult<VcBcastOutput<V>>) -> VcBcastRun<V> {
-    let cover = res.outputs.iter().map(|o| o.in_cover).collect();
-    let mut double_dual = V::zero();
-    let mut all_saturated = true;
-    for o in &res.outputs {
-        for (y, sat) in &o.elem_info {
-            double_dual = double_dual.add(y);
-            all_saturated &= *sat;
-        }
-    }
-    let dual_value = double_dual.div(&V::from_u64(2));
-    VcBcastRun { cover, dual_value, all_saturated, trace: res.trace }
-}
-
 /// Runs the §5 broadcast-model vertex cover on many independent instances
-/// across one pool of `threads` workers. `results[i]` corresponds to
-/// `instances[i]` (bounds per [`VcInstance`]).
+/// across one pool of `threads` workers, each instance through
+/// [`run_vc_broadcast_scratch`]. `results[i]` corresponds to `instances[i]`
+/// (bounds per [`VcInstance`]).
 pub fn run_vc_broadcast_many<V: PackingValue>(
     instances: &[VcInstance<'_>],
     threads: usize,
@@ -468,10 +440,12 @@ pub fn run_vc_broadcast_many<V: PackingValue>(
     BatchRunner::new(threads).map(instances, run_vc_broadcast_scratch)
 }
 
-/// One §5 instance on a single-threaded engine whose allocations are taken
-/// from and returned to `scratch` — the per-instance entry point for callers
-/// that fan out themselves. Bit-identical to the same instance's result
-/// from [`run_vc_broadcast_many`].
+/// Runs the §5 broadcast-model vertex cover on one instance under its
+/// global bounds (Δ, W), as one part on the calling thread, taking the
+/// engine's allocations from and returning them to `scratch` — the one body
+/// every §5 entry point (the batch, the service's pipeline,
+/// [`run_vc_broadcast`]) runs. Per-node outputs fold into the cover and the
+/// dual value.
 pub fn run_vc_broadcast_scratch<V: PackingValue>(
     inst: &VcInstance<'_>,
     scratch: &mut EngineScratch<VcBcastNode<V>, Broadcast>,
@@ -484,7 +458,17 @@ pub fn run_vc_broadcast_scratch<V: PackingValue>(
         cfg.total_rounds(),
         scratch,
     )?;
-    Ok(assemble_vc_bcast_run(res))
+    let cover = res.outputs.iter().map(|o| o.in_cover).collect();
+    let mut double_dual = V::zero();
+    let mut all_saturated = true;
+    for o in &res.outputs {
+        for (y, sat) in &o.elem_info {
+            double_dual = double_dual.add(y);
+            all_saturated &= *sat;
+        }
+    }
+    let dual_value = double_dual.div(&V::from_u64(2));
+    Ok(VcBcastRun { cover, dual_value, all_saturated, trace: res.trace })
 }
 
 /// Runs the §5 broadcast-model vertex cover deriving Δ and W from the
@@ -493,9 +477,7 @@ pub fn run_vc_broadcast<V: PackingValue>(
     g: &Graph,
     weights: &[u64],
 ) -> Result<VcBcastRun<V>, SimError> {
-    let delta = g.max_degree();
-    let w = weights.iter().copied().max().unwrap_or(1).max(1);
-    run_vc_broadcast_with(g, weights, delta, w, 1)
+    run_vc_broadcast_scratch(&VcInstance::new(g, weights), &mut EngineScratch::new())
 }
 
 /// Builds the §5 incidence instance explicitly (for the equivalence tests and

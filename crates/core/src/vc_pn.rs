@@ -25,8 +25,8 @@ use crate::encode::{Colour, CvSchedule, SeqEncoder};
 use crate::packing::EdgePacking;
 use anonet_bigmath::PackingValue;
 use anonet_sim::{
-    run_engine, run_engine_scratch, BatchRunner, EngineScratch, Graph, MessageSize, PnAlgorithm,
-    PortNumbering, RunResult, SimError, Trace,
+    run_engine_scratch, BatchRunner, EngineScratch, Graph, MessageSize, PnAlgorithm, PortNumbering,
+    SimError, Trace,
 };
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -603,25 +603,6 @@ pub struct VcRun<V> {
     pub trace: Trace,
 }
 
-/// Runs the §3 algorithm with explicit global bounds (Δ, W).
-///
-/// # Panics
-/// Panics if some degree exceeds Δ or some weight lies outside 1..=W, or if
-/// the two endpoint copies of an edge value disagree (cannot happen — checked
-/// as an internal consistency assertion).
-pub fn run_edge_packing_with<V: PackingValue>(
-    g: &Graph,
-    weights: &[u64],
-    delta: usize,
-    max_weight: u64,
-    threads: usize,
-) -> Result<VcRun<V>, SimError> {
-    let cfg = VcConfig::new(delta, max_weight);
-    let rounds = cfg.total_rounds();
-    let res = run_engine::<EdgePackingNode<V>, PortNumbering>(g, &cfg, weights, rounds, threads)?;
-    Ok(assemble_vc_run(g, res))
-}
-
 /// Folds per-node §3 outputs into the cover and the per-edge packing,
 /// asserting that the two endpoint copies of every edge value agree. This is
 /// the one place raw `VcOutput`s become a `(cover, packing)` pair — the
@@ -637,12 +618,6 @@ pub fn fold_vc_outputs<V: PackingValue>(
 ) -> (Vec<bool>, EdgePacking<V>) {
     let packing = EdgePacking::from_ports(g, outputs.iter().map(|o| &o.y[..]));
     (outputs.iter().map(|o| o.in_cover).collect(), packing)
-}
-
-/// Folds per-node outputs into the per-edge packing and the cover.
-fn assemble_vc_run<V: PackingValue>(g: &Graph, res: RunResult<VcOutput<V>>) -> VcRun<V> {
-    let (cover, packing) = fold_vc_outputs(g, &res.outputs);
-    VcRun { packing, cover, trace: res.trace }
 }
 
 /// One §3 instance of a batched run: a graph, its node weights, and the
@@ -679,9 +654,8 @@ impl<'a> VcInstance<'a> {
 }
 
 /// Runs the §3 algorithm on many independent instances across one pool of
-/// `threads` workers — the batched entry point the experiment binaries and
-/// service layers funnel through. `results[i]` corresponds to
-/// `instances[i]`.
+/// `threads` workers, each instance through [`run_edge_packing_scratch`].
+/// `results[i]` corresponds to `instances[i]`.
 pub fn run_edge_packing_many<V: PackingValue>(
     instances: &[VcInstance<'_>],
     threads: usize,
@@ -689,10 +663,15 @@ pub fn run_edge_packing_many<V: PackingValue>(
     BatchRunner::new(threads).map(instances, run_edge_packing_scratch)
 }
 
-/// One §3 instance on a single-threaded engine whose allocations are taken
-/// from and returned to `scratch` — the per-instance entry point for callers
-/// that fan out themselves. Bit-identical to the same instance's result
-/// from [`run_edge_packing_many`].
+/// Runs the §3 algorithm on one instance under its global bounds (Δ, W),
+/// as one part on the calling thread, taking the engine's allocations from
+/// and returning them to `scratch` — the one body every §3 entry point
+/// (the batch, the service's pipeline, [`run_edge_packing`]) runs.
+///
+/// # Panics
+/// Panics if some degree exceeds Δ or some weight lies outside 1..=W, or if
+/// the two endpoint copies of an edge value disagree (cannot happen — checked
+/// as an internal consistency assertion).
 pub fn run_edge_packing_scratch<V: PackingValue>(
     inst: &VcInstance<'_>,
     scratch: &mut EngineScratch<EdgePackingNode<V>, PortNumbering>,
@@ -705,12 +684,11 @@ pub fn run_edge_packing_scratch<V: PackingValue>(
         cfg.total_rounds(),
         scratch,
     )?;
-    Ok(assemble_vc_run(inst.graph, res))
+    let (cover, packing) = fold_vc_outputs(inst.graph, &res.outputs);
+    Ok(VcRun { packing, cover, trace: res.trace })
 }
 
 /// Runs the §3 algorithm deriving Δ and W from the instance.
 pub fn run_edge_packing<V: PackingValue>(g: &Graph, weights: &[u64]) -> Result<VcRun<V>, SimError> {
-    let delta = g.max_degree();
-    let w = weights.iter().copied().max().unwrap_or(1).max(1);
-    run_edge_packing_with(g, weights, delta, w, 1)
+    run_edge_packing_scratch(&VcInstance::new(g, weights), &mut EngineScratch::new())
 }

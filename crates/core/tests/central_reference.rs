@@ -7,9 +7,9 @@
 
 use anonet_bigmath::{BigRat, PackingValue, UBig};
 use anonet_core::encode::{cv_step, cv_step_root, SeqEncoder};
-use anonet_core::vc_pn::{run_edge_packing_with, VcConfig};
+use anonet_core::vc_pn::{run_edge_packing_scratch, VcConfig, VcInstance};
 use anonet_gen::{family, WeightSpec};
-use anonet_sim::Graph;
+use anonet_sim::{EngineScratch, Graph};
 use std::cmp::Ordering;
 
 type V = BigRat;
@@ -244,7 +244,11 @@ fn central_sec3(g: &Graph, weights: &[u64], delta: usize, w_bound: u64) -> (Vec<
 fn compare(g: &Graph, weights: &[u64]) {
     let delta = g.max_degree();
     let w_bound = weights.iter().copied().max().unwrap_or(1);
-    let dist = run_edge_packing_with::<V>(g, weights, delta, w_bound, 1).unwrap();
+    let dist = run_edge_packing_scratch::<V>(
+        &VcInstance::with_bounds(g, weights, delta, w_bound),
+        &mut EngineScratch::new(),
+    )
+    .unwrap();
     let (y, cover) = central_sec3(g, weights, delta, w_bound);
     assert_eq!(dist.cover, cover, "covers differ from the centralized reference");
     assert_eq!(dist.packing.y, y, "packings differ from the centralized reference");

@@ -5,15 +5,18 @@
 
 use anonet_bigmath::{AutoRat, BigRat, PackingValue};
 use anonet_core::certify::certify_set_cover;
+use anonet_core::packing::FractionalPacking;
 use anonet_core::sc_bcast::{
-    run_fractional_packing, run_fractional_packing_many, run_fractional_packing_with, ScConfig,
-    ScMsg, ScNode, ScOutput,
+    run_fractional_packing, run_fractional_packing_many_with, run_fractional_packing_scratch,
+    ScConfig, ScInstance, ScMsg, ScNode, ScOutput, ScRun,
 };
 use anonet_core::trivial::{run_trivial, trivial_bound};
 use anonet_core::vc_bcast::{incidence_instance, run_vc_broadcast, VcBcastConfig};
 use anonet_core::vc_pn::run_edge_packing;
 use anonet_gen::{family, reduction, setcover, WeightSpec};
-use anonet_sim::{BcastAlgorithm, Graph, SetCoverInstance, Trace};
+use anonet_sim::{
+    BcastAlgorithm, BcastEngine, EngineScratch, Graph, RoundPool, SetCoverInstance, Trace,
+};
 use proptest::prelude::*;
 
 /// All §4 guarantees in one checker.
@@ -37,7 +40,8 @@ fn batched_runner_matches_individual_sc_runs() {
         .map(|seed| setcover::random_bounded(12, 8, 2, 3, WeightSpec::Uniform(20), seed))
         .collect();
     for threads in [1usize, 3] {
-        let batch = run_fractional_packing_many::<BigRat>(&instances, threads);
+        let refs: Vec<ScInstance<'_>> = instances.iter().map(ScInstance::new).collect();
+        let batch = run_fractional_packing_many_with::<BigRat>(&refs, threads);
         for (inst, run) in instances.iter().zip(batch) {
             let run = run.unwrap();
             let solo = run_fractional_packing::<BigRat>(inst).unwrap();
@@ -171,7 +175,11 @@ fn rat128_matches_bigrat_sc() {
 #[test]
 fn explicit_bounds_with_slack() {
     let inst = setcover::random_bounded(10, 6, 2, 3, WeightSpec::Uniform(9), 3);
-    let run = run_fractional_packing_with::<BigRat>(&inst, 3, 5, 100, 1).unwrap();
+    let run = run_fractional_packing_scratch::<BigRat>(
+        &ScInstance::with_bounds(&inst, 3, 5, 100),
+        &mut EngineScratch::new(),
+    )
+    .unwrap();
     assert!(run.packing.is_maximal(&inst));
     assert_eq!(run.trace.rounds, ScConfig::new(3, 5, 100).total_rounds());
 }
@@ -179,8 +187,27 @@ fn explicit_bounds_with_slack() {
 #[test]
 fn parallel_matches_sequential_sc() {
     let inst = setcover::random_bounded(20, 12, 2, 4, WeightSpec::Uniform(16), 9);
-    let seq = run_fractional_packing_with::<BigRat>(&inst, 2, 4, 16, 1).unwrap();
-    let par = run_fractional_packing_with::<BigRat>(&inst, 2, 4, 16, 4).unwrap();
+    let seq = run_fractional_packing_scratch::<BigRat>(
+        &ScInstance::with_bounds(&inst, 2, 4, 16),
+        &mut EngineScratch::new(),
+    )
+    .unwrap();
+    // `RoundPool::new` never clamps: every round runs as 4 parts on any box.
+    let cfg = ScConfig::new(2, 4, 16);
+    let inputs: Vec<Option<u64>> =
+        (0..inst.graph.n()).map(|v| inst.is_subset(v).then(|| inst.weights[v])).collect();
+    let mut pool = RoundPool::new(4);
+    let res = BcastEngine::<ScNode<BigRat>>::new(&inst.graph, &cfg, &inputs, Some(&mut pool))
+        .and_then(|engine| engine.run(cfg.total_rounds(), &mut EngineScratch::new()))
+        .unwrap();
+    let mut par =
+        ScRun { packing: FractionalPacking { y: vec![] }, cover: vec![], trace: res.trace };
+    for out in res.outputs {
+        match out {
+            ScOutput::Subset { in_cover } => par.cover.push(in_cover),
+            ScOutput::Element { y, .. } => par.packing.y.push(y),
+        }
+    }
     assert_eq!(seq.cover, par.cover);
     assert_eq!(seq.packing, par.packing);
     assert_eq!(seq.trace, par.trace);
@@ -265,7 +292,11 @@ fn vc_broadcast_equals_sc_on_incidence() {
         let inst = incidence_instance(&g, &w);
         let delta = g.max_degree().max(1);
         let wmax = w.iter().copied().max().unwrap();
-        let direct = run_fractional_packing_with::<BigRat>(&inst, 2, delta, wmax, 1).unwrap();
+        let direct = run_fractional_packing_scratch::<BigRat>(
+            &ScInstance::with_bounds(&inst, 2, delta, wmax),
+            &mut EngineScratch::new(),
+        )
+        .unwrap();
         assert_eq!(sim.cover, direct.cover, "seed {seed}");
         assert_eq!(sim.dual_value, direct.packing.dual_value());
         // One extra round on G (history catches up at T+1).
@@ -450,8 +481,10 @@ proptest! {
         prop_assert!(sim.all_saturated);
         let inst = incidence_instance(&g, &w);
         if inst.n_elements() > 0 {
-            let direct = run_fractional_packing_with::<BigRat>(
-                &inst, 2, g.max_degree(), w.iter().copied().max().unwrap(), 1).unwrap();
+            let bounds = ScInstance::with_bounds(
+                &inst, 2, g.max_degree(), w.iter().copied().max().unwrap());
+            let direct = run_fractional_packing_scratch::<BigRat>(
+                &bounds, &mut EngineScratch::new()).unwrap();
             prop_assert_eq!(&sim.cover, &direct.cover);
         }
     }

@@ -6,9 +6,9 @@
 //! and the big-integer colour paths are pinned.
 
 use anonet_bigmath::{AutoRat, BigRat, PackingValue};
-use anonet_core::vc_pn::{run_edge_packing_with, VcConfig};
+use anonet_core::vc_pn::{run_edge_packing_scratch, VcConfig, VcInstance};
 use anonet_gen::{family, WeightSpec};
-use anonet_sim::{Graph, Trace};
+use anonet_sim::{EngineScratch, Graph, Trace};
 
 struct Pin {
     trace: Trace,
@@ -30,7 +30,11 @@ fn check_pin<V: PackingValue>(
     wmax: u64,
     pin: &Pin,
 ) {
-    let run = run_edge_packing_with::<V>(g, w, delta, wmax, 1).unwrap();
+    let run = run_edge_packing_scratch::<V>(
+        &VcInstance::with_bounds(g, w, delta, wmax),
+        &mut EngineScratch::new(),
+    )
+    .unwrap();
     assert!(run.packing.is_maximal(g, w), "{what}: maximal");
     let cover: String = run.cover.iter().map(|&b| if b { '1' } else { '0' }).collect();
     let packing: Vec<String> = run.packing.y.iter().map(ToString::to_string).collect();

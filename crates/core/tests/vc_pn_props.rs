@@ -5,10 +5,13 @@
 //! invariantly under covering lifts.
 
 use anonet_bigmath::{AutoRat, BigRat, PackingValue};
-use anonet_core::vc_pn::{run_edge_packing, run_edge_packing_with, VcConfig};
+use anonet_core::vc_pn::{
+    fold_vc_outputs, run_edge_packing, run_edge_packing_scratch, EdgePackingNode, VcConfig,
+    VcInstance, VcRun,
+};
 use anonet_gen::{family, WeightSpec};
 use anonet_sim::cover::lift;
-use anonet_sim::Graph;
+use anonet_sim::{EngineScratch, Graph, PnEngine, RoundPool};
 use proptest::prelude::*;
 
 /// All §3 guarantees in one checker.
@@ -118,7 +121,11 @@ fn rounds_independent_of_n() {
     for n in [8usize, 64, 512] {
         let g = family::random_regular(n, 4, 99);
         let w = WeightSpec::Uniform(100).draw_many(n, 5);
-        let run = run_edge_packing_with::<BigRat>(&g, &w, 4, 100, 1).unwrap();
+        let run = run_edge_packing_scratch::<BigRat>(
+            &VcInstance::with_bounds(&g, &w, 4, 100),
+            &mut EngineScratch::new(),
+        )
+        .unwrap();
         assert!(run.packing.is_maximal(&g, &w));
         counts.push(run.trace.rounds);
     }
@@ -169,7 +176,11 @@ fn huge_weights_w_2_64() {
     // such as W = 2^64" (§1.4).
     let g = family::random_regular(16, 3, 4);
     let w = WeightSpec::Uniform(u64::MAX).draw_many(16, 11);
-    let run = run_edge_packing_with::<BigRat>(&g, &w, 3, u64::MAX, 1).unwrap();
+    let run = run_edge_packing_scratch::<BigRat>(
+        &VcInstance::with_bounds(&g, &w, 3, u64::MAX),
+        &mut EngineScratch::new(),
+    )
+    .unwrap();
     assert!(run.packing.is_maximal(&g, &w));
     let cfg = VcConfig::new(3, u64::MAX);
     assert_eq!(run.trace.rounds, cfg.total_rounds());
@@ -274,7 +285,11 @@ fn explicit_global_bounds_allowed_to_exceed_instance() {
     // Δ and W are upper bounds; running with slack must stay correct.
     let g = family::cycle(8);
     let w = vec![3u64; 8];
-    let run = run_edge_packing_with::<BigRat>(&g, &w, 5, 1000, 1).unwrap();
+    let run = run_edge_packing_scratch::<BigRat>(
+        &VcInstance::with_bounds(&g, &w, 5, 1000),
+        &mut EngineScratch::new(),
+    )
+    .unwrap();
     assert!(run.packing.is_maximal(&g, &w));
     let cfg = VcConfig::new(5, 1000);
     assert_eq!(run.trace.rounds, cfg.total_rounds());
@@ -284,8 +299,19 @@ fn explicit_global_bounds_allowed_to_exceed_instance() {
 fn parallel_engine_identical() {
     let g = family::random_regular(64, 4, 17);
     let w = WeightSpec::Uniform(64).draw_many(64, 18);
-    let seq = run_edge_packing_with::<BigRat>(&g, &w, 4, 64, 1).unwrap();
-    let par = run_edge_packing_with::<BigRat>(&g, &w, 4, 64, 4).unwrap();
+    let seq = run_edge_packing_scratch::<BigRat>(
+        &VcInstance::with_bounds(&g, &w, 4, 64),
+        &mut EngineScratch::new(),
+    )
+    .unwrap();
+    // `RoundPool::new` never clamps: every round runs as 4 parts on any box.
+    let cfg = VcConfig::new(4, 64);
+    let mut pool = RoundPool::new(4);
+    let res = PnEngine::<EdgePackingNode<BigRat>>::new(&g, &cfg, &w, Some(&mut pool))
+        .and_then(|engine| engine.run(cfg.total_rounds(), &mut EngineScratch::new()))
+        .unwrap();
+    let (cover, packing) = fold_vc_outputs(&g, &res.outputs);
+    let par = VcRun { packing, cover, trace: res.trace };
     assert_eq!(seq.cover, par.cover);
     assert_eq!(seq.packing, par.packing);
     assert_eq!(seq.trace, par.trace);

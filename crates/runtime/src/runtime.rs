@@ -801,7 +801,8 @@ impl<'a, A, D: Delivery<A>> AsyncRuntime<'a, A, D> {
 
 /// Runs an algorithm to completion under delivery model `D` on the
 /// asynchronous runtime — the generic core behind [`run_async_pn`] /
-/// [`run_async_bcast`], mirroring [`run_engine`](anonet_sim::run_engine).
+/// [`run_async_bcast`], mirroring
+/// [`run_engine_scratch`](anonet_sim::run_engine_scratch).
 pub fn run_async_engine<A, D: Delivery<A>>(
     g: &Graph,
     cfg: &D::Config,

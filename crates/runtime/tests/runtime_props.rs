@@ -18,7 +18,10 @@ use anonet_runtime::{
     run_async_bcast, run_async_engine, run_async_pn, ChurnPlan, DelayModel, NetworkConfig,
 };
 use anonet_selfstab::FaultPlan;
-use anonet_sim::{run_engine, BcastAlgorithm, Broadcast, Graph, PnAlgorithm, PortNumbering};
+use anonet_sim::{
+    run_bcast, run_pn, BcastAlgorithm, Broadcast, Delivery, Engine, EngineScratch, Graph,
+    PnAlgorithm, PortNumbering, RoundPool, RunResult,
+};
 use proptest::prelude::*;
 
 /// PN hash workload with staggered halting (mirrors the engine props):
@@ -96,6 +99,21 @@ fn seeded_gnp(n: usize, p: f64, seed: u64) -> Graph {
     Graph::from_edges(n, &edges).expect("gnp is simple")
 }
 
+/// The synchronous oracle on an explicit `parts`-worker pool. `RoundPool::new`
+/// never clamps, so every round really splits into `parts` parts on any box.
+fn sync_on_parts<A: Send + Sync, D: Delivery<A>>(
+    g: &Graph,
+    cfg: &D::Config,
+    inputs: &[D::Input],
+    limit: u64,
+    parts: usize,
+) -> RunResult<D::Output> {
+    let mut pool = RoundPool::new(parts);
+    Engine::<A, D>::new(g, cfg, inputs, Some(&mut pool))
+        .and_then(|engine| engine.run(limit, &mut EngineScratch::new()))
+        .unwrap()
+}
+
 /// Weights in 1..=w for the §3 instances.
 fn seeded_weights(n: usize, w: u64, seed: u64) -> Vec<u64> {
     let mut rng = Rng::new(seed ^ 0xABCD);
@@ -120,12 +138,11 @@ proptest! {
         let limit = spread + 2;
         let res = run_async_pn::<StaggerHash>(&g, &spread, &inputs, limit, &NetworkConfig::ideal())
             .unwrap();
-        // `8` deliberately overshoots small CI boxes: `run_engine` caps the
-        // pool width at the machine's available parallelism, and the oracle
-        // must stay bit-identical either way.
+        // `8` deliberately overshoots small CI boxes: oversubscribed parts
+        // must keep the oracle bit-identical too.
         for threads in [1usize, 2, 4, 8] {
-            let sync = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, threads)
-                .unwrap();
+            let sync =
+                sync_on_parts::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, threads);
             prop_assert_eq!(&res.outputs, &sync.outputs, "t={}", threads);
         }
     }
@@ -144,8 +161,8 @@ proptest! {
         let res = run_async_bcast::<StaggerCensus>(&g, &spread, &inputs, limit, &NetworkConfig::ideal())
             .unwrap();
         for threads in [1usize, 4, 8] {
-            let sync = run_engine::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, threads)
-                .unwrap();
+            let sync =
+                sync_on_parts::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, threads);
             prop_assert_eq!(&res.outputs, &sync.outputs, "t={}", threads);
         }
     }
@@ -164,8 +181,7 @@ proptest! {
         let g = seeded_gnp(n, p, seed);
         let spread = 5u64;
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
-        let sync = run_engine::<StaggerHash, PortNumbering>(
-            &g, &spread, &inputs, spread + 2, 1).unwrap();
+        let sync = run_pn::<StaggerHash>(&g, &spread, &inputs, spread + 2).unwrap();
         let net = NetworkConfig::ideal()
             .with_delays(DelayModel::Uniform { lo: 0, hi: 7 })
             .with_loss(drop, 4)
@@ -194,8 +210,7 @@ proptest! {
         let g = seeded_gnp(n, p, seed);
         let spread = 4u64;
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
-        let sync = run_engine::<StaggerCensus, Broadcast>(
-            &g, &spread, &inputs, spread + 2, 1).unwrap();
+        let sync = run_bcast::<StaggerCensus>(&g, &spread, &inputs, spread + 2).unwrap();
         let net = NetworkConfig::ideal()
             .with_delays(DelayModel::Uniform { lo: 0, hi: 6 })
             .with_loss(drop, 4)
@@ -271,8 +286,7 @@ proptest! {
 fn assert_vc_pn_equivalent(g: &Graph, weights: &[u64], net: &NetworkConfig) {
     let cfg = VcConfig::new(g.max_degree(), weights.iter().copied().max().unwrap_or(1).max(1));
     let limit = cfg.total_rounds();
-    let sync =
-        run_engine::<EdgePackingNode<BigRat>, PortNumbering>(g, &cfg, weights, limit, 1).unwrap();
+    let sync = run_pn::<EdgePackingNode<BigRat>>(g, &cfg, weights, limit).unwrap();
     let res =
         run_async_engine::<EdgePackingNode<BigRat>, PortNumbering>(g, &cfg, weights, limit, net)
             .unwrap();
@@ -304,7 +318,7 @@ fn vc_bcast_ideal_equivalence_acceptance() {
         let w = seeded_weights(g.n(), 5, seed);
         let cfg = VcBcastConfig::new(g.max_degree(), w.iter().copied().max().unwrap_or(1).max(1));
         let limit = cfg.total_rounds();
-        let sync = run_engine::<VcBcastNode<BigRat>, Broadcast>(&g, &cfg, &w, limit, 1).unwrap();
+        let sync = run_bcast::<VcBcastNode<BigRat>>(&g, &cfg, &w, limit).unwrap();
         let res = run_async_engine::<VcBcastNode<BigRat>, Broadcast>(
             &g,
             &cfg,
@@ -362,7 +376,7 @@ fn isolated_and_tiny_graphs() {
     let g = Graph::from_edges(4, &[(1, 2)]).unwrap();
     let spread = 3u64;
     let inputs = vec![7u64, 8, 9, 10];
-    let sync = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, 10, 1).unwrap();
+    let sync = run_pn::<StaggerHash>(&g, &spread, &inputs, 10).unwrap();
     for net in [
         NetworkConfig::ideal(),
         NetworkConfig::ideal().with_delays(DelayModel::Constant(3)).with_seed(2),

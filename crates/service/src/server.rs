@@ -101,9 +101,10 @@ pub struct ServiceConfig {
     pub threads_per_job: usize,
     /// Backoff hint carried in `Busy` responses, in milliseconds.
     pub retry_after_ms: u32,
-    /// Maximum live connections (one thread each); connections accepted
-    /// beyond the cap are closed immediately, shedding load at the door
-    /// instead of pinning an unbounded number of threads.
+    /// Maximum live connections, under either [`ConnModel`] (one thread
+    /// each under `Threads`, one reactor slot each under `Reactor`);
+    /// connections accepted beyond the cap are closed immediately, shedding
+    /// load at the door instead of pinning unbounded threads or buffers.
     pub max_conns: usize,
     /// Idle timeout per connection, in milliseconds (`0` disables it).
     /// Without one, `max_conns` stalled peers that never send a byte would

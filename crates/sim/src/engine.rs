@@ -13,10 +13,10 @@
 //! [`Engine::with_scratch`] borrow it for the engine's lifetime and split
 //! every round into one part per pool worker; `None` runs one part on the
 //! calling thread. No thread is ever spawned here, let alone per round
-//! (per-round thread spawns were the multithreaded slowdown). [`run_engine`]
-//! maps a user-facing thread count to this thread's cached pool (see
-//! [`crate::pool`] for the `0` = auto rule and the cap at the machine's
-//! available parallelism).
+//! (per-round thread spawns were the multithreaded slowdown). The
+//! run-to-completion wrappers ([`run_engine_scratch`], [`run_pn`],
+//! [`run_bcast`]) run one part; a multi-part run builds its engine on a
+//! caller-owned pool (see [`crate::pool`] for the thread-count policy).
 //!
 //! **Partition invariants**: the sweep list is split into at most one
 //! range per pool worker, contiguous and balanced by **slot/arc weight**
@@ -171,8 +171,8 @@ pub struct RoundStats {
 
 /// Per-round engine instrumentation hook.
 ///
-/// Attached with [`Engine::set_observer`] or the [`run_engine_observed`]
-/// wrapper; the default is no observer, which costs one branch per round.
+/// Attached with [`Engine::set_observer`]; the default is no observer, which
+/// costs one branch per round.
 /// The observer runs on the engine's calling thread, after the round's
 /// receive barrier, so it never races the parallel sweep phases.
 pub trait RoundObserver {
@@ -488,10 +488,10 @@ fn receive_part<'b, A, D: Delivery<A>>(
 /// An in-flight synchronous execution: the one round core, generic over the
 /// delivery model `D`.
 ///
-/// [`Engine::step`] advances one synchronous round; [`run_pn`] /
-/// [`run_bcast`] (and the generic [`run_engine`]) are run-to-completion
-/// convenience wrappers. Use [`PnEngine`] / [`BcastEngine`] to name the two
-/// instantiations.
+/// [`Engine::step`] advances one synchronous round; [`Engine::run`] steps to
+/// completion, and [`run_pn`] / [`run_bcast`] (and the generic
+/// [`run_engine_scratch`]) are one-part run-to-completion wrappers. Use
+/// [`PnEngine`] / [`BcastEngine`] to name the two instantiations.
 pub struct Engine<'a, A, D: Delivery<A>> {
     graph: &'a Graph,
     cfg: &'a D::Config,
@@ -822,22 +822,6 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         self.halted == g.n()
     }
 
-    /// Consumes the engine, returning outputs if all nodes have halted.
-    ///
-    /// The `Err` variant deliberately hands the whole engine back so a
-    /// caller can keep stepping it; the size is irrelevant on this cold path.
-    #[allow(clippy::result_large_err)]
-    pub fn finish(self) -> Result<RunResult<D::Output>, Self> {
-        if self.halted == self.graph.n() {
-            Ok(RunResult {
-                outputs: self.s.outputs.into_iter().map(|o| o.expect("halted")).collect(),
-                trace: self.trace,
-            })
-        } else {
-            Err(self)
-        }
-    }
-
     /// Consumes the engine, handing **every** internal allocation back to
     /// `scratch`, cleared, and returning the outputs if all nodes have
     /// halted (`None` otherwise — allocations are recycled either way).
@@ -867,7 +851,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
     /// Steps until every node has halted, at most `max_rounds` rounds in
     /// all, then hands the allocations back to `scratch` (see
     /// [`Engine::finish_scratch`]) — the stepping loop behind every
-    /// `run_engine*` entry point.
+    /// run-to-completion entry point.
     pub fn run(
         mut self,
         max_rounds: u64,
@@ -893,27 +877,12 @@ pub type PnEngine<'a, A> = Engine<'a, A, PortNumbering>;
 /// as a canonically sorted multiset.
 pub type BcastEngine<'a, A> = Engine<'a, A, Broadcast>;
 
-/// Runs an algorithm to completion under delivery model `D` on this
-/// thread's cached pool at the width `threads` resolves to (`0` = auto,
-/// capped at the machine's available parallelism; see
-/// [`pool::with_threads`]) — the generic core behind [`run_pn`] /
-/// [`run_bcast`].
-pub fn run_engine<A: Send + Sync, D: Delivery<A>>(
-    graph: &Graph,
-    cfg: &D::Config,
-    inputs: &[D::Input],
-    max_rounds: u64,
-    threads: usize,
-) -> Result<RunResult<D::Output>, SimError> {
-    pool::with_threads(threads, |pool| {
-        Engine::<A, D>::new(graph, cfg, inputs, pool)?.run(max_rounds, &mut EngineScratch::new())
-    })
-}
-
-/// A one-part [`run_engine`] with allocation reuse: the engine's internal
-/// vectors are taken from and returned to `scratch`, so repeated short runs
-/// through the same scratch allocate nothing once warm. Results are
-/// bit-identical to [`run_engine`].
+/// Runs an algorithm to completion under delivery model `D` as one part on
+/// the calling thread, taking the engine's internal vectors from and
+/// returning them to `scratch`, so repeated short runs through the same
+/// scratch allocate nothing once warm — the generic core behind [`run_pn`] /
+/// [`run_bcast`]. A multi-part run borrows a [`RoundPool`] through
+/// [`Engine::new`] and [`Engine::run`]; results do not depend on the pool.
 pub fn run_engine_scratch<A: Send + Sync, D: Delivery<A>>(
     graph: &Graph,
     cfg: &D::Config,
@@ -924,22 +893,6 @@ pub fn run_engine_scratch<A: Send + Sync, D: Delivery<A>>(
     Engine::<A, D>::with_scratch(graph, cfg, inputs, None, scratch)?.run(max_rounds, scratch)
 }
 
-/// [`run_engine_scratch`] with a [`RoundObserver`] attached for the whole
-/// run. Outputs and [`Trace`] are bit-identical to the unobserved run — the
-/// observer only *reads* per-round statistics.
-pub fn run_engine_observed<A: Send + Sync, D: Delivery<A>>(
-    graph: &Graph,
-    cfg: &D::Config,
-    inputs: &[D::Input],
-    max_rounds: u64,
-    scratch: &mut EngineScratch<A, D>,
-    observer: &mut dyn RoundObserver,
-) -> Result<RunResult<D::Output>, SimError> {
-    let mut engine = Engine::<A, D>::with_scratch(graph, cfg, inputs, None, scratch)?;
-    engine.set_observer(observer);
-    engine.run(max_rounds, scratch)
-}
-
 /// Runs a port-numbering algorithm to completion on one thread.
 pub fn run_pn<A: PnAlgorithm>(
     graph: &Graph,
@@ -947,7 +900,8 @@ pub fn run_pn<A: PnAlgorithm>(
     inputs: &[A::Input],
     max_rounds: u64,
 ) -> Result<RunResult<A::Output>, SimError> {
-    run_engine::<A, PortNumbering>(graph, cfg, inputs, max_rounds, 1)
+    let mut scratch = EngineScratch::new();
+    run_engine_scratch::<A, PortNumbering>(graph, cfg, inputs, max_rounds, &mut scratch)
 }
 
 /// Runs a broadcast algorithm to completion on one thread.
@@ -957,7 +911,7 @@ pub fn run_bcast<A: BcastAlgorithm>(
     inputs: &[A::Input],
     max_rounds: u64,
 ) -> Result<RunResult<A::Output>, SimError> {
-    run_engine::<A, Broadcast>(graph, cfg, inputs, max_rounds, 1)
+    run_engine_scratch::<A, Broadcast>(graph, cfg, inputs, max_rounds, &mut EngineScratch::new())
 }
 
 #[cfg(test)]
@@ -1084,7 +1038,7 @@ mod tests {
         engine.step();
         engine.step();
         assert_eq!(engine.frontier_len(), 0);
-        let res = engine.finish().ok().expect("halted");
+        let res = engine.finish_scratch(&mut EngineScratch::new()).expect("halted");
         // All-nodes-send semantics: arcs × rounds messages, 64 bits each.
         assert_eq!(res.trace.messages, 3 * g.arcs() as u64);
         assert_eq!(res.trace.total_bits, 3 * g.arcs() as u64 * 64);
@@ -1108,17 +1062,13 @@ mod tests {
         let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
         let g = Graph::from_edges(n, &edges).unwrap();
         let inputs: Vec<u64> = (0..n as u64).map(|v| v % 8 + 1).collect();
-        let base = run_engine::<Staggered, PortNumbering>(&g, &(), &inputs, 20, 1).unwrap();
+        let base = run_pn::<Staggered>(&g, &(), &inputs, 20).unwrap();
         let mut tally = Tally::default();
-        let res = run_engine_observed::<Staggered, PortNumbering>(
-            &g,
-            &(),
-            &inputs,
-            20,
-            &mut EngineScratch::new(),
-            &mut tally,
-        )
-        .unwrap();
+        let mut scratch = EngineScratch::new();
+        let mut engine =
+            PnEngine::<Staggered>::with_scratch(&g, &(), &inputs, None, &mut scratch).unwrap();
+        engine.set_observer(&mut tally);
+        let res = engine.run(20, &mut scratch).unwrap();
         // The observer never perturbs the run.
         assert_eq!(res.outputs, base.outputs);
         assert_eq!(res.trace, base.trace);
@@ -1332,7 +1282,7 @@ mod tests {
             let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
             let g = Graph::from_edges(n, &edges).unwrap();
             let inputs: Vec<u64> = (0..n as u64).map(|v| v % 7 + 1).collect();
-            let fresh = run_engine::<Staggered, PortNumbering>(&g, &(), &inputs, 20, 1).unwrap();
+            let fresh = run_pn::<Staggered>(&g, &(), &inputs, 20).unwrap();
             let reused =
                 run_engine_scratch::<Staggered, PortNumbering>(&g, &(), &inputs, 20, &mut scratch)
                     .unwrap();

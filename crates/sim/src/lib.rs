@@ -66,8 +66,8 @@ pub use delivery::{
     Broadcast, CanonTable, Delivery, GatherScratch, Outbox, PortNumbering, Senders, WordHasher,
 };
 pub use engine::{
-    run_bcast, run_engine, run_engine_observed, run_engine_scratch, run_pn, BcastEngine, Engine,
-    EngineScratch, NoopObserver, PnEngine, RoundObserver, RoundStats, RunResult, SimError, Trace,
+    run_bcast, run_engine_scratch, run_pn, BcastEngine, Engine, EngineScratch, NoopObserver,
+    PnEngine, RoundObserver, RoundStats, RunResult, SimError, Trace,
 };
 pub use graph::{Graph, GraphError};
 pub use model::{BcastAlgorithm, MessageSize, PnAlgorithm};

@@ -30,8 +30,8 @@
 //!   its lifetime (`Engine::new(.., Some(&mut pool))`) and splits every
 //!   round into one part per worker, and a batch borrows it for one
 //!   [`map_with`]. [`with_local_pool`] caches one pool per OS thread, so
-//!   the batch runner, `run_engine` and the service layer spawn their
-//!   workers once per thread, not once per call.
+//!   the batch runner and the service layer spawn their workers once per
+//!   thread, not once per call.
 //! * Dropping the pool releases the workers and joins them.
 //!
 //! ## Thread-count policy

@@ -12,12 +12,16 @@
 
 use anonet::bigmath::BigRat;
 use anonet::core::certify::certify_vertex_cover;
-use anonet::core::vc_pn::{run_edge_packing_with, VcConfig};
+use anonet::core::vc_pn::{fold_vc_outputs, EdgePackingNode, VcConfig};
 use anonet::gen::{family, WeightSpec};
+use anonet::sim::{EngineScratch, PnEngine, RoundPool};
 
 fn main() {
     let delta = 6; // radio-range cap: at most 6 neighbours
     let w_max = 1000; // battery level in permil
+    let cfg = VcConfig::new(delta, w_max);
+    // Every round splits into 4 parts, one per worker of this pool.
+    let mut pool = RoundPool::new(4);
 
     for n in [100usize, 1_000, 10_000] {
         let field = family::gnp_capped(n, 12.0 / n as f64, delta, 2024);
@@ -26,12 +30,14 @@ fn main() {
         // Exact BigRat arithmetic: at Δ = 6 the star-phase grants and the
         // certificate's global dual sum outgrow i128, so AutoRat's inline
         // Rat128 arm could not hold them (see bigmath docs).
-        let run = run_edge_packing_with::<BigRat>(&field, &batteries, delta, w_max, 4)
-            .expect("run completes");
-        let cert =
-            certify_vertex_cover(&field, &batteries, &run.packing, &run.cover).expect("certified");
+        let run =
+            PnEngine::<EdgePackingNode<BigRat>>::new(&field, &cfg, &batteries, Some(&mut pool))
+                .and_then(|engine| engine.run(cfg.total_rounds(), &mut EngineScratch::new()))
+                .expect("run completes");
+        let (cover, packing) = fold_vc_outputs(&field, &run.outputs);
+        let cert = certify_vertex_cover(&field, &batteries, &packing, &cover).expect("certified");
 
-        let monitors = run.cover.iter().filter(|&&b| b).count();
+        let monitors = cover.iter().filter(|&&b| b).count();
         println!(
             "n = {n:6}: {} links, {} monitors elected, battery cost {}, \
              certified ratio ≤ {:.3}, rounds = {} (schedule: {})",
@@ -40,7 +46,7 @@ fn main() {
             cert.cover_weight,
             cert.certified_ratio(),
             run.trace.rounds,
-            VcConfig::new(delta, w_max).total_rounds(),
+            cfg.total_rounds(),
         );
     }
     println!(

@@ -4,10 +4,10 @@
 
 use anonet::bigmath::BigRat;
 use anonet::core::sc_bcast::run_fractional_packing;
-use anonet::core::vc_pn::run_edge_packing;
+use anonet::core::vc_pn::{run_edge_packing, run_edge_packing_scratch, VcInstance};
 use anonet::gen::{family, setcover, Rng, WeightSpec};
 use anonet::sim::cover::lift;
-use anonet::sim::SetCoverInstance;
+use anonet::sim::{EngineScratch, Graph, SetCoverInstance};
 
 #[test]
 fn pn_output_depends_only_on_ports_weights() {
@@ -97,9 +97,12 @@ fn disconnected_components_are_independent() {
     // Same global bounds for all three runs (Δ, W are global parameters).
     let delta = gu.max_degree();
     let wmax = *wu.iter().max().unwrap();
-    let u = anonet::core::vc_pn::run_edge_packing_with::<BigRat>(&gu, &wu, delta, wmax, 1).unwrap();
-    let a = anonet::core::vc_pn::run_edge_packing_with::<BigRat>(&g1, &w1, delta, wmax, 1).unwrap();
-    let b = anonet::core::vc_pn::run_edge_packing_with::<BigRat>(&g2, &w2, delta, wmax, 1).unwrap();
+    let mut scratch = EngineScratch::new();
+    let mut run = |g: &Graph, w: &[u64]| {
+        let inst = VcInstance::with_bounds(g, w, delta, wmax);
+        run_edge_packing_scratch::<BigRat>(&inst, &mut scratch).unwrap()
+    };
+    let (u, a, b) = (run(&gu, &wu), run(&g1, &w1), run(&g2, &w2));
 
     assert_eq!(&u.cover[..5], &a.cover[..]);
     assert_eq!(&u.cover[5..], &b.cover[..]);

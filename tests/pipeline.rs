@@ -5,12 +5,13 @@
 use anonet::baselines::{run_id_edge_packing, run_kvy, run_ps3, run_rand_matching};
 use anonet::bigmath::{AutoRat, BigRat, PackingValue};
 use anonet::core::certify::{certify_set_cover, certify_vertex_cover};
-use anonet::core::sc_bcast::run_fractional_packing;
+use anonet::core::sc_bcast::{run_fractional_packing, run_fractional_packing_scratch, ScInstance};
 use anonet::core::trivial::run_trivial;
 use anonet::core::vc_bcast::{incidence_instance, run_vc_broadcast};
 use anonet::core::vc_pn::run_edge_packing;
 use anonet::exact::{is_vertex_cover, min_weight_set_cover, min_weight_vertex_cover};
 use anonet::gen::{family, setcover, WeightSpec};
+use anonet::sim::EngineScratch;
 
 /// The ISSUE-1 smoke test: generate via `anonet::gen`, drive the PN engine
 /// via `anonet::sim` directly (no convenience wrapper), and check cover
@@ -108,12 +109,9 @@ fn sec5_equals_sec4_on_incidence_structure() {
     let w = WeightSpec::Uniform(9).draw_many(12, 33);
     let sim = run_vc_broadcast::<BigRat>(&g, &w).unwrap();
     let inst = incidence_instance(&g, &w);
-    let direct = anonet::core::sc_bcast::run_fractional_packing_with::<BigRat>(
-        &inst,
-        2,
-        g.max_degree(),
-        *w.iter().max().unwrap(),
-        1,
+    let direct = run_fractional_packing_scratch::<BigRat>(
+        &ScInstance::with_bounds(&inst, 2, g.max_degree(), *w.iter().max().unwrap()),
+        &mut EngineScratch::new(),
     )
     .unwrap();
     assert_eq!(sim.cover, direct.cover);
